@@ -20,6 +20,9 @@ beta*' Q Sigma Q theta* share a sign and
 
     | beta*' P theta* / (1 + beta*' P beta*) |
         < | 2 beta*' Q Sigma Q theta* / beta*' Q Sigma Q beta* |.
+
+P and Q are applied through the projector's orthonormal basis V, as V(V'x)
+and x - V(V'x); Sigma is the only d x d matrix involved.
 """
 
 from __future__ import annotations
@@ -32,11 +35,9 @@ from .exceptions import (
     DimensionMismatchError,
     NonOrthogonalGroupsError,
     NonPositiveGammaError,
-    SingularSchurComplementError,
 )
 from .estimators import GroundTruth, LinearModel
 from .minnorm import (
-    RANK_RTOL,
     DesignMatrix,
     Projection,
     _as_matrix,
@@ -150,15 +151,11 @@ def population_error(
     functional of z.
     """
     _check_dims(truth, pi, dist)
-    q = np.eye(pi.dim) - pi.matrix
-    sigma = dist.sigma
     if model.kind == "rst":
         r = truth.theta_star - model.theta_hat
-        return float(r @ sigma @ r)
-    if model.kind == "core":
-        r = q @ truth.theta_star
-        return float(r @ sigma @ r)
-    if model.kind in ("full", "multi"):
+    elif model.kind == "core":
+        r = pi.complement(truth.theta_star)
+    elif model.kind in ("full", "multi"):
         k = model.w_hat.shape[0]
         if k != truth.n_spurious:
             raise DimensionMismatchError(
@@ -167,9 +164,10 @@ def population_error(
         combo = np.zeros(truth.dim)
         for w, b in zip(model.w_hat, truth.beta_stars):
             combo = combo + w * b
-        r = q @ (truth.theta_star - combo)
-        return float(r @ sigma @ r)
-    raise ValueError(f"unknown model kind {model.kind!r}")
+        r = pi.complement(truth.theta_star - combo)
+    else:
+        raise ValueError(f"unknown model kind {model.kind!r}")
+    return float(r @ dist.sigma @ r)
 
 
 def removal_verdict(
@@ -188,11 +186,11 @@ def removal_verdict(
     _check_dims(truth, pi, dist)
     theta = truth.theta_star
     beta = truth.beta_stars[0]
-    q = np.eye(pi.dim) - pi.matrix
-    qt = q @ theta
-    qb = q @ beta
-    lhs = float(beta @ pi.matrix @ theta)
-    denom = 1.0 + float(beta @ pi.matrix @ beta)
+    pb = pi.project(beta)
+    qt = pi.complement(theta)
+    qb = beta - pb
+    lhs = float(pb @ theta)
+    denom = 1.0 + float(pb @ beta)
     w = lhs / denom
     sq = dist.sigma @ qb
     rhs = float(qt @ sq)
@@ -316,18 +314,10 @@ def groupwise_report(
     return GroupErrorTable(entries=tuple(entries), deltas=tuple(deltas))
 
 
-def groupwise_spurious_fit(
-    Z1: DesignMatrix, Z2: DesignMatrix, alpha1, alpha2, allow_fallback: bool = True
-) -> np.ndarray:
+def groupwise_spurious_fit(Z1: DesignMatrix, Z2: DesignMatrix, alpha1, alpha2) -> np.ndarray:
     """Minimum-norm vector acting like alpha1 on group 1's rows and alpha2 on group 2's.
 
-    Computed by the Schur-complement route
-        M = Z1'(Z1 (I - P2) Z1')^{-1} Z1,   N = Z2'(Z2 (I - P1) Z2')^{-1} Z2,
-        alpha_hat = (I - P2) M alpha1 + (I - P1) N alpha2,
-    which requires the two row spaces to meet only at the origin. When they
-    intersect, falls back to the stacked minimum-norm solve (or raises when
-    allow_fallback is False). The result is always verified against the
-    stacked solve.
+    The stacked minimum-norm solve of [Z1; Z2] x = [Z1 alpha1; Z2 alpha2].
     """
     a1 = _as_vector(alpha1, "alpha1")
     a2 = _as_vector(alpha2, "alpha2")
@@ -336,33 +326,7 @@ def groupwise_spurious_fit(
         raise DimensionMismatchError("group designs and alphas must share one dimension")
     stacked = np.vstack([Z1.entries, Z2.entries])
     rhs = np.concatenate([Z1.entries @ a1, Z2.entries @ a2])
-    oracle = min_norm_solve(stacked, rhs)
-
-    p1 = projection(Z1).matrix
-    p2 = projection(Z2).matrix
-    eye = np.eye(d)
-    m_gram = Z1.entries @ (eye - p2) @ Z1.entries.T
-    n_gram = Z2.entries @ (eye - p1) @ Z2.entries.T
-    singular = _nearly_singular(m_gram) or _nearly_singular(n_gram)
-    if singular:
-        if not allow_fallback:
-            raise SingularSchurComplementError(
-                "group row spaces intersect; Schur-complement route is singular"
-            )
-        return oracle.x
-    m_term = (eye - p2) @ (Z1.entries.T @ np.linalg.solve(m_gram, Z1.entries @ a1))
-    n_term = (eye - p1) @ (Z2.entries.T @ np.linalg.solve(n_gram, Z2.entries @ a2))
-    alpha_hat = m_term + n_term
-    if not np.allclose(alpha_hat, oracle.x, rtol=1e-8, atol=1e-8):
-        raise SingularSchurComplementError(
-            "Schur-complement estimate disagrees with the stacked minimum-norm solve"
-        )
-    return alpha_hat
-
-
-def _nearly_singular(m: np.ndarray) -> bool:
-    s = np.linalg.svd(m, compute_uv=False)
-    return s[0] == 0.0 or s[-1] / s[0] < RANK_RTOL
+    return min_norm_solve(stacked, rhs).x
 
 
 def groupwise_spurious_error(
@@ -388,11 +352,9 @@ def groupwise_spurious_error(
     d = Z1.cols
     if Z2.cols != d or t.shape[0] != d or a1.shape[0] != d or a2.shape[0] != d or dist.dim != d:
         raise DimensionMismatchError("group designs, parameters and sigma must share one dimension")
-    p1 = projection(Z1).matrix
-    p2 = projection(Z2).matrix
-    if np.max(np.abs(p1 @ p2)) >= 1e-10:
+    pi1 = projection(Z1)
+    pi2 = projection(Z2)
+    if np.max(np.abs(pi1.basis.T @ pi2.basis)) >= 1e-10:
         raise NonOrthogonalGroupsError("group row spaces are not orthogonal")
-    p = p1 + p2
-    eye = np.eye(d)
-    v = (eye - p) @ t - w * ((eye - p1) @ a1) + w * (p2 @ a2)
+    v = pi1.complement(t) - pi2.project(t) - w * pi1.complement(a1) + w * pi2.project(a2)
     return float(v @ dist.sigma @ v)

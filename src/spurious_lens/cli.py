@@ -113,11 +113,7 @@ def _fit_requested_model(inst: Instance, kind: str):
 def cmd_fit(args) -> int:
     inst = _load_instance(args)
     model = _fit_requested_model(inst, args.model)
-    data = inst.data
-    pred = data.Z.entries @ model.theta_hat
-    if model.w_hat.size:
-        pred = pred + data.S @ model.w_hat
-    residual = float(np.linalg.norm(pred - data.Y))
+    residual = estimators.interpolation_residual(inst.data, model.theta_hat, model.w_hat)
     doc = {
         "command": "fit",
         "model": model.kind,
@@ -155,13 +151,9 @@ def cmd_analyze(args) -> int:
                 f"{inst.data.Z.cols} columns"
             )
     pi = projection(inst.data.Z)
-    core = estimators.fit_core(inst.data)
-    full = estimators.fit_full(inst.data)
     group_rows = []
-    ties = []
     for g in inst.groups:
         verdict = analysis.removal_verdict(inst.truth, pi, g)
-        ties.append(verdict.tie)
         group_rows.append(
             {
                 "group": g.label,
@@ -171,14 +163,13 @@ def cmd_analyze(args) -> int:
                 "sign_match": verdict.sign_match,
                 "magnitude_holds": verdict.magnitude_holds,
                 "full_better": verdict.full_better,
+                "tie": verdict.tie,
             }
         )
-    doc = {
-        "command": "analyze",
-        "seed": args.seed,
-        "groups": [dict(row, tie=tie) for row, tie in zip(group_rows, ties)],
-    }
+    doc = {"command": "analyze", "seed": args.seed, "groups": group_rows}
     if inst.robust is not None:
+        core = estimators.fit_core(inst.data)
+        full = estimators.fit_full(inst.data)
         robust_rows = []
         for g in inst.groups:
             r_core = analysis.robust_error(

@@ -15,6 +15,8 @@ parameters):
     rst:    theta = P theta* + w (I - P) beta*
 
 Every fit also has an (S, Y)-data form used when no ground truth is attached.
+The core, full and multi fits share one solver over the design's cached thin
+SVD; the RST fit solves its stacked system with the min-norm oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .exceptions import (
     InconsistentConstraintsError,
     InconsistentSystemError,
     RankDeficientError,
-    SingularSystemError,
 )
 from .minnorm import (
     INTERP_RTOL,
@@ -36,6 +37,7 @@ from .minnorm import (
     MinNormSolution,
     _as_matrix,
     _as_vector,
+    _require_full_row_rank,
     min_norm_solve,
 )
 
@@ -185,18 +187,16 @@ class LinearModel:
         return float(self.theta_hat @ self.theta_hat + self.w_hat @ self.w_hat)
 
 
-def _require_full_row_rank(Z: DesignMatrix):
-    if not Z.full_row_rank:
-        raise RankDeficientError(
-            f"design matrix ({Z.rows}x{Z.cols}) is rank-deficient or has more rows than columns"
-        )
-
-
-def _check_interpolation(data: LabeledData, theta: np.ndarray, w: np.ndarray):
+def interpolation_residual(data: LabeledData, theta: np.ndarray, w: np.ndarray) -> float:
+    """Norm of the training residual Z theta + S w - Y."""
     pred = data.Z.entries @ theta
     if w.size:
         pred = pred + data.S @ w
-    residual = float(np.linalg.norm(pred - data.Y))
+    return float(np.linalg.norm(pred - data.Y))
+
+
+def _check_interpolation(data: LabeledData, theta: np.ndarray, w: np.ndarray):
+    residual = interpolation_residual(data, theta, w)
     scale = float(np.linalg.norm(data.Y))
     rel = residual / scale if scale > 0 else residual
     if rel > INTERP_RTOL:
@@ -205,15 +205,31 @@ def _check_interpolation(data: LabeledData, theta: np.ndarray, w: np.ndarray):
         )
 
 
+def _fit_min_norm(data: LabeledData, cols: np.ndarray, kind: str) -> LinearModel:
+    """Joint minimum-norm interpolant of Z theta + cols w = Y, k >= 0 columns.
+
+    With the design's thin SVD Z = U S V', theta = V c where
+    c = b - A w, A = S^{-1} U' cols and b = S^{-1} U' Y; minimizing
+    ||c||^2 + ||w||^2 over w gives (I + A'A) w = A'b. Nothing here squares
+    cond(Z).
+    """
+    u, s, v = data.Z.svd
+    b = (u.T @ data.Y) / s
+    if cols.shape[1]:
+        a = (u.T @ cols) / s[:, None]
+        w = np.linalg.solve(np.eye(cols.shape[1]) + a.T @ a, a.T @ b)
+        b = b - a @ w
+    else:
+        w = np.zeros(0)
+    theta = v @ b
+    model = LinearModel(theta_hat=theta, w_hat=w, kind=kind)
+    _check_interpolation(data, theta, w)
+    return model
+
+
 def fit_core(data: LabeledData) -> LinearModel:
     """Minimum-norm interpolant of Z theta = Y, ignoring the spurious columns."""
-    _require_full_row_rank(data.Z)
-    z = data.Z.entries
-    gram = z @ z.T
-    theta = z.T @ np.linalg.solve(gram, data.Y)
-    model = LinearModel(theta_hat=theta, w_hat=np.zeros(0), kind="core")
-    _check_interpolation(data, theta, model.w_hat)
-    return model
+    return _fit_min_norm(data, data.S[:, :0], "core")
 
 
 def fit_full(data: LabeledData) -> LinearModel:
@@ -222,44 +238,20 @@ def fit_full(data: LabeledData) -> LinearModel:
         raise DimensionMismatchError(
             f"full model needs exactly one spurious column, got {data.n_spurious}"
         )
-    _require_full_row_rank(data.Z)
-    z = data.Z.entries
-    s = data.S[:, 0]
-    gram = z @ z.T
-    gy = np.linalg.solve(gram, data.Y)
-    gs = np.linalg.solve(gram, s)
-    w = float(s @ gy) / (1.0 + float(s @ gs))
-    theta = z.T @ (gy - w * gs)
-    model = LinearModel(theta_hat=theta, w_hat=np.array([w]), kind="full")
-    _check_interpolation(data, theta, model.w_hat)
-    return model
+    return _fit_min_norm(data, data.S, "full")
 
 
 def fit_multi(data: LabeledData) -> LinearModel:
     """Joint minimum-norm interpolant with k >= 1 spurious columns.
 
-    The spurious weights solve the k x k system (I + G) w = c with
-    G_ij = S_i'(ZZ')^{-1}S_j and c_i = S_i'(ZZ')^{-1}Y, the stationarity
-    condition of the strictly convex joint norm objective.
+    The spurious weights solve the k x k system (I + A'A) w = A'b with
+    A = S^{-1} U' S_cols and b = S^{-1} U' Y from the design's thin SVD
+    Z = U S V' (A'A is S_cols'(ZZ')^{-1}S_cols, never formed from ZZ'): the
+    stationarity condition of the strictly convex joint norm objective.
     """
     if data.n_spurious < 1:
         raise DimensionMismatchError("multi model needs at least one spurious column")
-    _require_full_row_rank(data.Z)
-    z = data.Z.entries
-    s = data.S
-    gram = z @ z.T
-    gy = np.linalg.solve(gram, data.Y)
-    gs = np.linalg.solve(gram, s)
-    system = np.eye(data.n_spurious) + s.T @ gs
-    c = s.T @ gy
-    try:
-        w = np.linalg.solve(system, c)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - I + Gram is SPD
-        raise SingularSystemError("spurious-weight system is singular") from exc
-    theta = z.T @ (gy - gs @ w)
-    model = LinearModel(theta_hat=theta, w_hat=w, kind="multi")
-    _check_interpolation(data, theta, w)
-    return model
+    return _fit_min_norm(data, data.S, "multi")
 
 
 def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -> LinearModel:

@@ -22,10 +22,6 @@ class InconsistentConstraintsError(InconsistentSystemError):
     """Pseudo-label constraints cannot be interpolated together with the labels."""
 
 
-class SingularSystemError(SpuriousLensError):
-    """A square solve needed by a closed form is singular."""
-
-
 class DimensionMismatchError(SpuriousLensError):
     """Vector/matrix dimensions do not agree."""
 
@@ -36,10 +32,6 @@ class NonPositiveGammaError(SpuriousLensError):
 
 class NonOrthogonalGroupsError(SpuriousLensError):
     """The two group designs must span mutually orthogonal row spaces."""
-
-
-class SingularSchurComplementError(SpuriousLensError):
-    """The two group row spaces intersect, so the Schur-complement route fails."""
 
 
 class ParallelParametersError(SpuriousLensError):

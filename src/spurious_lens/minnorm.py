@@ -1,8 +1,12 @@
-"""Dense minimum-norm linear algebra primitives.
+"""Minimum-norm linear algebra primitives.
 
-Projections onto row spaces, the pseudoinverse-based minimum-norm solver
-(the oracle everything else is checked against), orthogonal-complement
-projectors, and the projector onto an intersection of two subspaces.
+A full-row-rank design is factored once, by a thin SVD Z = U S V' cached on
+the design. Its orthonormal row basis V backs the row-space projector
+P = V V', which is applied as V(V'x) and formed densely only on request;
+the same factors give every minimum-norm fit. Also here: the
+pseudoinverse-based minimum-norm solver (the oracle everything else is
+checked against), orthogonal-complement projectors, and the projector onto
+an intersection of two subspaces.
 
 All functions are pure and operate on immutable inputs; tolerances are the
 module constants below.
@@ -11,6 +15,7 @@ module constants below.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +29,7 @@ INTERP_RTOL = 1e-8
 PINV_RTOL = 1e-12
 
 _SYM_TOL = 1e-10
-_IDEM_TOL = 1e-9
+_ORTHO_TOL = 1e-9
 _EIG_TOL = 1e-8
 
 
@@ -48,7 +53,13 @@ def _as_vector(a, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """An n x d matrix of observed core-feature rows (n points, d features)."""
+    """An n x d matrix of observed core-feature rows (n points, d features).
+
+    full_row_rank is decided from the singular values when the design is
+    built. The thin SVD Z = U diag(s) V' with singular vectors is taken when
+    a fit or a projection first needs it and cached, so a design that is
+    only carried around never pays for it.
+    """
 
     entries: np.ndarray
     full_row_rank: bool = field(init=False)
@@ -58,8 +69,8 @@ class DesignMatrix:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-        smax, smin = _extreme_singular_values(m)
-        full = m.shape[0] <= m.shape[1] and smax > 0 and smin / smax >= RANK_RTOL
+        s = np.linalg.svd(m, compute_uv=False)
+        full = m.shape[0] <= m.shape[1] and s[0] > 0 and s[-1] / s[0] >= RANK_RTOL
         object.__setattr__(self, "full_row_rank", bool(full))
 
     @property
@@ -70,34 +81,86 @@ class DesignMatrix:
     def cols(self) -> int:
         return self.entries.shape[1]
 
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, s, V) with Z = U diag(s) V': U is n x n, V the d x n orthonormal row basis.
+
+        Raises RankDeficientError unless the design has full row rank.
+        """
+        _require_full_row_rank(self)
+        v, s, ut = np.linalg.svd(self.entries.T, full_matrices=False)
+        factors = (ut.T, s, v)
+        for f in factors:
+            f.setflags(write=False)
+        return factors
+
+
+def _require_full_row_rank(Z: DesignMatrix) -> None:
+    if not Z.full_row_rank:
+        raise RankDeficientError(
+            f"design matrix ({Z.rows}x{Z.cols}) is rank-deficient or has more rows than columns"
+        )
+
 
 @dataclass(frozen=True)
 class Projection:
-    """A symmetric idempotent d x d matrix together with its rank."""
+    """Orthogonal projector V V' onto the span of an orthonormal d x r basis V.
 
-    matrix: np.ndarray
-    rank: int
+    rank and dim come from the basis. The projector is applied as V(V'x);
+    the dense d x d matrix is formed only when `matrix` is read.
+    """
+
+    basis: np.ndarray
 
     def __post_init__(self):
-        m = _as_matrix(self.matrix, "projection matrix")
+        v = np.asarray(self.basis, dtype=float)
+        if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] > v.shape[0]:
+            raise DimensionMismatchError(
+                f"projection basis must be d x r with 0 <= r <= d, got shape {v.shape}"
+            )
+        if not np.all(np.isfinite(v)):
+            raise ValueError("projection basis contains non-finite entries")
+        if np.max(np.abs(v.T @ v - np.eye(v.shape[1])), initial=0.0) >= _ORTHO_TOL:
+            raise ValueError("projection basis is not orthonormal")
+        v = v.copy()
+        v.setflags(write=False)
+        object.__setattr__(self, "basis", v)
+
+    @classmethod
+    def from_matrix(cls, m) -> "Projection":
+        """Projection given as a dense matrix, which must be symmetric with
+        eigenvalues in {0, 1} (and is then idempotent)."""
+        m = _as_matrix(m, "projection matrix")
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"projection matrix must be square, got {m.shape}")
         if np.max(np.abs(m - m.T)) >= _SYM_TOL:
             raise ValueError("projection matrix is not symmetric")
-        if np.max(np.abs(m @ m - m)) >= _IDEM_TOL:
-            raise ValueError("projection matrix is not idempotent")
-        eig = np.linalg.eigvalsh(m)
+        eig, vecs = np.linalg.eigh(m)
         if np.max(np.minimum(np.abs(eig), np.abs(eig - 1.0))) >= _EIG_TOL:
             raise ValueError("projection eigenvalues are not in {0, 1}")
-        if not 0 <= self.rank <= m.shape[0]:
-            raise ValueError(f"projection rank {self.rank} out of range")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        return cls(basis=vecs[:, eig > 0.5])
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.basis.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        p = self.basis @ self.basis.T
+        p.setflags(write=False)
+        return p
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """P x, computed as V(V'x)."""
+        return self.basis @ (self.basis.T @ x)
+
+    def complement(self, x: np.ndarray) -> np.ndarray:
+        """(I - P) x, computed as x - V(V'x)."""
+        return x - self.project(x)
 
 
 @dataclass(frozen=True)
@@ -109,41 +172,24 @@ class MinNormSolution:
     solution_norm: float
 
 
-def _extreme_singular_values(m: np.ndarray) -> tuple[float, float]:
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(s[0]), float(s[-1])
-
-
 def projection(Z: DesignMatrix) -> Projection:
     """Orthogonal projector onto the row space of a full-row-rank design.
 
-    Computed as V V' from the thin SVD Z = U S V', which equals
-    Z'(ZZ')^{-1}Z but is numerically stable.
+    Backed by the row basis V of the design's cached thin SVD, so P = V V'
+    equals Z'(ZZ')^{-1}Z without forming ZZ'.
     """
-    if not Z.full_row_rank:
-        raise RankDeficientError(
-            f"design matrix ({Z.rows}x{Z.cols}) is rank-deficient or has more rows than columns"
-        )
-    _, _, vt = np.linalg.svd(Z.entries, full_matrices=False)
-    p = vt.T @ vt
-    return Projection(matrix=(p + p.T) / 2.0, rank=Z.rows)
+    return Projection(basis=Z.svd[2])
 
 
-def row_space_projection(M: np.ndarray, rtol: float = RANK_RTOL) -> Projection:
+def row_space_projection(M: np.ndarray) -> Projection:
     """Projector onto the row space of an arbitrary (possibly rank-deficient) matrix.
 
     Unlike :func:`projection` this never raises on rank deficiency; singular
-    values below smax * rtol are treated as zero.
+    values below smax * RANK_RTOL are treated as zero.
     """
     m = _as_matrix(M, "matrix")
-    _, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        d = m.shape[1]
-        return Projection(matrix=np.zeros((d, d)), rank=0)
-    keep = s > s[0] * rtol
-    v = vt[keep]
-    p = v.T @ v
-    return Projection(matrix=(p + p.T) / 2.0, rank=int(np.count_nonzero(keep)))
+    v, s, _ = np.linalg.svd(m.T, full_matrices=False)
+    return Projection(basis=v[:, s > s[0] * RANK_RTOL])
 
 
 def min_norm_solve(A, y) -> MinNormSolution:
@@ -169,8 +215,7 @@ def min_norm_solve(A, y) -> MinNormSolution:
 
 def null_projection(pi: Projection) -> Projection:
     """Projector onto the orthogonal complement: I - pi."""
-    d = pi.dim
-    return Projection(matrix=np.eye(d) - pi.matrix, rank=d - pi.rank)
+    return Projection.from_matrix(np.eye(pi.dim) - pi.matrix)
 
 
 def intersection_projection(pi1: Projection, pi2: Projection) -> Projection:
@@ -183,5 +228,4 @@ def intersection_projection(pi1: Projection, pi2: Projection) -> Projection:
         raise DimensionMismatchError(f"projection dims differ: {pi1.dim} vs {pi2.dim}")
     pinv = np.linalg.pinv(pi1.matrix + pi2.matrix, rcond=PINV_RTOL)
     p = 2.0 * pi1.matrix @ pinv @ pi2.matrix
-    p = (p + p.T) / 2.0
-    return Projection(matrix=p, rank=int(round(float(np.trace(p)))))
+    return Projection.from_matrix((p + p.T) / 2.0)

@@ -28,8 +28,6 @@ from .exceptions import (
 )
 from .minnorm import RANK_RTOL, _as_matrix, _as_vector
 
-_LINK_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class OvbPopulation:
@@ -80,41 +78,19 @@ class OvbPopulation:
 class GroupMoments:
     """In-group second moments of the population-centered (s, z).
 
-    sigma_ss_g and sigma_sz_g define lambda_g; s2_g defaults to sigma_ss_g
-    and zs_g defaults to lambda_g * s2_g (the link used throughout the
-    decision rule). Supplying zs_g explicitly triggers a consistency check.
+    sigma_ss_g > 0 and sigma_sz_g define lambda_g = sigma_sz_g / sigma_ss_g.
     """
 
     sigma_ss_g: float
     sigma_sz_g: np.ndarray
-    s2_g: float | None = None
-    zs_g: np.ndarray | None = None
 
     def __post_init__(self):
         sz = _as_vector(self.sigma_sz_g, "sigma_sz_g")
         if not (np.isfinite(self.sigma_ss_g) and self.sigma_ss_g > 0):
             raise ValueError(f"sigma_ss_g must be positive, got {self.sigma_ss_g}")
-        s2 = self.sigma_ss_g if self.s2_g is None else float(self.s2_g)
-        if s2 < 0:
-            raise ValueError(f"s2_g must be nonnegative, got {s2}")
-        lam_g = sz / self.sigma_ss_g
-        if self.zs_g is None:
-            zs = lam_g * s2
-        else:
-            zs = _as_vector(self.zs_g, "zs_g")
-            if zs.shape[0] != sz.shape[0]:
-                raise DimensionMismatchError("zs_g length must match sigma_sz_g")
-            expected = lam_g * s2
-            scale = max(1.0, float(np.max(np.abs(expected))))
-            if np.max(np.abs(zs - expected)) > _LINK_TOL * scale:
-                raise ValueError("zs_g is inconsistent with lambda_g * s2_g")
         sz = sz.copy()
         sz.setflags(write=False)
-        zs = np.asarray(zs, dtype=float).copy()
-        zs.setflags(write=False)
         object.__setattr__(self, "sigma_sz_g", sz)
-        object.__setattr__(self, "s2_g", s2)
-        object.__setattr__(self, "zs_g", zs)
 
     @property
     def lam_g(self) -> np.ndarray:

@@ -24,6 +24,7 @@ from spurious_lens.exceptions import (
     InconsistentConstraintsError,
     InconsistentSystemError,
     RankDeficientError,
+    SpuriousLensError,
 )
 
 
@@ -178,6 +179,28 @@ class TestOracleEquivalence:
         for _ in range(40):
             data = random_instance(rng)
             assert fit_multi(data).squared_norm <= fit_core(data).squared_norm + 1e-10
+
+    @pytest.mark.parametrize("cond", [1e3, 1e6, 1e8, 1e9])
+    def test_ill_conditioned_designs_match_oracle_or_raise(self, cond):
+        # 5 x 12 designs with singular values spread from 1 to 1/cond: every
+        # fit agrees with the stacked min-norm solve to O(cond * eps) or
+        # raises a typed error, never a silently wrong answer.
+        tol = 1e4 * cond * np.finfo(float).eps
+        for seed in range(20):
+            rng = np.random.default_rng([seed, int(np.log10(cond))])
+            u, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+            v, _ = np.linalg.qr(rng.standard_normal((12, 5)))
+            z = DesignMatrix((u * np.logspace(0.0, -np.log10(cond), 5)) @ v.T)
+            theta, beta1, beta2 = rng.standard_normal((3, 12))
+            for fit, betas in ((fit_core, ()), (fit_full, (beta1,)), (fit_multi, (beta1, beta2))):
+                data = LabeledData.from_truth(z, GroundTruth(theta, betas))
+                try:
+                    model = fit(data)
+                except SpuriousLensError:
+                    continue
+                oracle = min_norm_solve(np.hstack([z.entries, data.S]), data.Y).x
+                got = np.concatenate([model.theta_hat, model.w_hat])
+                assert np.linalg.norm(got - oracle) <= tol * np.linalg.norm(oracle)
 
     def test_interpolation(self):
         rng = np.random.default_rng(15)

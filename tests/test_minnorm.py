@@ -21,7 +21,7 @@ from spurious_lens.exceptions import (
 def random_projection(rng, d, r):
     q, _ = np.linalg.qr(rng.standard_normal((d, r)))
     p = q @ q.T
-    return Projection(matrix=(p + p.T) / 2.0, rank=r)
+    return Projection.from_matrix((p + p.T) / 2.0)
 
 
 def intersection_by_basis(p1, p2):
@@ -143,18 +143,25 @@ class TestMinNormSolve:
 
 class TestNullProjection:
     def test_diagonal(self):
-        pi = Projection(matrix=np.diag([1.0, 0.0, 0.0]), rank=1)
+        pi = Projection.from_matrix(np.diag([1.0, 0.0, 0.0]))
         assert_allclose(null_projection(pi).matrix, np.diag([0.0, 1.0, 1.0]))
 
     def test_table_column_space_complement(self):
-        pi = Projection(matrix=np.diag([1.0, 1.0, 0.0, 0.0]), rank=2)
+        pi = Projection.from_matrix(np.diag([1.0, 1.0, 0.0, 0.0]))
         out = null_projection(pi)
         assert_allclose(out.matrix, np.diag([0.0, 0.0, 1.0, 1.0]))
         assert out.rank == 2
 
     def test_elementwise(self):
-        pi = Projection(matrix=np.array([[0.5, 0.5], [0.5, 0.5]]), rank=1)
+        pi = Projection.from_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
         assert_allclose(null_projection(pi).matrix, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
+
+    def test_rank_is_derived_from_the_matrix(self):
+        pi = Projection.from_matrix(np.diag([1.0, 0.0, 0.0]))
+        assert pi.rank == 1
+        out = null_projection(pi)
+        assert out.rank == 2
+        assert out.rank == round(float(np.trace(out.matrix)))
 
     def test_involution_exact(self):
         rng = np.random.default_rng(4)
@@ -167,17 +174,17 @@ class TestNullProjection:
 
 class TestIntersectionProjection:
     def test_identical_subspaces(self):
-        pi = Projection(matrix=np.diag([1.0, 0.0]), rank=1)
+        pi = Projection.from_matrix(np.diag([1.0, 0.0]))
         assert_allclose(intersection_projection(pi, pi).matrix, np.diag([1.0, 0.0]), atol=1e-10)
 
     def test_orthogonal_subspaces(self):
-        p1 = Projection(matrix=np.diag([1.0, 0.0]), rank=1)
-        p2 = Projection(matrix=np.diag([0.0, 1.0]), rank=1)
+        p1 = Projection.from_matrix(np.diag([1.0, 0.0]))
+        p2 = Projection.from_matrix(np.diag([0.0, 1.0]))
         assert_allclose(intersection_projection(p1, p2).matrix, np.zeros((2, 2)), atol=1e-10)
 
     def test_one_dimensional_overlap(self):
-        p1 = Projection(matrix=np.diag([1.0, 1.0, 0.0]), rank=2)
-        p2 = Projection(matrix=np.diag([0.0, 1.0, 1.0]), rank=2)
+        p1 = Projection.from_matrix(np.diag([1.0, 1.0, 0.0]))
+        p2 = Projection.from_matrix(np.diag([0.0, 1.0, 1.0]))
         out = intersection_projection(p1, p2)
         assert_allclose(out.matrix, np.diag([0.0, 1.0, 0.0]), atol=1e-9)
         assert out.rank == 1
@@ -234,6 +241,6 @@ class TestDesignMatrixInvariants:
 
     def test_projection_invariant_validation(self):
         with pytest.raises(ValueError):
-            Projection(matrix=np.array([[0.5, 0.0], [0.0, 0.0]]), rank=1)
+            Projection.from_matrix(np.array([[0.5, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
-            Projection(matrix=np.array([[1.0, 0.1], [0.0, 1.0]]), rank=2)
+            Projection.from_matrix(np.array([[1.0, 0.1], [0.0, 1.0]]))

@@ -184,13 +184,6 @@ class TestGroupPrefersCore:
         grp, _ = ovb_simple_moments(sigma=1.0, threshold=1.5)
         assert group_prefers_core(pop, grp)
 
-    def test_group_moment_link_consistency(self):
-        GroupMoments(sigma_ss_g=2.0, sigma_sz_g=np.array([1.0]), s2_g=2.0, zs_g=np.array([1.0]))
-        with pytest.raises(ValueError):
-            GroupMoments(
-                sigma_ss_g=2.0, sigma_sz_g=np.array([1.0]), s2_g=2.0, zs_g=np.array([9.0])
-            )
-
 
 class TestEstimateGroupLosses:
     def test_trivial_group_matches_population_case(self):
