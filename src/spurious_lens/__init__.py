@@ -28,6 +28,7 @@ from .estimators import (
     UnlabeledData,
     fit_core,
     fit_full,
+    fit_min_norm_stack,
     fit_multi,
     fit_rst,
     implicit_weights,
@@ -89,6 +90,7 @@ __all__ = [
     "example2_simulate",
     "fit_core",
     "fit_full",
+    "fit_min_norm_stack",
     "fit_multi",
     "fit_rst",
     "group_prefers_core",

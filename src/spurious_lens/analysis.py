@@ -35,6 +35,7 @@ from .exceptions import (
     DimensionMismatchError,
     NonOrthogonalGroupsError,
     NonPositiveGammaError,
+    SamplerExhaustedError,
 )
 from .estimators import GroundTruth, LinearModel
 from .minnorm import (
@@ -232,7 +233,7 @@ def _sample_bounded_gaussian(
     while filled < samples:
         attempts += 1
         if attempts > 1000:
-            raise RuntimeError(
+            raise SamplerExhaustedError(
                 f"rejection sampling kept exceeding ||z|| <= {spec.gamma}; "
                 "gamma is too small for this second moment"
             )

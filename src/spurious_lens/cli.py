@@ -196,6 +196,13 @@ def cmd_analyze(args) -> int:
     return _finish(args, doc, csv_text)
 
 
+def _number(value, kind, name: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"{name} must be a number, got {value!r}") from exc
+
+
 def cmd_construct(args) -> int:
     scenario = {}
     truth = None
@@ -211,9 +218,11 @@ def cmd_construct(args) -> int:
         n = args.n if args.n is not None else scenario.get("n")
         if n is None:
             raise InstanceError("construct --mode disjoint needs --n (or scenario.n)")
-        x = args.x if args.x is not None else scenario.get("x", 0.1)
+        x = _number(args.x if args.x is not None else scenario.get("x", 0.1), float, "x")
+        if not (np.isfinite(x) and x > 0):
+            raise InstanceError(f"x must be positive and finite, got {x}")
         bundle = constructions.construct_disjoint(
-            truth.theta_star, truth.beta_stars[0], int(n), float(x)
+            truth.theta_star, truth.beta_stars[0], _number(n, int, "n"), x
         )
     else:
         if data is not None and data.n_spurious == 1:
@@ -226,7 +235,7 @@ def cmd_construct(args) -> int:
         d = args.d if args.d is not None else scenario.get("d")
         if d is None:
             raise InstanceError("construct --mode balanced needs --d (or scenario.d)")
-        bundle = constructions.construct_balanced(s_vec, y_vec, int(d))
+        bundle = constructions.construct_balanced(s_vec, y_vec, _number(d, int, "d"))
 
     def verdict_doc(v):
         return {

@@ -195,36 +195,60 @@ def interpolation_residual(data: LabeledData, theta: np.ndarray, w: np.ndarray) 
     return float(np.linalg.norm(pred - data.Y))
 
 
-def _check_interpolation(data: LabeledData, theta: np.ndarray, w: np.ndarray):
-    residual = interpolation_residual(data, theta, w)
-    scale = float(np.linalg.norm(data.Y))
+def _check_interpolation(Z: DesignMatrix, cols: np.ndarray, Y: np.ndarray, theta, w) -> None:
+    """Raise unless Z theta + cols w = Y holds to INTERP_RTOL for every fit.
+
+    theta, w and cols carry the same leading (stack) dimensions, or none; the
+    worst relative residual decides, and a non-finite one fails.
+    """
+    pred = theta @ Z.entries.T + (cols @ w[..., None])[..., 0]
+    residual = float(np.max(np.linalg.norm(pred - Y, axis=-1)))
+    scale = float(np.linalg.norm(Y))
     rel = residual / scale if scale > 0 else residual
-    if rel > INTERP_RTOL:
+    if not rel <= INTERP_RTOL:
         raise InconsistentSystemError(
             f"fitted model does not interpolate its training targets (relative residual {rel:.3e})"
         )
 
 
-def _fit_min_norm(data: LabeledData, cols: np.ndarray, kind: str) -> LinearModel:
-    """Joint minimum-norm interpolant of Z theta + cols w = Y, k >= 0 columns.
+def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray]:
+    """Joint minimum-norm interpolants of Z theta_i + cols_i w_i = Y for a stack.
 
-    With the design's thin SVD Z = U S V', theta = V c where
-    c = b - A w, A = S^{-1} U' cols and b = S^{-1} U' Y; minimizing
-    ||c||^2 + ||w||^2 over w gives (I + A'A) w = A'b. Nothing here squares
-    cond(Z).
+    cols is T x n x k (k >= 0): T column blocks sharing one design and one
+    target. Returns theta (T x d) and w (T x k). With the design's cached thin
+    SVD Z = U S V', theta_i = V c_i where c_i = b - A_i w_i,
+    A_i = S^{-1} U' cols_i and b = S^{-1} U' Y; minimizing
+    ||c_i||^2 + ||w_i||^2 gives (I + A_i'A_i) w_i = A_i'b, solved for all
+    blocks by one broadcast solve. Nothing here squares cond(Z). Raises
+    InconsistentSystemError when the worst block fails to interpolate Y.
     """
-    u, s, v = data.Z.svd
-    b = (u.T @ data.Y) / s
-    if cols.shape[1]:
+    cols = np.asarray(cols, dtype=float)
+    y = _as_vector(Y, "Y")
+    if cols.ndim != 3 or cols.shape[1] != Z.rows or y.shape[0] != Z.rows:
+        raise DimensionMismatchError(
+            f"need T x {Z.rows} x k column blocks and {Z.rows} targets, "
+            f"got shapes {cols.shape} and {y.shape}"
+        )
+    u, s, v = Z.svd
+    b = (u.T @ y) / s
+    t, k = cols.shape[0], cols.shape[2]
+    if k:
         a = (u.T @ cols) / s[:, None]
-        w = np.linalg.solve(np.eye(cols.shape[1]) + a.T @ a, a.T @ b)
-        b = b - a @ w
+        at = a.transpose(0, 2, 1)
+        w = np.linalg.solve(np.eye(k) + at @ a, (at @ b)[..., None])[..., 0]
+        c = b - (a @ w[..., None])[..., 0]
     else:
-        w = np.zeros(0)
-    theta = v @ b
-    model = LinearModel(theta_hat=theta, w_hat=w, kind=kind)
-    _check_interpolation(data, theta, w)
-    return model
+        w = np.zeros((t, 0))
+        c = np.broadcast_to(b, (t, b.shape[0]))
+    theta = (v @ c[..., None])[..., 0]
+    _check_interpolation(Z, cols, y, theta, w)
+    return theta, w
+
+
+def _fit_min_norm(data: LabeledData, cols: np.ndarray, kind: str) -> LinearModel:
+    """One-block call of fit_min_norm_stack."""
+    theta, w = fit_min_norm_stack(data.Z, cols[None], data.Y)
+    return LinearModel(theta_hat=theta[0], w_hat=w[0], kind=kind)
 
 
 def fit_core(data: LabeledData) -> LinearModel:
@@ -270,7 +294,8 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
             f"labeled data has {labeled.n_spurious} spurious columns but the full model "
             f"carries {full.w_hat.shape[0]} weights"
         )
-    _check_interpolation(labeled, full.theta_hat, full.w_hat)  # full must come from this data
+    # full must come from this data
+    _check_interpolation(labeled.Z, labeled.S, labeled.Y, full.theta_hat, full.w_hat)
     zu = unlabeled.Zu
     su = unlabeled.Su
     d = labeled.Z.cols

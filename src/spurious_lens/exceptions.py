@@ -56,3 +56,7 @@ class SignAssumptionError(SpuriousLensError):
 
 class EmptyGroupError(SpuriousLensError):
     """No sampled point fell inside the requested group."""
+
+
+class SamplerExhaustedError(SpuriousLensError, RuntimeError):
+    """A rejection sampler ran out of attempts before drawing enough samples."""

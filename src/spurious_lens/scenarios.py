@@ -11,6 +11,10 @@
 * ovb-simple: the Bernoulli/Gaussian missing-information example with the
   mixed group that prefers dropping the extra feature.
 
+The identity-design examples never fit one trial at a time: their trials
+share one design and one target, so each fit is a stacked call of
+estimators.fit_min_norm_stack over many trials' spurious columns.
+
 All simulations are deterministic given (parameters, seed).
 """
 
@@ -26,6 +30,7 @@ from .estimators import (
     LabeledData,
     fit_core,
     fit_full,
+    fit_min_norm_stack,
     fit_multi,
     implicit_weights,
     predict,
@@ -36,6 +41,9 @@ from .ovb import GroupMoments, OvbPopulation, estimate_group_losses, group_prefe
 # Slack added to the 3-sigma closed-form/Monte-Carlo agreement check so that
 # zero-variance (deterministic) quantities only need float-level equality.
 _THREE_SIGMA_ABS = 1e-12
+# Trials per stacked fit when example1 verifies its closed-form weights: the
+# stack's temporaries stay a few MB however many trials are drawn.
+_VERIFY_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -124,11 +132,12 @@ def _stat(values: np.ndarray) -> tuple[float, float]:
 def example1_simulate(spec: Example1Spec, verify_fit: bool = True) -> ScenarioReport:
     """Simulate the identity-design example.
 
-    Each trial draws the binary extra-feature vector, fits the model that
-    uses it (weight u/(1+u), cross-checked against the generic fitter when
-    verify_fit is set), then evaluates the expected squared loss over the n
-    coordinate points with freshly drawn extra-feature values, overall and
-    conditioned on the test point's feature value.
+    Each trial draws the binary extra-feature vector, takes the weight
+    u/(1+u) of the model that uses it, then evaluates the expected squared
+    loss over the n coordinate points with freshly drawn extra-feature
+    values, overall and conditioned on the test point's feature value. With
+    verify_fit, every trial's weight is compared (to 1e-10) with the generic
+    fitter's, run as stacked fits of _VERIFY_BLOCK trials each.
     """
     n, p, trials = spec.n, spec.p, spec.trials
     rng = np.random.default_rng(spec.seed)
@@ -145,11 +154,13 @@ def example1_simulate(spec: Example1Spec, verify_fit: bool = True) -> ScenarioRe
     if verify_fit:
         design = DesignMatrix(np.eye(n))
         y = np.ones(n)
-        for i in range(trials):
-            model = fit_full(LabeledData(Z=design, S=s[i].astype(float), Y=y))
-            if abs(float(model.w_hat[0]) - w[i]) > 1e-10:
+        for lo in range(0, trials, _VERIFY_BLOCK):
+            _, w_fit = fit_min_norm_stack(design, s[lo : lo + _VERIFY_BLOCK, :, None], y)
+            bad = np.flatnonzero(np.abs(w_fit[:, 0] - w[lo : lo + _VERIFY_BLOCK]) > 1e-10)
+            if bad.size:
+                i = lo + int(bad[0])
                 raise AssertionError(
-                    f"direct weight {w[i]} disagrees with fitted weight {model.w_hat[0]}"
+                    f"direct weight {w[i]} disagrees with fitted weight {w_fit[bad[0], 0]}"
                 )
 
     cf_w, cf_theta = example1_closed_form(n, p)
@@ -178,9 +189,12 @@ def example2_simulate(
     """Identity design with two binary extra features.
 
     Feature s appears with probability p_s, feature t with probability 1/2.
-    Per trial the with-s model is fit on both columns and the without-s
-    model on the t column only; losses are evaluated over the n coordinate
-    points with fresh test draws, grouped by the test point's s value.
+    All trials' features come from one draw of shape (trials, 2, n), or
+    (trials, n) for s alone, the same stream as drawing s then t per trial.
+    The with-s model is fit on both columns and the without-s model on the
+    t column only, each as one stacked fit over all trials; losses are
+    evaluated over the n coordinate points with fresh test draws, grouped by
+    the test point's s value.
     force_t_zero pins t to zero (testing hook: the with-s model then reduces
     to the example1 model).
     """
@@ -191,41 +205,32 @@ def example2_simulate(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
+    if force_t_zero:
+        s = (rng.random((trials, n)) < p_s).astype(float)
+        t = np.zeros((trials, n))
+    else:
+        draws = rng.random((trials, 2, n))
+        s = (draws[:, 0] < p_s).astype(float)
+        t = (draws[:, 1] < 0.5).astype(float)
     design = DesignMatrix(np.eye(n))
     y = np.ones(n)
+    _, w_with = fit_min_norm_stack(design, np.stack([s, t], axis=2), y)
+    _, w_without = fit_min_norm_stack(design, t[:, :, None], y)
+    w_s, w_t = w_with[:, :1], w_with[:, 1:]
+
+    def cond_err(v: float) -> np.ndarray:
+        # residual on point i at test draw (v, t'): w_s(s_i - v) + w_t(t_i - t')
+        base = w_s * (s - v)
+        return np.mean(((base + w_t * t) ** 2 + (base + w_t * (t - 1.0)) ** 2) / 2.0, axis=1)
+
+    e0, e1 = cond_err(0.0), cond_err(1.0)
+    e_wo = w_without[:, 0] ** 2 / 2.0
     cols = {
-        "w_s_with": [], "w_t_with": [], "w_t_without": [],
-        "err_with": [], "err_with_s0": [], "err_with_s1": [],
-        "err_without": [], "err_without_s0": [], "err_without_s1": [],
+        "w_s_with": w_s[:, 0], "w_t_with": w_t[:, 0], "w_t_without": w_without[:, 0],
+        "err_with": p_s * e1 + (1.0 - p_s) * e0, "err_with_s0": e0, "err_with_s1": e1,
+        "err_without": e_wo, "err_without_s0": e_wo, "err_without_s1": e_wo,
     }
-    for _ in range(trials):
-        s = (rng.random(n) < p_s).astype(float)
-        t = np.zeros(n) if force_t_zero else (rng.random(n) < 0.5).astype(float)
-        with_model = fit_multi(LabeledData(Z=design, S=np.column_stack([s, t]), Y=y))
-        without_model = fit_full(LabeledData(Z=design, S=t, Y=y))
-        w_s, w_t = (float(v) for v in with_model.w_hat)
-        w_t_wo = float(without_model.w_hat[0])
-
-        def cond_err(v: float) -> float:
-            # residual on point i at test draw (v, t'): w_s(s_i - v) + w_t(t_i - t')
-            base = w_s * (s - v)
-            return float(np.mean(((base + w_t * t) ** 2 + (base + w_t * (t - 1.0)) ** 2) / 2.0))
-
-        e0, e1 = cond_err(0.0), cond_err(1.0)
-        e_wo = w_t_wo**2 / 2.0
-        cols["w_s_with"].append(w_s)
-        cols["w_t_with"].append(w_t)
-        cols["w_t_without"].append(w_t_wo)
-        cols["err_with"].append(p_s * e1 + (1.0 - p_s) * e0)
-        cols["err_with_s0"].append(e0)
-        cols["err_with_s1"].append(e1)
-        cols["err_without"].append(e_wo)
-        cols["err_without_s0"].append(e_wo)
-        cols["err_without_s1"].append(e_wo)
-    quantities = {}
-    for label, values in cols.items():
-        mc, se = _stat(np.asarray(values))
-        quantities[label] = Quantity(None, mc, se)
+    quantities = {label: Quantity(None, *_stat(values)) for label, values in cols.items()}
     return ScenarioReport(
         name="example2",
         quantities=quantities,

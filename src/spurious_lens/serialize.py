@@ -17,6 +17,7 @@ import numpy as np
 
 from .analysis import RobustSpec, TestDistribution
 from .estimators import GroundTruth, LabeledData, UnlabeledData
+from .exceptions import SpuriousLensError
 from .minnorm import DesignMatrix
 
 
@@ -137,24 +138,30 @@ class Instance:
     scenario: dict
 
 
-def _matrix(block, name: str) -> np.ndarray:
+def _array(block, name: str, ndims: tuple[int, ...], shape_text: str) -> np.ndarray:
     try:
         arr = np.asarray(block, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InstanceError(f"{name} is not a numeric array") from exc
-    if arr.ndim != 2:
-        raise InstanceError(f"{name} must be a matrix (list of rows)")
+    if arr.ndim not in ndims:
+        raise InstanceError(f"{name} must be {shape_text}")
+    if not np.all(np.isfinite(arr)):
+        raise InstanceError(f"{name} contains non-finite entries")
     return arr
+
+
+def _matrix(block, name: str) -> np.ndarray:
+    return _array(block, name, (2,), "a matrix (list of rows)")
 
 
 def _vector(block, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(block, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"{name} is not a numeric array") from exc
-    if arr.ndim != 1:
-        raise InstanceError(f"{name} must be a flat list of numbers")
-    return arr
+    return _array(block, name, (1,), "a flat list of numbers")
+
+
+def _columns(block, name: str) -> np.ndarray:
+    """A list of numbers (one column) or a matrix (list of rows), as n x k."""
+    arr = _array(block, name, (1, 2), "a flat list of numbers or a matrix (list of rows)")
+    return arr[:, None] if arr.ndim == 1 else arr
 
 
 def _sigma_matrix(block, name: str) -> np.ndarray:
@@ -186,7 +193,10 @@ def parse_instance(text: str) -> Instance:
         betas = tuple(
             _vector(b, f"beta_stars[{i}]") for i, b in enumerate(block.get("beta_stars", []))
         )
-        truth = GroundTruth(theta_star=_vector(block["theta_star"], "theta_star"), beta_stars=betas)
+        try:
+            truth = GroundTruth(theta_star=_vector(block["theta_star"], "theta_star"), beta_stars=betas)
+        except SpuriousLensError as exc:
+            raise InstanceError(f"ground_truth invalid: {exc}") from exc
 
     data = None
     if "train" in doc:
@@ -198,9 +208,7 @@ def parse_instance(text: str) -> Instance:
         except ValueError as exc:
             raise InstanceError(f"train.Z invalid: {exc}") from exc
         if "S" in block and "Y" in block:
-            s = np.asarray(block["S"], dtype=float)
-            if s.ndim == 1:
-                s = s[:, None]
+            s = _columns(block["S"], "train.S")
             y = _vector(block["Y"], "train.Y")
         elif truth is not None:
             generated = LabeledData.from_truth(z, truth)
@@ -217,8 +225,12 @@ def parse_instance(text: str) -> Instance:
         block = doc["unlabeled"]
         if not isinstance(block, dict) or "Zu" not in block or "Su" not in block:
             raise InstanceError("unlabeled block needs Zu and Su")
-        su = np.asarray(block["Su"], dtype=float)
-        unlabeled = UnlabeledData(Zu=_matrix(block["Zu"], "unlabeled.Zu"), Su=su)
+        zu = _matrix(block["Zu"], "unlabeled.Zu")
+        su = _columns(block["Su"], "unlabeled.Su")
+        try:
+            unlabeled = UnlabeledData(Zu=zu, Su=su)
+        except (ValueError, SpuriousLensError) as exc:
+            raise InstanceError(f"unlabeled block invalid: {exc}") from exc
 
     groups = []
     for i, g in enumerate(doc.get("groups", [])):
@@ -240,9 +252,9 @@ def parse_instance(text: str) -> Instance:
             robust = RobustSpec(
                 gamma=float(block["gamma"]), norm_kind=str(block.get("norm_kind", "l2"))
             )
+            robust_samples = int(block.get("samples", robust_samples))
         except Exception as exc:
             raise InstanceError(f"robust block invalid: {exc}") from exc
-        robust_samples = int(block.get("samples", robust_samples))
         if robust_samples < 1:
             raise InstanceError("robust.samples must be >= 1")
 

@@ -1,12 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spurious_lens
 from spurious_lens.cli import main
 from spurious_lens.serialize import csv_to_rows, dumps_canonical
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write_instance(tmp_path, doc, name="instance.json"):
@@ -32,6 +37,36 @@ def run(capsys, argv):
     status = main(argv)
     out = capsys.readouterr()
     return status, out.out, out.err
+
+
+def golden_instance():
+    return json.loads((GOLDEN / "one_beta.instance.json").read_text())
+
+
+# (id, {path into the golden one_beta instance: new value}, argv): each edit
+# makes the input malformed
+MALFORMED_INPUTS = [
+    ("robust_samples_text", {("robust", "samples"): "abc"}, ["analyze"]),
+    ("theta_star_nan", {("ground_truth", "theta_star", 0): float("nan")}, ["fit"]),
+    ("train_S_text", {("train", "S"): "abc", ("train", "Y"): [1.0] * 5}, ["fit"]),
+    ("construct_negative_x", {}, ["construct", "--mode", "disjoint", "--n", "4", "--x", "-1"]),
+]
+
+
+@pytest.mark.parametrize(
+    "edits,argv", [c[1:] for c in MALFORMED_INPUTS], ids=[c[0] for c in MALFORMED_INPUTS]
+)
+def test_malformed_input_exits_2(capsys, tmp_path, edits, argv):
+    doc = golden_instance()
+    for (*parents, key), value in edits.items():
+        target = doc
+        for p in parents:
+            target = target[p]
+        target[key] = value
+    status, out, err = run(capsys, argv + ["--instance", write_instance(tmp_path, doc)])
+    assert status == 2
+    assert out == ""
+    assert err.startswith("input error") and "Traceback" not in err
 
 
 class TestFitCommand:
@@ -226,6 +261,13 @@ class TestAnalyzeCommand:
         status, _, _ = run(capsys, ["analyze", "--instance", path])
         assert status == 2
 
+    def test_sampler_exhaustion_exit_3(self, capsys, tmp_path):
+        doc = golden_instance()
+        doc["robust"]["gamma"] = 1e-3
+        status, _, err = run(capsys, ["analyze", "--instance", write_instance(tmp_path, doc)])
+        assert status == 3
+        assert "gamma is too small" in err
+
 
 class TestConstructCommand:
     def test_balanced_mode(self, capsys, tmp_path):
@@ -367,10 +409,14 @@ class TestModuleEntryPoint:
         doc = {"train": {"Z": [[1.0, 0.0]], "S": [1.0], "Y": [2.0]}}
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(doc))
+        # the child imports the same package as this process, installed or not
+        src = str(Path(spurious_lens.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "spurious_lens", "fit", "--instance", str(path)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["w_hat"] == pytest.approx([1.0])

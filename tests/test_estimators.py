@@ -11,6 +11,7 @@ from spurious_lens import (
     UnlabeledData,
     fit_core,
     fit_full,
+    fit_min_norm_stack,
     fit_multi,
     fit_rst,
     implicit_weights,
@@ -209,6 +210,47 @@ class TestOracleEquivalence:
             model = fit_multi(data)
             pred = data.Z.entries @ model.theta_hat + data.S @ model.w_hat
             assert np.linalg.norm(pred - data.Y) <= 1e-8 * max(1.0, np.linalg.norm(data.Y))
+
+
+class TestFitMinNormStack:
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_each_block_matches_single_fits_and_oracle(self, k):
+        rng = np.random.default_rng(21 + k)
+        for _ in range(10):
+            z = DesignMatrix(rng.standard_normal((5, 12)))
+            y = rng.standard_normal(5)
+            cols = rng.standard_normal((7, 5, k))
+            theta, w = fit_min_norm_stack(z, cols, y)
+            assert theta.shape == (7, 12) and w.shape == (7, k)
+            fit = {0: fit_core, 1: fit_full, 2: fit_multi}[k]
+            for i in range(7):
+                model = fit(LabeledData(Z=z, S=cols[i], Y=y))
+                got = np.concatenate([theta[i], w[i]])
+                single = np.concatenate([model.theta_hat, model.w_hat])
+                assert np.linalg.norm(got - single) <= 1e-12 * np.linalg.norm(single)
+                oracle = min_norm_solve(np.hstack([z.entries, cols[i]]), y).x
+                assert_allclose(got, oracle, rtol=0, atol=1e-8)
+
+    def test_worst_block_decides_interpolation(self):
+        # a rank-deficient design never reaches the solve; an inconsistent
+        # block (non-finite column) fails the residual check for the stack
+        rng = np.random.default_rng(24)
+        z = DesignMatrix(rng.standard_normal((5, 12)))
+        cols = rng.standard_normal((4, 5, 1))
+        cols[2, 0, 0] = np.nan
+        with pytest.raises(InconsistentSystemError):
+            fit_min_norm_stack(z, cols, rng.standard_normal(5))
+        with pytest.raises(RankDeficientError):
+            fit_min_norm_stack(DesignMatrix(np.ones((2, 4))), np.zeros((1, 2, 1)), np.ones(2))
+
+    def test_shape_validation(self):
+        z = DesignMatrix(np.eye(3))
+        with pytest.raises(DimensionMismatchError):
+            fit_min_norm_stack(z, np.zeros((3, 1)), np.ones(3))
+        with pytest.raises(DimensionMismatchError):
+            fit_min_norm_stack(z, np.zeros((2, 4, 1)), np.ones(3))
+        with pytest.raises(DimensionMismatchError):
+            fit_min_norm_stack(z, np.zeros((2, 3, 1)), np.ones(4))
 
 
 class TestFitRst:

@@ -5,6 +5,10 @@ it. `simulate` reports must match byte for byte. Elsewhere numbers must
 agree to 1e-12 relative (arrays by norm), booleans, strings and exit codes
 exactly, and `train_residual`, which is round-off, to 1e-12 * ||Y||.
 
+One library-level case, example2 with force_t_zero (a path no CLI command
+reaches), is stored as the canonical JSON of its report and must match
+byte for byte as well.
+
 Regenerate the outputs from the current sources with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -18,6 +22,8 @@ import numpy as np
 import pytest
 
 from spurious_lens.cli import main
+from spurious_lens.scenarios import example2_simulate
+from spurious_lens.serialize import dumps_canonical
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-12
@@ -41,6 +47,23 @@ CASES = [
     ("simulate_example2", ["simulate", "--scenario", "example2", "--trials", "300"], None, 0),
     ("simulate_ovb_simple", ["simulate", "--scenario", "ovb-simple", "--trials", "20000"], None, 0),
 ]
+
+FORCE_T_ZERO = GOLDEN / "example2_force_t_zero.report.json"
+
+
+def force_t_zero_text() -> str:
+    """Canonical JSON of every field of one example2 report with t pinned to zero."""
+    report = example2_simulate(n=6, p_s=0.7, trials=200, seed=3, force_t_zero=True)
+    return dumps_canonical({
+        "name": report.name,
+        "seed": report.seed,
+        "params": report.params,
+        "quantities": {
+            label: {"closed_form": q.closed_form, "monte_carlo": q.monte_carlo, "stderr": q.stderr}
+            for label, q in report.quantities.items()
+        },
+        "verdicts": report.verdicts,
+    })
 
 
 def run_case(argv, instance, out_path) -> int:
@@ -100,6 +123,10 @@ def test_matches_golden_output(tmp_path, name, argv, instance, exit_code):
     assert differences(json.loads(text), json.loads(want), name, _y_norm(instance)) == []
 
 
+def test_example2_force_t_zero_matches_golden():
+    assert force_t_zero_text() == FORCE_T_ZERO.read_text()
+
+
 def test_comparison_flags_departures():
     want = {"theta_hat": [1.0, 2.0], "train_residual": 1e-15, "tie": False, "model": "full"}
     assert differences(dict(want), want, "x", 1.0) == []
@@ -116,6 +143,7 @@ def regenerate() -> None:
         code = run_case(argv, instance, out)
         if code != exit_code:
             raise SystemExit(f"{name}: exit code {code}, expected {exit_code}")
+    FORCE_T_ZERO.write_text(force_t_zero_text())
 
 
 if __name__ == "__main__":

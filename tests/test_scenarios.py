@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from spurious_lens import scenarios
 from spurious_lens import (
     Example1Spec,
     example1_closed_form,
@@ -80,6 +81,26 @@ class TestExample1Simulate:
     def test_per_trial_weight_matches_generic_fit(self):
         # verify_fit=True cross-checks every trial against the generic fitter
         example1_simulate(Example1Spec(n=6, p=0.5, trials=300, seed=4), verify_fit=True)
+
+    def test_verification_catches_one_perturbed_trial(self, monkeypatch):
+        # the check compares every trial: nudging one fitted weight (in the
+        # last, partial block) by 1e-9 must fail it
+        real = scenarios.fit_min_norm_stack
+        block = scenarios._VERIFY_BLOCK
+        calls = []
+
+        def perturbed(z, cols, y):
+            theta, w = real(z, cols, y)
+            calls.append(cols.shape[0])
+            if len(calls) == 3:
+                w = w.copy()
+                w[cols.shape[0] // 2, 0] += 1e-9
+            return theta, w
+
+        monkeypatch.setattr(scenarios, "fit_min_norm_stack", perturbed)
+        with pytest.raises(AssertionError, match="disagrees with fitted weight"):
+            example1_simulate(Example1Spec(n=6, p=0.5, trials=2 * block + 100, seed=4), verify_fit=True)
+        assert calls == [block, block, 100]
 
     def test_bit_identical_reports(self):
         a = example1_simulate(Example1Spec(n=10, p=0.6, trials=500, seed=5), verify_fit=False)
