@@ -43,6 +43,7 @@ from .minnorm import (
     Projection,
     _as_matrix,
     _as_vector,
+    _freeze,
     min_norm_solve,
     projection,
 )
@@ -71,9 +72,7 @@ class TestDistribution:
             raise ValueError("sigma is not symmetric")
         if float(np.min(np.linalg.eigvalsh(m))) < -1e-10:
             raise ValueError("sigma is not positive semidefinite")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "sigma", m)
+        _freeze(self, sigma=m)
 
     @property
     def dim(self) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -25,8 +26,15 @@ from .exceptions import (
     ParallelTargetsError,
     SpuriousLensError,
 )
-from .minnorm import projection
-from .serialize import Instance, InstanceError, dumps_canonical, parse_instance, rows_to_csv
+from .minnorm import _as_vector, projection
+from .serialize import (
+    Instance,
+    InstanceError,
+    _build,
+    dumps_canonical,
+    parse_instance,
+    rows_to_csv,
+)
 
 TABLES_TOL = 1e-9
 
@@ -197,10 +205,7 @@ def cmd_analyze(args) -> int:
 
 
 def _number(value, kind, name: str):
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"{name} must be a number, got {value!r}") from exc
+    return _build(name, lambda: kind(value))
 
 
 def cmd_construct(args) -> int:
@@ -228,27 +233,14 @@ def cmd_construct(args) -> int:
         if data is not None and data.n_spurious == 1:
             s_vec, y_vec = data.S[:, 0], data.Y
         elif "S" in scenario and "Y" in scenario:
-            s_vec = np.asarray(scenario["S"], dtype=float)
-            y_vec = np.asarray(scenario["Y"], dtype=float)
+            s_vec = _build("scenario.S", lambda: _as_vector(scenario["S"], "S"))
+            y_vec = _build("scenario.Y", lambda: _as_vector(scenario["Y"], "Y"))
         else:
             raise InstanceError("construct --mode balanced needs train.S/train.Y or scenario.S/Y")
         d = args.d if args.d is not None else scenario.get("d")
         if d is None:
             raise InstanceError("construct --mode balanced needs --d (or scenario.d)")
         bundle = constructions.construct_balanced(s_vec, y_vec, _number(d, int, "d"))
-
-    def verdict_doc(v):
-        return {
-            "sign_match": v.sign_match,
-            "magnitude_holds": v.magnitude_holds,
-            "full_better": v.full_better,
-            "tie": v.tie,
-            "w_hat": v.w_hat,
-            "lhs_seen_corr": v.lhs_seen_corr,
-            "rhs_unseen_corr": v.rhs_unseen_corr,
-            "error_core": v.error_core,
-            "error_full": v.error_full,
-        }
 
     doc = {
         "command": "construct",
@@ -261,16 +253,12 @@ def cmd_construct(args) -> int:
         "Z_test_core_wins": bundle.Z_test_core_wins.entries,
         "x_param": bundle.x_param,
         "b_vector": bundle.b_vector,
-        "verdict_full_wins": verdict_doc(bundle.verdict_full_wins),
-        "verdict_core_wins": verdict_doc(bundle.verdict_core_wins),
+        "verdict_full_wins": asdict(bundle.verdict_full_wins),
+        "verdict_core_wins": asdict(bundle.verdict_core_wins),
         "verified": True,
     }
-    rows = []
-    for which, v in (
-        ("full_wins", bundle.verdict_full_wins),
-        ("core_wins", bundle.verdict_core_wins),
-    ):
-        rows.append(dict({"which": which}, **verdict_doc(v)))
+    verdicts = (("full_wins", bundle.verdict_full_wins), ("core_wins", bundle.verdict_core_wins))
+    rows = [dict({"which": which}, **asdict(v)) for which, v in verdicts]
     fields = [
         "which", "sign_match", "magnitude_holds", "full_better", "tie",
         "w_hat", "lhs_seen_corr", "rhs_unseen_corr", "error_core", "error_full",
@@ -279,37 +267,43 @@ def cmd_construct(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario_params = {}
-    if args.instance:
-        scenario_params = _load_instance(args).scenario
+    params = _load_instance(args).scenario if args.instance else {}
+    if args.trials is not None:
+        params = dict(params, trials=args.trials)
+
+    def param(key: str, kind, default):
+        value = params.get(key)
+        return _number(default if value is None else value, kind, f"scenario.{key}")
+
     name = args.scenario
-    trials = args.trials if args.trials is not None else scenario_params.get("trials")
+    if name == "example1":
+        kwargs = {
+            "n": param("n", int, 20),
+            "p": param("p", float, 0.9),
+            "trials": param("trials", int, 10_000),
+        }
+    elif name == "example2":
+        kwargs = {
+            "n": param("n", int, 20),
+            "p_s": param("p_s", float, 0.9),
+            "trials": param("trials", int, 10_000),
+        }
+    elif name == "ovb-simple":
+        kwargs = {
+            "trials": param("trials", int, 100_000),
+            "sigma": param("sigma", float, 1.0),
+            "gamma": param("gamma", float, 1.0),
+            "threshold": param("threshold", float, 1.5),
+        }
     try:
         if name == "tables":
             report = scenarios.reference_tables()
         elif name == "example1":
-            spec = scenarios.Example1Spec(
-                n=int(scenario_params.get("n", 20)),
-                p=float(scenario_params.get("p", 0.9)),
-                trials=int(trials if trials is not None else 10_000),
-                seed=args.seed,
-            )
-            report = scenarios.example1_simulate(spec)
+            report = scenarios.example1_simulate(scenarios.Example1Spec(seed=args.seed, **kwargs))
         elif name == "example2":
-            report = scenarios.example2_simulate(
-                n=int(scenario_params.get("n", 20)),
-                p_s=float(scenario_params.get("p_s", 0.9)),
-                trials=int(trials if trials is not None else 10_000),
-                seed=args.seed,
-            )
+            report = scenarios.example2_simulate(seed=args.seed, **kwargs)
         else:
-            report = scenarios.ovb_simple_scenario(
-                trials=int(trials if trials is not None else 100_000),
-                seed=args.seed,
-                sigma=float(scenario_params.get("sigma", 1.0)),
-                gamma=float(scenario_params.get("gamma", 1.0)),
-                threshold=float(scenario_params.get("threshold", 1.5)),
-            )
+            report = scenarios.ovb_simple_scenario(seed=args.seed, **kwargs)
     except ValueError as exc:
         raise InstanceError(f"bad scenario parameters: {exc}") from exc
 

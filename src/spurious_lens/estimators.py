@@ -35,8 +35,10 @@ from .minnorm import (
     INTERP_RTOL,
     DesignMatrix,
     MinNormSolution,
+    _as_columns,
     _as_matrix,
     _as_vector,
+    _freeze,
     _require_full_row_rank,
     min_norm_solve,
 )
@@ -54,19 +56,14 @@ class GroundTruth:
     beta_stars: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
-        theta = _as_vector(self.theta_star, "theta_star").copy()
-        theta.setflags(write=False)
-        object.__setattr__(self, "theta_star", theta)
-        betas = []
-        for j, b in enumerate(self.beta_stars):
-            bv = _as_vector(b, f"beta_stars[{j}]").copy()
+        theta = _as_vector(self.theta_star, "theta_star")
+        betas = tuple(_as_vector(b, f"beta_stars[{j}]") for j, b in enumerate(self.beta_stars))
+        for j, bv in enumerate(betas):
             if bv.shape[0] != theta.shape[0]:
                 raise DimensionMismatchError(
                     f"beta_stars[{j}] has dimension {bv.shape[0]}, expected {theta.shape[0]}"
                 )
-            bv.setflags(write=False)
-            betas.append(bv)
-        object.__setattr__(self, "beta_stars", tuple(betas))
+        _freeze(self, theta_star=theta, beta_stars=betas)
 
     @property
     def dim(self) -> int:
@@ -87,23 +84,14 @@ class LabeledData:
     truth: GroundTruth | None = None
 
     def __post_init__(self):
-        s = np.asarray(self.S, dtype=float)
-        if s.ndim == 1:
-            s = s[:, None]
-        if s.ndim != 2:
-            raise DimensionMismatchError(f"S must be an n x k matrix, got shape {s.shape}")
+        s = _as_columns(self.S, "S")
         y = _as_vector(self.Y, "Y")
         n = self.Z.rows
         if s.shape[0] != n or y.shape[0] != n:
             raise DimensionMismatchError(
                 f"row counts disagree: Z has {n}, S has {s.shape[0]}, Y has {y.shape[0]}"
             )
-        s = s.copy()
-        s.setflags(write=False)
-        y = y.copy()
-        y.setflags(write=False)
-        object.__setattr__(self, "S", s)
-        object.__setattr__(self, "Y", y)
+        _freeze(self, S=s, Y=y)
         if self.truth is not None:
             self._check_truth_pairing()
 
@@ -147,19 +135,12 @@ class UnlabeledData:
 
     def __post_init__(self):
         zu = _as_matrix(self.Zu, "Zu")
-        su = np.asarray(self.Su, dtype=float)
-        if su.ndim == 1:
-            su = su[:, None]
+        su = _as_columns(self.Su, "Su")
         if su.shape[0] != zu.shape[0]:
             raise DimensionMismatchError(
                 f"row counts disagree: Zu has {zu.shape[0]}, Su has {su.shape[0]}"
             )
-        zu = zu.copy()
-        zu.setflags(write=False)
-        su = su.copy()
-        su.setflags(write=False)
-        object.__setattr__(self, "Zu", zu)
-        object.__setattr__(self, "Su", su)
+        _freeze(self, Zu=zu, Su=su)
 
 
 @dataclass(frozen=True)
@@ -171,16 +152,13 @@ class LinearModel:
     kind: str
 
     def __post_init__(self):
-        theta = _as_vector(self.theta_hat, "theta_hat").copy()
-        w = _as_vector(self.w_hat, "w_hat").copy()
+        theta = _as_vector(self.theta_hat, "theta_hat")
+        w = _as_vector(self.w_hat, "w_hat")
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind in ("core", "rst") and w.shape[0] != 0:
             raise ValueError(f"{self.kind} models carry no spurious weights")
-        theta.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "theta_hat", theta)
-        object.__setattr__(self, "w_hat", w)
+        _freeze(self, theta_hat=theta, w_hat=w)
 
     @property
     def squared_norm(self) -> float:

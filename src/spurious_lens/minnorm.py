@@ -33,22 +33,49 @@ _ORTHO_TOL = 1e-9
 _EIG_TOL = 1e-8
 
 
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
 def _as_matrix(a, name: str) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.size == 0:
         raise DimensionMismatchError(f"{name} must be a nonempty 2-D array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
+    return _finite(m, name)
 
 
 def _as_vector(a, name: str) -> np.ndarray:
     v = np.asarray(a, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatchError(f"{name} must be a 1-D array, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
+    return _finite(v, name)
+
+
+def _as_columns(a, name: str) -> np.ndarray:
+    """A flat list (one column) or an n x k matrix, as a finite n x k array."""
+    c = np.asarray(a, dtype=float)
+    if c.ndim == 1:
+        c = c[:, None]
+    if c.ndim != 2:
+        raise DimensionMismatchError(
+            f"{name} must be a flat list or an n x k matrix, got shape {c.shape}"
+        )
+    return _finite(c, name)
+
+
+def _read_only(a) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def _freeze(obj, **arrays) -> None:
+    """Store a read-only copy of each array (or tuple of arrays) on the frozen dataclass obj."""
+    for name, a in arrays.items():
+        frozen = tuple(map(_read_only, a)) if isinstance(a, tuple) else _read_only(a)
+        object.__setattr__(obj, name, frozen)
 
 
 @dataclass(frozen=True)
@@ -66,9 +93,7 @@ class DesignMatrix:
 
     def __post_init__(self):
         m = _as_matrix(self.entries, "design matrix")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        _freeze(self, entries=m)
         s = np.linalg.svd(m, compute_uv=False)
         full = m.shape[0] <= m.shape[1] and s[0] > 0 and s[-1] / s[0] >= RANK_RTOL
         object.__setattr__(self, "full_row_rank", bool(full))
@@ -118,13 +143,10 @@ class Projection:
             raise DimensionMismatchError(
                 f"projection basis must be d x r with 0 <= r <= d, got shape {v.shape}"
             )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("projection basis contains non-finite entries")
+        _finite(v, "projection basis")
         if np.max(np.abs(v.T @ v - np.eye(v.shape[1])), initial=0.0) >= _ORTHO_TOL:
             raise ValueError("projection basis is not orthonormal")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "basis", v)
+        _freeze(self, basis=v)
 
     @classmethod
     def from_matrix(cls, m) -> "Projection":

@@ -26,7 +26,7 @@ from .exceptions import (
     SignAssumptionError,
     SingularGramError,
 )
-from .minnorm import RANK_RTOL, _as_matrix, _as_vector
+from .minnorm import RANK_RTOL, _as_matrix, _as_vector, _freeze
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,7 @@ class OvbPopulation:
 
     gamma: coefficients of the unobserved covariates z (length q);
     beta_s: coefficient of s; sigma_ss = E[s^2] > 0; sigma_sz = E[s z].
-    mean_s / mean_z center raw draws before the loss formulas apply;
-    observed_coeffs holds the coefficients of the observed covariates for
-    simulation only (they play no role in the decision rule).
+    mean_s / mean_z center raw draws before the loss formulas apply.
     """
 
     gamma: np.ndarray
@@ -46,7 +44,6 @@ class OvbPopulation:
     sigma_sz: np.ndarray
     mean_s: float = 0.0
     mean_z: np.ndarray | None = None
-    observed_coeffs: np.ndarray | None = None
 
     def __post_init__(self):
         g = _as_vector(self.gamma, "gamma")
@@ -57,16 +54,10 @@ class OvbPopulation:
             )
         if not (np.isfinite(self.sigma_ss) and self.sigma_ss > 0):
             raise ValueError(f"sigma_ss must be positive, got {self.sigma_ss}")
-        mz = self.mean_z
-        if mz is None:
-            mz = np.zeros(g.shape[0])
-        mz = _as_vector(mz, "mean_z")
+        mz = np.zeros(g.shape[0]) if self.mean_z is None else _as_vector(self.mean_z, "mean_z")
         if mz.shape[0] != g.shape[0]:
             raise DimensionMismatchError("mean_z length must match gamma")
-        for name, arr in (("gamma", g), ("sigma_sz", sz), ("mean_z", mz)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, gamma=g, sigma_sz=sz, mean_z=mz)
 
     @property
     def lam(self) -> np.ndarray:
@@ -88,9 +79,7 @@ class GroupMoments:
         sz = _as_vector(self.sigma_sz_g, "sigma_sz_g")
         if not (np.isfinite(self.sigma_ss_g) and self.sigma_ss_g > 0):
             raise ValueError(f"sigma_ss_g must be positive, got {self.sigma_ss_g}")
-        sz = sz.copy()
-        sz.setflags(write=False)
-        object.__setattr__(self, "sigma_sz_g", sz)
+        _freeze(self, sigma_sz_g=sz)
 
     @property
     def lam_g(self) -> np.ndarray:
@@ -108,6 +97,13 @@ class GroupLossEstimate:
     difference: float
     stderr_difference: float
     n_group: int
+
+
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (0 for a single value)."""
+    m = values.shape[0]
+    stderr = float(np.std(values, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    return float(np.mean(values)), stderr
 
 
 def ovb_bias(X, cross_moment, delta) -> np.ndarray:
@@ -184,15 +180,9 @@ def estimate_group_losses(
     with_s = (gz - float(pop.gamma @ pop.lam) * sc) ** 2
     without_s = (gz + pop.beta_s * sc) ** 2
     diff = with_s - without_s
-
-    def _stat(v: np.ndarray) -> tuple[float, float]:
-        mean = float(np.mean(v))
-        stderr = float(np.std(v, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
-        return mean, stderr
-
-    lw, ew = _stat(with_s)
-    lo, eo = _stat(without_s)
-    ld, ed = _stat(diff)
+    lw, ew = _mean_stderr(with_s)
+    lo, eo = _mean_stderr(without_s)
+    ld, ed = _mean_stderr(diff)
     return GroupLossEstimate(
         loss_with_s=lw,
         loss_without_s=lo,

@@ -36,7 +36,13 @@ from .estimators import (
     predict,
 )
 from .minnorm import DesignMatrix
-from .ovb import GroupMoments, OvbPopulation, estimate_group_losses, group_prefers_core
+from .ovb import (
+    GroupMoments,
+    OvbPopulation,
+    _mean_stderr,
+    estimate_group_losses,
+    group_prefers_core,
+)
 
 # Slack added to the 3-sigma closed-form/Monte-Carlo agreement check so that
 # zero-variance (deterministic) quantities only need float-level equality.
@@ -123,21 +129,15 @@ def example1_closed_form(n: int, p: float) -> tuple[float, float]:
     return e_w, e_theta
 
 
-def _stat(values: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(values.shape[0])) if values.shape[0] > 1 else 0.0
-    return mean, stderr
-
-
-def example1_simulate(spec: Example1Spec, verify_fit: bool = True) -> ScenarioReport:
+def example1_simulate(spec: Example1Spec) -> ScenarioReport:
     """Simulate the identity-design example.
 
     Each trial draws the binary extra-feature vector, takes the weight
     u/(1+u) of the model that uses it, then evaluates the expected squared
     loss over the n coordinate points with freshly drawn extra-feature
-    values, overall and conditioned on the test point's feature value. With
-    verify_fit, every trial's weight is compared (to 1e-10) with the generic
-    fitter's, run as stacked fits of _VERIFY_BLOCK trials each.
+    values, overall and conditioned on the test point's feature value. Every
+    trial's weight is compared (to 1e-10) with the generic fitter's, run as
+    stacked fits of _VERIFY_BLOCK trials each.
     """
     n, p, trials = spec.n, spec.p, spec.trials
     rng = np.random.default_rng(spec.seed)
@@ -151,24 +151,23 @@ def example1_simulate(spec: Example1Spec, verify_fit: bool = True) -> ScenarioRe
     loss_avg = p * loss_s1 + (1.0 - p) * loss_s0
     theta_mean = 1.0 - w * u / n
 
-    if verify_fit:
-        design = DesignMatrix(np.eye(n))
-        y = np.ones(n)
-        for lo in range(0, trials, _VERIFY_BLOCK):
-            _, w_fit = fit_min_norm_stack(design, s[lo : lo + _VERIFY_BLOCK, :, None], y)
-            bad = np.flatnonzero(np.abs(w_fit[:, 0] - w[lo : lo + _VERIFY_BLOCK]) > 1e-10)
-            if bad.size:
-                i = lo + int(bad[0])
-                raise AssertionError(
-                    f"direct weight {w[i]} disagrees with fitted weight {w_fit[bad[0], 0]}"
-                )
+    design = DesignMatrix(np.eye(n))
+    y = np.ones(n)
+    for lo in range(0, trials, _VERIFY_BLOCK):
+        _, w_fit = fit_min_norm_stack(design, s[lo : lo + _VERIFY_BLOCK, :, None], y)
+        bad = np.flatnonzero(np.abs(w_fit[:, 0] - w[lo : lo + _VERIFY_BLOCK]) > 1e-10)
+        if bad.size:
+            i = lo + int(bad[0])
+            raise AssertionError(
+                f"direct weight {w[i]} disagrees with fitted weight {w_fit[bad[0], 0]}"
+            )
 
     cf_w, cf_theta = example1_closed_form(n, p)
-    mc_w, se_w = _stat(w)
-    mc_t, se_t = _stat(theta_mean)
-    mc_l, se_l = _stat(loss_avg)
-    mc_l0, se_l0 = _stat(loss_s0)
-    mc_l1, se_l1 = _stat(loss_s1)
+    mc_w, se_w = _mean_stderr(w)
+    mc_t, se_t = _mean_stderr(theta_mean)
+    mc_l, se_l = _mean_stderr(loss_avg)
+    mc_l0, se_l0 = _mean_stderr(loss_s0)
+    mc_l1, se_l1 = _mean_stderr(loss_s1)
     return ScenarioReport(
         name="example1",
         quantities={
@@ -230,7 +229,7 @@ def example2_simulate(
         "err_with": p_s * e1 + (1.0 - p_s) * e0, "err_with_s0": e0, "err_with_s1": e1,
         "err_without": e_wo, "err_without_s0": e_wo, "err_without_s1": e_wo,
     }
-    quantities = {label: Quantity(None, *_stat(values)) for label, values in cols.items()}
+    quantities = {label: Quantity(None, *_mean_stderr(values)) for label, values in cols.items()}
     return ScenarioReport(
         name="example2",
         quantities=quantities,
@@ -340,20 +339,27 @@ def ovb_simple_moments(
     x ~ N(s, sigma^2), and the group collects the points that defy the
     correlation: {s=0, x > threshold} union {s=1, x < threshold}. Moments
     are of the population-centered variables and come from truncated-normal
-    identities.
+    identities. Raises ValueError when either branch has no probability mass
+    in double precision (a threshold many sigmas out).
     """
     c0 = threshold / sigma
     c1 = (threshold - 1.0) / sigma
-    p0 = 0.5 * (1.0 - _ncdf(c0))
-    p1 = 0.5 * _ncdf(c1)
+    tail0, head1 = 1.0 - _ncdf(c0), _ncdf(c1)
+    if not (tail0 > 0.0 and head1 > 0.0):
+        raise ValueError(
+            f"threshold {threshold} and sigma {sigma} leave a branch of the group "
+            "with no probability mass in double precision"
+        )
+    p0 = 0.5 * tail0
+    p1 = 0.5 * head1
     prob = p0 + p1
     # Branch s=0: x ~ N(0, sigma^2) truncated to x > threshold.
-    m0 = sigma * _phi(c0) / (1.0 - _ncdf(c0))
-    m0_sq = sigma * sigma * (1.0 + c0 * _phi(c0) / (1.0 - _ncdf(c0)))
+    m0 = sigma * _phi(c0) / tail0
+    m0_sq = sigma * sigma * (1.0 + c0 * _phi(c0) / tail0)
     # Branch s=1: x = 1 + sigma * eps with eps truncated to eps < c1.
-    r1 = _phi(c1) / _ncdf(c1)
+    r1 = _phi(c1) / head1
     e_eps = -r1
-    e_eps_sq = 1.0 - c1 * _phi(c1) / _ncdf(c1)
+    e_eps_sq = 1.0 - c1 * _phi(c1) / head1
     w0, w1 = p0 / prob, p1 / prob
     zc0 = m0 - 0.5
     zc1 = 0.5 + sigma * e_eps
@@ -378,8 +384,8 @@ def ovb_simple_scenario(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     pop = OvbPopulation(
         gamma=np.array([gamma]),
         beta_s=1.0,

@@ -4,6 +4,14 @@ JSON output is canonical: keys sorted, floats printed with 17 significant
 digits (lossless round-trip), a single trailing newline. CSV projections
 print floats with Python's shortest round-trip repr and parse back into the
 same row structure.
+
+Instance parsing checks only the document's layout (which blocks and keys
+are present) and passes the raw JSON values to the library's value classes,
+which own every array check and keep finite, read-only copies. `_build` is
+the one place where a failure on outside input, from a conversion or a
+value class, becomes an InstanceError that names its block; the CLI reads
+its scenario values through it too. Fits, constructions and scenario runs
+never go through it, so their own errors keep their exit codes.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 from .analysis import RobustSpec, TestDistribution
 from .estimators import GroundTruth, LabeledData, UnlabeledData
 from .exceptions import SpuriousLensError
-from .minnorm import DesignMatrix
+from .minnorm import DesignMatrix, _as_vector
 
 
 class InstanceError(ValueError):
@@ -138,46 +146,32 @@ class Instance:
     scenario: dict
 
 
-def _array(block, name: str, ndims: tuple[int, ...], shape_text: str) -> np.ndarray:
+def _build(name: str, make):
+    """make(), with a failure on outside input raised as InstanceError naming the block.
+
+    make converts outside values or builds value classes from them, nothing
+    more. Besides the value classes' TypeError, ValueError and
+    SpuriousLensError, int() of an infinite float raises OverflowError and
+    json.loads of a deeply nested document raises RecursionError.
+    """
     try:
-        arr = np.asarray(block, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"{name} is not a numeric array") from exc
-    if arr.ndim not in ndims:
-        raise InstanceError(f"{name} must be {shape_text}")
-    if not np.all(np.isfinite(arr)):
-        raise InstanceError(f"{name} contains non-finite entries")
-    return arr
+        return make()
+    except (TypeError, ValueError, OverflowError, RecursionError, SpuriousLensError) as exc:
+        raise InstanceError(f"{name} invalid: {exc}") from exc
 
 
-def _matrix(block, name: str) -> np.ndarray:
-    return _array(block, name, (2,), "a matrix (list of rows)")
-
-
-def _vector(block, name: str) -> np.ndarray:
-    return _array(block, name, (1,), "a flat list of numbers")
-
-
-def _columns(block, name: str) -> np.ndarray:
-    """A list of numbers (one column) or a matrix (list of rows), as n x k."""
-    arr = _array(block, name, (1, 2), "a flat list of numbers or a matrix (list of rows)")
-    return arr[:, None] if arr.ndim == 1 else arr
-
-
-def _sigma_matrix(block, name: str) -> np.ndarray:
+def _sigma(block):
     if isinstance(block, dict):
         if set(block) != {"diag"}:
-            raise InstanceError(f"{name} object form must be {{\"diag\": [...]}}")
-        return np.diag(_vector(block["diag"], f"{name}.diag"))
-    return _matrix(block, name)
+            raise ValueError('object form must be {"diag": [...]}')
+        # np.diag of a matrix would silently return its diagonal
+        return np.diag(_as_vector(block["diag"], "diag"))
+    return block
 
 
 def parse_instance(text: str) -> Instance:
     """Parse an instance JSON document into library objects."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"invalid JSON: {exc}") from exc
+    doc = _build("instance JSON", lambda: json.loads(text))
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
     known = {"ground_truth", "train", "unlabeled", "groups", "robust", "scenario"}
@@ -190,57 +184,45 @@ def parse_instance(text: str) -> Instance:
         block = doc["ground_truth"]
         if not isinstance(block, dict) or "theta_star" not in block:
             raise InstanceError("ground_truth block needs theta_star")
-        betas = tuple(
-            _vector(b, f"beta_stars[{i}]") for i, b in enumerate(block.get("beta_stars", []))
+        truth = _build(
+            "ground_truth",
+            lambda: GroundTruth(theta_star=block["theta_star"], beta_stars=block.get("beta_stars", ())),
         )
-        try:
-            truth = GroundTruth(theta_star=_vector(block["theta_star"], "theta_star"), beta_stars=betas)
-        except SpuriousLensError as exc:
-            raise InstanceError(f"ground_truth invalid: {exc}") from exc
 
     data = None
     if "train" in doc:
         block = doc["train"]
         if not isinstance(block, dict) or "Z" not in block:
             raise InstanceError("train block needs Z")
-        try:
-            z = DesignMatrix(_matrix(block["Z"], "train.Z"))
-        except ValueError as exc:
-            raise InstanceError(f"train.Z invalid: {exc}") from exc
-        if "S" in block and "Y" in block:
-            s = _columns(block["S"], "train.S")
-            y = _vector(block["Y"], "train.Y")
-        elif truth is not None:
-            generated = LabeledData.from_truth(z, truth)
-            s, y = generated.S, generated.Y
-        else:
-            raise InstanceError("train block needs S and Y (or a ground_truth block)")
-        try:
-            data = LabeledData(Z=z, S=s, Y=y, truth=truth)
-        except Exception as exc:
-            raise InstanceError(f"train block inconsistent with ground_truth: {exc}") from exc
+
+        def make_train():
+            z = DesignMatrix(block["Z"])
+            if "S" in block and "Y" in block:
+                return LabeledData(Z=z, S=block["S"], Y=block["Y"], truth=truth)
+            if truth is None:
+                raise ValueError("the block needs S and Y (or a ground_truth block)")
+            return LabeledData.from_truth(z, truth)
+
+        data = _build("train", make_train)
 
     unlabeled = None
     if "unlabeled" in doc:
         block = doc["unlabeled"]
         if not isinstance(block, dict) or "Zu" not in block or "Su" not in block:
             raise InstanceError("unlabeled block needs Zu and Su")
-        zu = _matrix(block["Zu"], "unlabeled.Zu")
-        su = _columns(block["Su"], "unlabeled.Su")
-        try:
-            unlabeled = UnlabeledData(Zu=zu, Su=su)
-        except (ValueError, SpuriousLensError) as exc:
-            raise InstanceError(f"unlabeled block invalid: {exc}") from exc
+        unlabeled = _build("unlabeled", lambda: UnlabeledData(Zu=block["Zu"], Su=block["Su"]))
 
     groups = []
-    for i, g in enumerate(doc.get("groups", [])):
+    group_blocks = doc.get("groups", [])
+    if not isinstance(group_blocks, list):
+        raise InstanceError("groups must be a list")
+    for i, g in enumerate(group_blocks):
         if not isinstance(g, dict) or "sigma" not in g:
             raise InstanceError(f"groups[{i}] needs a sigma entry")
         label = str(g.get("label", f"group{i}"))
-        try:
-            groups.append(TestDistribution(sigma=_sigma_matrix(g["sigma"], f"groups[{i}].sigma"), label=label))
-        except ValueError as exc:
-            raise InstanceError(f"groups[{i}].sigma invalid: {exc}") from exc
+        groups.append(
+            _build(f"groups[{i}]", lambda: TestDistribution(sigma=_sigma(g["sigma"]), label=label))
+        )
 
     robust = None
     robust_samples = 4096
@@ -248,13 +230,13 @@ def parse_instance(text: str) -> Instance:
         block = doc["robust"]
         if not isinstance(block, dict) or "gamma" not in block:
             raise InstanceError("robust block needs gamma")
-        try:
-            robust = RobustSpec(
+        robust = _build(
+            "robust",
+            lambda: RobustSpec(
                 gamma=float(block["gamma"]), norm_kind=str(block.get("norm_kind", "l2"))
-            )
-            robust_samples = int(block.get("samples", robust_samples))
-        except Exception as exc:
-            raise InstanceError(f"robust block invalid: {exc}") from exc
+            ),
+        )
+        robust_samples = _build("robust.samples", lambda: int(block.get("samples", robust_samples)))
         if robust_samples < 1:
             raise InstanceError("robust.samples must be >= 1")
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spurious_lens
 from spurious_lens.cli import main
@@ -43,14 +47,47 @@ def golden_instance():
     return json.loads((GOLDEN / "one_beta.instance.json").read_text())
 
 
+# Edits under which `construct --mode balanced` reads S and Y from the
+# scenario block: the train block then has no spurious column.
+BALANCED_FROM_SCENARIO = {
+    ("ground_truth", "beta_stars"): [],
+    ("scenario", "Y"): [1.0, 2.0],
+    ("scenario", "d"): 6,
+}
+
 # (id, {path into the golden one_beta instance: new value}, argv): each edit
-# makes the input malformed
+# makes the input malformed; a missing block on the path is created empty
 MALFORMED_INPUTS = [
     ("robust_samples_text", {("robust", "samples"): "abc"}, ["analyze"]),
     ("theta_star_nan", {("ground_truth", "theta_star", 0): float("nan")}, ["fit"]),
     ("train_S_text", {("train", "S"): "abc", ("train", "Y"): [1.0] * 5}, ["fit"]),
     ("construct_negative_x", {}, ["construct", "--mode", "disjoint", "--n", "4", "--x", "-1"]),
+    ("train_Z_empty_row", {("train", "Z"): [[]]}, ["fit"]),
+    ("group_sigma_not_square", {("groups", 0, "sigma"): [[1.0, 0.0]]}, ["analyze"]),
+    ("beta_stars_number", {("ground_truth", "beta_stars"): 5}, ["fit"]),
+    ("groups_number", {("groups",): 3}, ["analyze"]),
+    ("scenario_trials_list", {("scenario", "trials"): [3]}, ["simulate", "--scenario", "example1"]),
+    ("scenario_n_list", {("scenario", "n"): [3]}, ["simulate", "--scenario", "example1"]),
+    ("scenario_threshold_9", {("scenario", "threshold"): 9}, ["simulate", "--scenario", "ovb-simple"]),
+    (
+        "scenario_S_text",
+        {**BALANCED_FROM_SCENARIO, ("scenario", "S"): "abc"},
+        ["construct", "--mode", "balanced"],
+    ),
+    (
+        "scenario_S_nan",
+        {**BALANCED_FROM_SCENARIO, ("scenario", "S"): [1.0, float("nan")]},
+        ["construct", "--mode", "balanced"],
+    ),
 ]
+
+
+def set_field(doc, path, value):
+    *parents, key = path
+    target = doc
+    for p in parents:
+        target = target[p] if isinstance(target, list) else target.setdefault(p, {})
+    target[key] = value
 
 
 @pytest.mark.parametrize(
@@ -58,15 +95,58 @@ MALFORMED_INPUTS = [
 )
 def test_malformed_input_exits_2(capsys, tmp_path, edits, argv):
     doc = golden_instance()
-    for (*parents, key), value in edits.items():
-        target = doc
-        for p in parents:
-            target = target[p]
-        target[key] = value
+    for path, value in edits.items():
+        set_field(doc, path, value)
     status, out, err = run(capsys, argv + ["--instance", write_instance(tmp_path, doc)])
     assert status == 2
     assert out == ""
     assert err.startswith("input error") and "Traceback" not in err
+
+
+# A valid scenario block for every command that reads one.
+FUZZ_SCENARIO = {
+    "n": 4, "x": 0.1, "d": 6, "S": [1.0, 2.0], "Y": [2.0, 1.0], "p": 0.5, "p_s": 0.5,
+    "trials": 50, "sigma": 1.0, "gamma": 1.0, "threshold": 1.5,
+}
+FUZZ_FIELDS = [
+    ("ground_truth",), ("ground_truth", "theta_star"), ("ground_truth", "beta_stars"),
+    ("train",), ("train", "Z"), ("unlabeled",), ("unlabeled", "Zu"), ("unlabeled", "Su"),
+    ("groups",), ("groups", 0), ("groups", 0, "sigma"), ("groups", 0, "label"),
+    ("groups", 1, "sigma"), ("groups", 1, "sigma", "diag"),
+    ("robust",), ("robust", "gamma"), ("robust", "norm_kind"), ("robust", "samples"),
+    ("scenario",), *(("scenario", key) for key in FUZZ_SCENARIO),
+]
+FUZZ_COMMANDS = [
+    *(["fit", "--model", m] for m in ("core", "full", "multi", "rst")),
+    ["analyze"],
+    ["construct", "--mode", "disjoint"],
+    ["construct", "--mode", "balanced"],
+    *(["simulate", "--scenario", s] for s in ("example1", "example2", "ovb-simple", "tables")),
+]
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 8),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.text(max_size=3),
+    st.sampled_from([[], [[]], [1.0, [2.0]], [[1.0], [2.0, 3.0]], [[1.0, 2.0], [3.0, 4.0]]]),
+    st.dictionaries(st.sampled_from(["diag", "a"]), st.sampled_from([1.0, [1.0], [[1.0]]]), max_size=2),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(field=st.sampled_from(FUZZ_FIELDS), junk=JUNK, argv=st.sampled_from(FUZZ_COMMANDS))
+def test_junk_field_keeps_exit_contract(tmp_path_factory, field, junk, argv):
+    doc = dict(golden_instance(), scenario=dict(FUZZ_SCENARIO))
+    set_field(doc, field, junk)
+    path = tmp_path_factory.getbasetemp() / "fuzz.instance.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv + ["--instance", str(path)])
+    assert status in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert status == 0 or out.getvalue() == ""
 
 
 class TestFitCommand:
@@ -147,6 +227,14 @@ class TestFitCommand:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         status, _, err = run(capsys, ["fit", "--instance", str(path)])
+        assert status == 2
+        assert "input error" in err
+
+    def test_deeply_nested_json_exit_2(self, capsys, tmp_path):
+        # json.loads gives up on this with a RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text('{"scenario": {"n": ' + "[" * 100_000 + "]" * 100_000 + "}}")
+        status, _, err = run(capsys, ["simulate", "--scenario", "tables", "--instance", str(path)])
         assert status == 2
         assert "input error" in err
 

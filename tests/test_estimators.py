@@ -401,3 +401,17 @@ class TestDataValidation:
             LinearModel(theta_hat=np.zeros(2), w_hat=np.array([1.0]), kind="core")
         with pytest.raises(ValueError):
             LinearModel(theta_hat=np.zeros(2), w_hat=np.zeros(0), kind="bogus")
+
+    def test_non_finite_spurious_columns_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            LabeledData(Z=DesignMatrix(np.eye(2)), S=[1.0, np.nan], Y=[1.0, 2.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            UnlabeledData(Zu=np.eye(2), Su=[[np.nan], [1.0]])
+
+    def test_arrays_are_read_only_copies(self):
+        s = np.array([1.0, 2.0])
+        data = LabeledData(Z=DesignMatrix(np.eye(2)), S=s, Y=[1.0, 2.0])
+        s[0] = 5.0
+        assert data.S.shape == (2, 1) and data.S[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            data.S[0, 0] = 3.0

@@ -66,7 +66,7 @@ class TestExample1Simulate:
 
     def test_losses_match_enumeration_oracle(self):
         n, p = 12, 0.7
-        rep = example1_simulate(Example1Spec(n=n, p=p, trials=6000, seed=3), verify_fit=False)
+        rep = example1_simulate(Example1Spec(n=n, p=p, trials=6000, seed=3))
         # conditional losses are deterministic functions of the count u
         expect_s0 = binomial_expectation(n, p, lambda u: (u / (1 + u)) ** 2 * u / n)
         expect_s1 = binomial_expectation(n, p, lambda u: (u / (1 + u)) ** 2 * (n - u) / n)
@@ -75,12 +75,12 @@ class TestExample1Simulate:
             assert abs(q.monte_carlo - expect) <= 3 * q.stderr
 
     def test_group_s0_bears_the_loss_at_high_p(self):
-        rep = example1_simulate(Example1Spec(n=20, p=0.9, trials=2000, seed=8), verify_fit=False)
+        rep = example1_simulate(Example1Spec(n=20, p=0.9, trials=2000, seed=8))
         assert rep.quantities["E_loss_s0"].monte_carlo > rep.quantities["E_loss_s1"].monte_carlo
 
     def test_per_trial_weight_matches_generic_fit(self):
-        # verify_fit=True cross-checks every trial against the generic fitter
-        example1_simulate(Example1Spec(n=6, p=0.5, trials=300, seed=4), verify_fit=True)
+        # every run cross-checks every trial against the generic fitter
+        example1_simulate(Example1Spec(n=6, p=0.5, trials=300, seed=4))
 
     def test_verification_catches_one_perturbed_trial(self, monkeypatch):
         # the check compares every trial: nudging one fitted weight (in the
@@ -99,12 +99,12 @@ class TestExample1Simulate:
 
         monkeypatch.setattr(scenarios, "fit_min_norm_stack", perturbed)
         with pytest.raises(AssertionError, match="disagrees with fitted weight"):
-            example1_simulate(Example1Spec(n=6, p=0.5, trials=2 * block + 100, seed=4), verify_fit=True)
+            example1_simulate(Example1Spec(n=6, p=0.5, trials=2 * block + 100, seed=4))
         assert calls == [block, block, 100]
 
     def test_bit_identical_reports(self):
-        a = example1_simulate(Example1Spec(n=10, p=0.6, trials=500, seed=5), verify_fit=False)
-        b = example1_simulate(Example1Spec(n=10, p=0.6, trials=500, seed=5), verify_fit=False)
+        a = example1_simulate(Example1Spec(n=10, p=0.6, trials=500, seed=5))
+        b = example1_simulate(Example1Spec(n=10, p=0.6, trials=500, seed=5))
         assert a == b
 
     def test_spec_validation(self):
