@@ -6,17 +6,18 @@ feature lowers error, a Monte-Carlo robust (worst-case-perturbation) error,
 per-group error tables, and the two-group spurious-function estimator and
 its group error expansion.
 
-With P the training row-space projector, Q = I - P, and Sigma the test
-second moment, the error closed forms are
+Every population error is one quadratic form. Once each spurious value is
+beta*' z, a model predicts e'z with e = implicit_weights(model, truth), so its
+residual is the functional r'z with r = theta* - e, and its error under the
+test second moment Sigma is
 
-    core:   theta*' Q Sigma Q theta*
-    full:   + w^2 beta*' Q Sigma Q beta* - 2 w theta*' Q Sigma Q beta*
-    multi:  same with beta* replaced by sum_i w_i beta*_i
-    rst:    (theta* - theta_rst)' Sigma (theta* - theta_rst)
+    E[(theta*' z - e' z)^2] = r' Sigma r.
 
-and the full model beats the core model exactly when the seen-space
-correlation beta*' P theta* and the unseen-space correlation
-beta*' Q Sigma Q theta* share a sign and
+With P the training row-space projector and Q = I - P, the minimum-norm fits
+give r = Q theta* for the core model and r = Q theta* - w Q beta* for the full
+model, w = beta*' P theta* / (1 + beta*' P beta*). The full model beats the
+core model exactly when the seen-space correlation beta*' P theta* and the
+unseen-space correlation beta*' Q Sigma Q theta* share a sign and
 
     | beta*' P theta* / (1 + beta*' P beta*) |
         < | 2 beta*' Q Sigma Q theta* / beta*' Q Sigma Q beta* |.
@@ -37,7 +38,7 @@ from .exceptions import (
     NonPositiveGammaError,
     SamplerExhaustedError,
 )
-from .estimators import GroundTruth, LinearModel
+from .estimators import GroundTruth, LinearModel, implicit_weights
 from .minnorm import (
     DesignMatrix,
     Projection,
@@ -141,33 +142,23 @@ def _check_dims(truth: GroundTruth, pi: Projection, dist: TestDistribution):
         )
 
 
+def _error(r: np.ndarray, dist: TestDistribution) -> float:
+    """r' Sigma r: the expected square of the residual functional r'z."""
+    return float(r @ dist.sigma @ r)
+
+
 def population_error(
     model: LinearModel, truth: GroundTruth, dist: TestDistribution, pi: Projection
 ) -> float:
     """Expected squared prediction error under the test second moment.
 
     The expectation is over test points z with each spurious value generated
-    as beta*' z; the result is the quadratic form of the model's residual
-    functional of z.
+    as beta*' z, so the error is r' Sigma r with r = theta* -
+    implicit_weights(model, truth), whatever design the model was fitted on.
+    pi, the training row-space projector, only enters the dimension check.
     """
     _check_dims(truth, pi, dist)
-    if model.kind == "rst":
-        r = truth.theta_star - model.theta_hat
-    elif model.kind == "core":
-        r = pi.complement(truth.theta_star)
-    elif model.kind in ("full", "multi"):
-        k = model.w_hat.shape[0]
-        if k != truth.n_spurious:
-            raise DimensionMismatchError(
-                f"model has {k} spurious weights but truth provides {truth.n_spurious}"
-            )
-        combo = np.zeros(truth.dim)
-        for w, b in zip(model.w_hat, truth.beta_stars):
-            combo = combo + w * b
-        r = pi.complement(truth.theta_star - combo)
-    else:
-        raise ValueError(f"unknown model kind {model.kind!r}")
-    return float(r @ dist.sigma @ r)
+    return _error(truth.theta_star - implicit_weights(model, truth), dist)
 
 
 def removal_verdict(
@@ -177,7 +168,9 @@ def removal_verdict(
 
     Compares the sign and relative magnitude of the seen-space correlation
     beta*' P theta* against the unseen-space correlation
-    beta*' (I-P) Sigma (I-P) theta*; also reports both closed-form errors.
+    beta*' (I-P) Sigma (I-P) theta*; also reports both errors, as the
+    quadratic forms of the core and full residuals Q theta* and
+    Q theta* - w Q beta*.
     """
     if truth.n_spurious != 1:
         raise DimensionMismatchError(
@@ -195,8 +188,8 @@ def removal_verdict(
     sq = dist.sigma @ qb
     rhs = float(qt @ sq)
     bqb = float(qb @ sq)
-    error_core = float(qt @ dist.sigma @ qt)
-    error_full = error_core + w * w * bqb - 2.0 * w * rhs
+    error_core = _error(qt, dist)
+    error_full = _error(qt - w * qb, dist)
 
     tie = abs(w) <= TIE_TOL or abs(bqb) <= TIE_TOL
     if tie:
@@ -261,8 +254,9 @@ def robust_error(
 
     For each sampled z the per-point loss is maximized over spurious values
     in [-gamma ||beta*||_dual, +gamma ||beta*||_dual]; the maximum of the
-    resulting convex parabola sits at an interval endpoint. Models that
-    ignore the spurious feature get their plain squared error on the same
+    resulting convex parabola sits at an interval endpoint, so the loss is
+    (|theta*'z - theta_hat'z| + sum_i |w_i| gamma ||beta*||_dual)^2. Models
+    without spurious weights get their plain squared error on the same
     sample, so comparisons at a shared seed are paired.
     """
     if model.kind not in ("core", "full", "rst"):
@@ -283,15 +277,9 @@ def robust_error(
     z = _sample_bounded_gaussian(dist, spec, samples, rng)
     y = z @ truth.theta_star
     base = z @ model.theta_hat
-    if model.kind == "full":
-        half = spec.spurious_halfwidth(truth.beta_stars[0])
-        w = float(model.w_hat[0])
-        lo = (y - base + w * half) ** 2
-        hi = (y - base - w * half) ** 2
-        losses = np.maximum(lo, hi)
-    else:
-        losses = (y - base) ** 2
-    return float(np.mean(losses))
+    half = spec.spurious_halfwidth(truth.beta_stars[0])
+    slack = sum(abs(w) * half for w in model.w_hat)
+    return float(np.mean((np.abs(y - base) + slack) ** 2))
 
 
 def groupwise_report(
@@ -357,4 +345,4 @@ def groupwise_spurious_error(
     if np.max(np.abs(pi1.basis.T @ pi2.basis)) >= 1e-10:
         raise NonOrthogonalGroupsError("group row spaces are not orthogonal")
     v = pi1.complement(t) - pi2.project(t) - w * pi1.complement(a1) + w * pi2.project(a2)
-    return float(v @ dist.sigma @ v)
+    return _error(v, dist)

@@ -25,6 +25,7 @@ from .exceptions import (
     ParallelParametersError,
     ParallelTargetsError,
     SpuriousLensError,
+    VerificationError,
 )
 from .minnorm import _as_vector, projection
 from .serialize import (
@@ -89,13 +90,8 @@ def _load_instance(args) -> Instance:
     return parse_instance(text)
 
 
-def _emit(args, document: dict, csv_text: str | None) -> None:
-    if args.format == "csv":
-        if csv_text is None:
-            raise InstanceError("this command has no CSV projection")
-        payload = csv_text
-    else:
-        payload = dumps_canonical(document)
+def _emit(args, document: dict, csv_text: str) -> None:
+    payload = csv_text if args.format == "csv" else dumps_canonical(document)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
@@ -141,7 +137,8 @@ def cmd_fit(args) -> int:
         {"name": "w_hat", "index": i, "value": float(v)} for i, v in enumerate(model.w_hat)
     ]
     rows.append({"name": "train_residual", "index": None, "value": residual})
-    return _finish(args, doc, rows_to_csv(["name", "index", "value"], rows))
+    _emit(args, doc, rows_to_csv(["name", "index", "value"], rows))
+    return 0
 
 
 def cmd_analyze(args) -> int:
@@ -201,7 +198,8 @@ def cmd_analyze(args) -> int:
         ["group", "error_core", "error_full", "delta", "sign_match", "magnitude_holds", "full_better"],
         group_rows,
     )
-    return _finish(args, doc, csv_text)
+    _emit(args, doc, csv_text)
+    return 0
 
 
 def _number(value, kind, name: str):
@@ -263,7 +261,8 @@ def cmd_construct(args) -> int:
         "which", "sign_match", "magnitude_holds", "full_better", "tie",
         "w_hat", "lhs_seen_corr", "rhs_unseen_corr", "error_core", "error_full",
     ]
-    return _finish(args, doc, rows_to_csv(fields, rows))
+    _emit(args, doc, rows_to_csv(fields, rows))
+    return 0
 
 
 def cmd_simulate(args) -> int:
@@ -333,19 +332,12 @@ def cmd_simulate(args) -> int:
         }
         for label, q in report.quantities.items()
     ]
-    status = _finish(args, doc, rows_to_csv(["label", "closed_form", "monte_carlo", "stderr"], rows))
-    if status == 0 and name == "tables" and report.max_closed_form_gap() > TABLES_TOL:
-        print(
+    _emit(args, doc, rows_to_csv(["label", "closed_form", "monte_carlo", "stderr"], rows))
+    if name == "tables" and report.max_closed_form_gap() > TABLES_TOL:
+        raise VerificationError(
             f"table reproduction exceeded tolerance {TABLES_TOL}: "
-            f"max gap {report.max_closed_form_gap():.3e}",
-            file=sys.stderr,
+            f"max gap {report.max_closed_form_gap():.3e}"
         )
-        return 1
-    return status
-
-
-def _finish(args, doc: dict, csv_text: str | None) -> int:
-    _emit(args, doc, csv_text)
     return 0
 
 
@@ -369,6 +361,9 @@ def main(argv=None) -> int:
     except _CONSTRUCTION_ERRORS as exc:
         print(f"construction precondition failed: {exc}", file=sys.stderr)
         return 4
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     except SpuriousLensError as exc:
         print(f"numerical precondition failed: {exc}", file=sys.stderr)
         return 3

@@ -13,6 +13,7 @@ test designs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .exceptions import (
     DimensionTooSmallError,
     ParallelParametersError,
     ParallelTargetsError,
+    VerificationError,
 )
 from .minnorm import DesignMatrix, _as_vector, min_norm_solve, row_space_projection
 
@@ -52,13 +54,21 @@ class CounterexampleBundle:
     b_vector: np.ndarray | None = None
 
     def __post_init__(self):
-        v1, v2 = self.verdict_full_wins, self.verdict_core_wins
-        if not v1.full_better:
-            raise ValueError("verification failed: full model does not win on its test design")
-        if v2.full_better or v2.error_full <= v2.error_core:
-            raise ValueError("verification failed: core model does not win on its test design")
-        if v1.error_core - v1.error_full <= GAP_TOL or v2.error_full - v2.error_core <= GAP_TOL:
-            raise ValueError("verification failed: error gaps are not strictly positive")
+        failure = _verdict_pair_failure(self.verdict_full_wins, self.verdict_core_wins)
+        if failure is not None:
+            raise VerificationError(failure)
+
+
+def _verdict_pair_failure(v1: RemovalVerdict, v2: RemovalVerdict) -> str | None:
+    """Why v1 (full should win) and v2 (core should win) are not a
+    counterexample pair, or None when they are."""
+    if not v1.full_better:
+        return "full model does not win on its test design"
+    if v2.full_better or v2.error_full <= v2.error_core:
+        return "core model does not win on its test design"
+    if v1.error_core - v1.error_full <= GAP_TOL or v2.error_full - v2.error_core <= GAP_TOL:
+        return "error gaps are not strictly positive"
+    return None
 
 
 def _empirical_second_moment(Z: np.ndarray, label: str) -> TestDistribution:
@@ -133,25 +143,26 @@ def construct_disjoint(
     spare = comp[n] if comp.shape[0] > n else None
     a2 = u_t + u_b + 2.0 * b
     a3 = u_t - u_b
-    constraints = np.vstack([b, u_t, u_b])
+    # a1 is linear in x: solve its constraints once, at x = 1
+    a1_unit = min_norm_solve(np.vstack([b, u_t, u_b]), np.array([-1.0, 1.0, 1.0])).x
+    # The proof's magnitude margin x^2/(a1'a1 + x^2) <= 2||theta*||/||beta*||,
+    # taken as a square root so that no square of x overflows.
+    margin = math.sqrt(2.0 * nt / nb)
 
     truth = GroundTruth(theta_star=theta, beta_stars=(beta,))
-    sigma_prime = _empirical_second_moment(
-        np.tile(a2 / n, (n, 1)), "full-wins"
-    )
-    sigma_second = _empirical_second_moment(
-        np.tile(a3 / n, (n, 1)), "core-wins"
-    )
+    z_full_wins = np.tile(a2 / n, (n, 1))
+    z_core_wins = np.tile(a3 / n, (n, 1))
+    sigma_prime = _empirical_second_moment(z_full_wins, "full-wins")
+    sigma_second = _empirical_second_moment(z_core_wins, "core-wins")
 
     cur_x = float(x)
     for _ in range(64):
-        a1 = min_norm_solve(constraints, np.array([-cur_x, cur_x, cur_x])).x
-        # The proof's magnitude margin x^2/(a'a + x^2) <= 2||theta*||/||beta*||;
-        # when violated, widen a1 along a spare orthogonal direction.
+        a1 = cur_x * a1_unit
+        # when the margin fails, widen a1 along a spare orthogonal direction
         if spare is not None:
             rho = 1.0
             for _ in range(64):
-                if cur_x**2 / (a1 @ a1 + cur_x**2) <= 2.0 * nt / nb:
+                if cur_x / math.hypot(cur_x, *a1) <= margin:
                     break
                 a1 = a1 + rho * spare
                 rho *= 2.0
@@ -160,17 +171,11 @@ def construct_disjoint(
         pi = row_space_projection(z_train.entries)
         v1 = removal_verdict(truth, pi, sigma_prime)
         v2 = removal_verdict(truth, pi, sigma_second)
-        ok = (
-            v1.full_better
-            and not v2.full_better
-            and v1.error_core - v1.error_full > GAP_TOL
-            and v2.error_full - v2.error_core > GAP_TOL
-        )
-        if ok:
+        if _verdict_pair_failure(v1, v2) is None:
             return CounterexampleBundle(
                 Z_train=z_train,
-                Z_test_full_wins=DesignMatrix(np.tile(a2 / n, (n, 1))),
-                Z_test_core_wins=DesignMatrix(np.tile(a3 / n, (n, 1))),
+                Z_test_full_wins=DesignMatrix(z_full_wins),
+                Z_test_core_wins=DesignMatrix(z_core_wins),
                 truth=truth,
                 verdict_full_wins=v1,
                 verdict_core_wins=v2,
@@ -178,7 +183,7 @@ def construct_disjoint(
                 b_vector=b,
             )
         cur_x /= 2.0
-    raise RuntimeError("could not verify the counterexample after shrinking x")
+    raise VerificationError("could not verify the counterexample after shrinking x")
 
 
 def construct_balanced(S, Y, d: int) -> CounterexampleBundle:
@@ -241,7 +246,7 @@ def construct_balanced(S, Y, d: int) -> CounterexampleBundle:
     )
     for z in (z_train, z_prime, z_second):
         if not np.allclose(z @ theta, y, rtol=1e-9, atol=1e-9):
-            raise RuntimeError("constructed design does not reproduce the targets")
+            raise VerificationError("constructed design does not reproduce the targets")
         if not np.allclose(z @ beta, s, rtol=1e-9, atol=1e-9):
-            raise RuntimeError("constructed design does not reproduce the spurious values")
+            raise VerificationError("constructed design does not reproduce the spurious values")
     return bundle

@@ -327,7 +327,10 @@ def implicit_weights(model: LinearModel, truth: GroundTruth) -> np.ndarray:
     """Effective linear functional of z once each spurious value is beta*' z.
 
     Returns theta_hat + sum_i w_i beta*_i; for models with no spurious
-    weights this is theta_hat itself.
+    weights this is theta_hat itself. theta* minus this vector is the
+    model's residual functional, whose quadratic form under a test second
+    moment is analysis.population_error. Raises DimensionMismatchError when
+    the model's dimension or its nonzero weight count disagrees with truth.
     """
     if model.theta_hat.shape[0] != truth.dim:
         raise DimensionMismatchError(

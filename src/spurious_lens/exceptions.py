@@ -1,8 +1,8 @@
 """Exception hierarchy for spurious-lens.
 
-Every numerical precondition failure raises a subclass of
-:class:`SpuriousLensError` so callers (and the CLI) can map failures to
-stable exit codes.
+Every numerical precondition failure, and every result that fails the check
+certifying it, raises a subclass of :class:`SpuriousLensError` so callers
+(and the CLI) can map failures to stable exit codes.
 """
 
 
@@ -60,3 +60,7 @@ class EmptyGroupError(SpuriousLensError):
 
 class SamplerExhaustedError(SpuriousLensError, RuntimeError):
     """A rejection sampler ran out of attempts before drawing enough samples."""
+
+
+class VerificationError(SpuriousLensError):
+    """A computed result failed the check that certifies it."""

@@ -35,6 +35,7 @@ from .estimators import (
     implicit_weights,
     predict,
 )
+from .exceptions import VerificationError
 from .minnorm import DesignMatrix
 from .ovb import (
     GroupMoments,
@@ -158,7 +159,7 @@ def example1_simulate(spec: Example1Spec) -> ScenarioReport:
         bad = np.flatnonzero(np.abs(w_fit[:, 0] - w[lo : lo + _VERIFY_BLOCK]) > 1e-10)
         if bad.size:
             i = lo + int(bad[0])
-            raise AssertionError(
+            raise VerificationError(
                 f"direct weight {w[i]} disagrees with fitted weight {w_fit[bad[0], 0]}"
             )
 
@@ -242,7 +243,7 @@ def _table_entries(label: str, computed: np.ndarray, expected: list[float]) -> d
     comp = np.atleast_1d(np.asarray(computed, dtype=float))
     exp = np.asarray(expected, dtype=float)
     if comp.shape != exp.shape:
-        raise AssertionError(f"{label}: shape mismatch {comp.shape} vs {exp.shape}")
+        raise VerificationError(f"{label}: shape mismatch {comp.shape} vs {exp.shape}")
     if comp.shape == (1,):
         return {label: Quantity(float(exp[0]), float(comp[0]), 0.0)}
     return {

@@ -6,6 +6,7 @@ from spurious_lens import (
     DesignMatrix,
     GroundTruth,
     LabeledData,
+    LinearModel,
     RobustSpec,
     TestDistribution,
     fit_core,
@@ -16,6 +17,7 @@ from spurious_lens import (
     groupwise_report,
     groupwise_spurious_error,
     groupwise_spurious_fit,
+    implicit_weights,
     min_norm_solve,
     population_error,
     projection,
@@ -112,6 +114,32 @@ class TestPopulationError:
         assert population_error(rst, truth, dist, pi) == pytest.approx(expected, rel=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "make_model",
+        [
+            lambda data, other: LinearModel(np.zeros(6), np.zeros(0), "core"),
+            lambda data, other: LinearModel(
+                fit_full(data).theta_hat + 1.0, fit_full(data).w_hat, "full"
+            ),
+            lambda data, other: fit_core(other),
+        ],
+        ids=["zero_core", "shifted_full", "core_fit_on_other_design"],
+    )
+    def test_error_of_the_models_own_weights(self, make_model):
+        # the error belongs to the weights the model carries, not to the
+        # minimum-norm fit on pi's design
+        rng = np.random.default_rng(27)
+        d, n = 6, 3
+        truth = GroundTruth(rng.standard_normal(d), (rng.standard_normal(d),))
+        data = LabeledData.from_truth(DesignMatrix(rng.standard_normal((n, d))), truth)
+        other = LabeledData.from_truth(DesignMatrix(rng.standard_normal((n, d))), truth)
+        model = make_model(data, other)
+        r = truth.theta_star - implicit_weights(model, truth)
+        dist = TestDistribution(np.eye(d))
+        error = population_error(model, truth, dist, projection(data.Z))
+        assert error == pytest.approx(r @ r, rel=1e-12)
+
+
 class TestRemovalVerdict:
     def test_table2_second_feature_full_wins(self):
         truth, _, pi = table2_setup()
@@ -189,6 +217,41 @@ class TestRemovalVerdict:
             v = removal_verdict(truth, pi, TestDistribution(np.eye(d)))
             assert v.error_core <= v.error_full + 1e-10
             assert not v.full_better
+
+
+    def test_full_error_nonnegative_when_full_residual_vanishes(self):
+        # theta* = p + w Q beta* with p in the row space gives Q theta* = w Q beta*
+        # for the fitted w, so the full model's residual is zero and its error
+        # must not come out below zero
+        rng = np.random.default_rng(28)
+        for _ in range(300):
+            d = int(rng.integers(3, 13))
+            n = int(rng.integers(1, d))
+            pi = projection(DesignMatrix(rng.standard_normal((n, d))))
+            beta = rng.standard_normal(d)
+            p = pi.project(rng.standard_normal(d))
+            pb = pi.project(beta)
+            w = (pb @ p) / (1.0 + pb @ beta)
+            truth = GroundTruth(p + w * pi.complement(beta), (beta,))
+            a = rng.standard_normal((d, d))
+            v = removal_verdict(truth, pi, TestDistribution(a @ a.T))
+            assert v.error_full >= 0.0
+
+    def test_errors_are_population_errors_of_the_fits(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            d = int(rng.integers(3, 13))
+            n = int(rng.integers(1, d))
+            truth = GroundTruth(rng.standard_normal(d), (rng.standard_normal(d),))
+            data = LabeledData.from_truth(DesignMatrix(rng.standard_normal((n, d))), truth)
+            pi = projection(data.Z)
+            a = rng.standard_normal((d, d))
+            dist = TestDistribution(a @ a.T)
+            v = removal_verdict(truth, pi, dist)
+            core = population_error(fit_core(data), truth, dist, pi)
+            full = population_error(fit_full(data), truth, dist, pi)
+            assert v.error_core == pytest.approx(core, rel=1e-12)
+            assert v.error_full == pytest.approx(full, rel=1e-12)
 
 
 class TestRobustError:

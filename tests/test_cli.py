@@ -386,6 +386,17 @@ class TestConstructCommand:
         assert doc["x_param"] == pytest.approx(0.1)
         assert doc["verdict_core_wins"]["error_full"] > doc["verdict_core_wins"]["error_core"]
 
+    @pytest.mark.parametrize("x", ["1e160", "1e300"])
+    def test_disjoint_mode_huge_scale(self, capsys, x):
+        path = str(GOLDEN / "one_beta.instance.json")
+        status, out, err = run(
+            capsys, ["construct", "--mode", "disjoint", "--instance", path, "--n", "4", "--x", x]
+        )
+        assert status == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["verified"] is True
+        assert doc["x_param"] == float(x)
+
     def test_parallel_parameters_exit_4(self, capsys, tmp_path):
         path = write_instance(
             tmp_path,

@@ -11,6 +11,8 @@ from spurious_lens import (
     ovb_simple_scenario,
     reference_tables,
 )
+from spurious_lens.cli import main
+from spurious_lens.exceptions import VerificationError
 
 
 def binomial_expectation(n, p, f):
@@ -19,6 +21,24 @@ def binomial_expectation(n, p, f):
     for k in range(n + 1):
         total += math.comb(n, k) * p**k * (1 - p) ** (n - k) * f(k)
     return total
+
+
+@pytest.fixture
+def perturbed_third_fit(monkeypatch):
+    """Nudge one weight of example1's third stacked fit by 1e-9; yields each fit's trial count."""
+    real = scenarios.fit_min_norm_stack
+    calls = []
+
+    def perturbed(z, cols, y):
+        theta, w = real(z, cols, y)
+        calls.append(cols.shape[0])
+        if len(calls) == 3:
+            w = w.copy()
+            w[cols.shape[0] // 2, 0] += 1e-9
+        return theta, w
+
+    monkeypatch.setattr(scenarios, "fit_min_norm_stack", perturbed)
+    return calls
 
 
 class TestExample1ClosedForm:
@@ -82,25 +102,21 @@ class TestExample1Simulate:
         # every run cross-checks every trial against the generic fitter
         example1_simulate(Example1Spec(n=6, p=0.5, trials=300, seed=4))
 
-    def test_verification_catches_one_perturbed_trial(self, monkeypatch):
+    def test_verification_catches_one_perturbed_trial(self, perturbed_third_fit):
         # the check compares every trial: nudging one fitted weight (in the
         # last, partial block) by 1e-9 must fail it
-        real = scenarios.fit_min_norm_stack
         block = scenarios._VERIFY_BLOCK
-        calls = []
-
-        def perturbed(z, cols, y):
-            theta, w = real(z, cols, y)
-            calls.append(cols.shape[0])
-            if len(calls) == 3:
-                w = w.copy()
-                w[cols.shape[0] // 2, 0] += 1e-9
-            return theta, w
-
-        monkeypatch.setattr(scenarios, "fit_min_norm_stack", perturbed)
-        with pytest.raises(AssertionError, match="disagrees with fitted weight"):
+        with pytest.raises(VerificationError, match="disagrees with fitted weight"):
             example1_simulate(Example1Spec(n=6, p=0.5, trials=2 * block + 100, seed=4))
-        assert calls == [block, block, 100]
+        assert perturbed_third_fit == [block, block, 100]
+
+    def test_cli_exits_1_on_a_perturbed_trial(self, perturbed_third_fit, capsys):
+        trials = 2 * scenarios._VERIFY_BLOCK + 100
+        status = main(["simulate", "--scenario", "example1", "--trials", str(trials)])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.startswith("verification failed: direct weight")
+        assert err.count("\n") == 1
 
     def test_bit_identical_reports(self):
         a = example1_simulate(Example1Spec(n=10, p=0.6, trials=500, seed=5))
