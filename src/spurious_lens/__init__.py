@@ -19,6 +19,7 @@ from .analysis import (
     population_error,
     removal_verdict,
     robust_error,
+    robust_errors,
 )
 from .constructions import CounterexampleBundle, construct_balanced, construct_disjoint
 from .estimators import (
@@ -109,6 +110,7 @@ __all__ = [
     "projection",
     "removal_verdict",
     "robust_error",
+    "robust_errors",
     "row_space_projection",
 ]
 

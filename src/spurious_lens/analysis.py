@@ -34,6 +34,7 @@ import numpy as np
 
 from .exceptions import (
     DimensionMismatchError,
+    NonFiniteResultError,
     NonOrthogonalGroupsError,
     NonPositiveGammaError,
     SamplerExhaustedError,
@@ -58,7 +59,13 @@ NORM_KINDS = ("l2", "linf")
 
 @dataclass(frozen=True)
 class TestDistribution:
-    """A test population given by its second-moment matrix E[zz'] and a label."""
+    """A test population given by its second-moment matrix E[zz'] and a label.
+
+    Sigma must be square, finite, symmetric and positive semidefinite, each
+    to 1e-10. A diagonal Sigma (no off-diagonal nonzero) is symmetric, and
+    its eigenvalues are its diagonal, so it is validated in O(d^2) with no
+    eigendecomposition; any other Sigma is checked with eigvalsh.
+    """
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -69,9 +76,14 @@ class TestDistribution:
         m = _as_matrix(self.sigma, "sigma")
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"sigma must be square, got {m.shape}")
-        if np.max(np.abs(m - m.T)) >= 1e-10:
-            raise ValueError("sigma is not symmetric")
-        if float(np.min(np.linalg.eigvalsh(m))) < -1e-10:
+        diag = np.diagonal(m)
+        if np.count_nonzero(m) == np.count_nonzero(diag):
+            smallest = float(np.min(diag))
+        else:
+            if np.max(np.abs(m - m.T)) >= 1e-10:
+                raise ValueError("sigma is not symmetric")
+            smallest = float(np.min(np.linalg.eigvalsh(m)))
+        if smallest < -1e-10:
             raise ValueError("sigma is not positive semidefinite")
         _freeze(self, sigma=m)
 
@@ -242,6 +254,58 @@ def _sample_bounded_gaussian(
     return out
 
 
+def robust_errors(
+    models: list[LinearModel],
+    truth: GroundTruth,
+    dist: TestDistribution,
+    spec: RobustSpec,
+    samples: int,
+    seed: int = 0,
+) -> list[float]:
+    """Monte-Carlo worst-case error of each model over spurious perturbations.
+
+    For each sampled z the per-point loss is maximized over spurious values
+    in [-gamma ||beta*||_dual, +gamma ||beta*||_dual]; the maximum of the
+    resulting convex parabola sits at an interval endpoint, so the loss is
+    (|theta*'z - theta_hat'z| + sum_i |w_i| gamma ||beta*||_dual)^2. Models
+    without spurious weights get their plain squared error. Every model is
+    evaluated on one draw, the same one robust_error makes at this seed, so
+    the errors are paired. A loss that overflows raises NonFiniteResultError.
+    """
+    if truth.n_spurious != 1:
+        raise DimensionMismatchError(
+            f"robust error needs exactly one spurious vector, got {truth.n_spurious}"
+        )
+    for model in models:
+        if model.kind not in ("core", "full", "rst"):
+            raise ValueError(
+                f"robust error is defined for core/full/rst models, got {model.kind!r}"
+            )
+        if model.theta_hat.shape[0] != truth.dim or dist.dim != truth.dim:
+            raise DimensionMismatchError("model, truth and sigma dimensions disagree")
+        if model.kind == "full" and model.w_hat.shape[0] != 1:
+            raise DimensionMismatchError(
+                f"full model must carry one spurious weight, got {model.w_hat.shape[0]}"
+            )
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    z = _sample_bounded_gaussian(dist, spec, samples, rng)
+    y = z @ truth.theta_star
+    half = spec.spurious_halfwidth(truth.beta_stars[0])
+    errors = []
+    for model in models:
+        slack = sum(abs(w) * half for w in model.w_hat)
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = float(np.mean((np.abs(y - z @ model.theta_hat) + slack) ** 2))
+        if not np.isfinite(err):
+            raise NonFiniteResultError(
+                f"robust {model.kind} error is not finite at gamma {spec.gamma}"
+            )
+        errors.append(err)
+    return errors
+
+
 def robust_error(
     model: LinearModel,
     truth: GroundTruth,
@@ -250,36 +314,8 @@ def robust_error(
     samples: int,
     seed: int = 0,
 ) -> float:
-    """Monte-Carlo worst-case error over spurious perturbations.
-
-    For each sampled z the per-point loss is maximized over spurious values
-    in [-gamma ||beta*||_dual, +gamma ||beta*||_dual]; the maximum of the
-    resulting convex parabola sits at an interval endpoint, so the loss is
-    (|theta*'z - theta_hat'z| + sum_i |w_i| gamma ||beta*||_dual)^2. Models
-    without spurious weights get their plain squared error on the same
-    sample, so comparisons at a shared seed are paired.
-    """
-    if model.kind not in ("core", "full", "rst"):
-        raise ValueError(f"robust error is defined for core/full/rst models, got {model.kind!r}")
-    if truth.n_spurious != 1:
-        raise DimensionMismatchError(
-            f"robust error needs exactly one spurious vector, got {truth.n_spurious}"
-        )
-    if model.theta_hat.shape[0] != truth.dim or dist.dim != truth.dim:
-        raise DimensionMismatchError("model, truth and sigma dimensions disagree")
-    if model.kind == "full" and model.w_hat.shape[0] != 1:
-        raise DimensionMismatchError(
-            f"full model must carry one spurious weight, got {model.w_hat.shape[0]}"
-        )
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = _sample_bounded_gaussian(dist, spec, samples, rng)
-    y = z @ truth.theta_star
-    base = z @ model.theta_hat
-    half = spec.spurious_halfwidth(truth.beta_stars[0])
-    slack = sum(abs(w) * half for w in model.w_hat)
-    return float(np.mean((np.abs(y - base) + slack) ** 2))
+    """Monte-Carlo worst-case error of one model; see robust_errors."""
+    return robust_errors([model], truth, dist, spec, samples, seed)[0]
 
 
 def groupwise_report(

@@ -177,11 +177,8 @@ def cmd_analyze(args) -> int:
         full = estimators.fit_full(inst.data)
         robust_rows = []
         for g in inst.groups:
-            r_core = analysis.robust_error(
-                core, inst.truth, g, inst.robust, inst.robust_samples, seed=args.seed
-            )
-            r_full = analysis.robust_error(
-                full, inst.truth, g, inst.robust, inst.robust_samples, seed=args.seed
+            r_core, r_full = analysis.robust_errors(
+                [core, full], inst.truth, g, inst.robust, inst.robust_samples, seed=args.seed
             )
             robust_rows.append(
                 {

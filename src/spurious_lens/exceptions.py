@@ -62,5 +62,9 @@ class SamplerExhaustedError(SpuriousLensError, RuntimeError):
     """A rejection sampler ran out of attempts before drawing enough samples."""
 
 
+class NonFiniteResultError(SpuriousLensError):
+    """A closed form or estimate overflowed to a non-finite value."""
+
+
 class VerificationError(SpuriousLensError):
     """A computed result failed the check that certifies it."""

@@ -29,6 +29,14 @@ from .exceptions import SpuriousLensError
 from .minnorm import DesignMatrix, _as_vector
 
 
+# Largest robust.samples an instance may ask for. The robust sampler holds
+# about four samples x d float arrays at once (the draws, a batch of normals,
+# their image under the factor, the accepted rows): 128 MB at d = 40 and this
+# bound. An unbounded count ends in numpy's "Maximum allowed dimension
+# exceeded" or a MemoryError instead of an input error.
+MAX_ROBUST_SAMPLES = 100_000
+
+
 class InstanceError(ValueError):
     """The instance document is malformed or misses a required block."""
 
@@ -237,8 +245,8 @@ def parse_instance(text: str) -> Instance:
             ),
         )
         robust_samples = _build("robust.samples", lambda: int(block.get("samples", robust_samples)))
-        if robust_samples < 1:
-            raise InstanceError("robust.samples must be >= 1")
+        if not 1 <= robust_samples <= MAX_ROBUST_SAMPLES:
+            raise InstanceError(f"robust.samples must be in [1, {MAX_ROBUST_SAMPLES}]")
 
     scenario = doc.get("scenario", {})
     if not isinstance(scenario, dict):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spurious_lens import (
@@ -23,9 +25,11 @@ from spurious_lens import (
     projection,
     removal_verdict,
     robust_error,
+    robust_errors,
 )
 from spurious_lens.exceptions import (
     DimensionMismatchError,
+    NonFiniteResultError,
     NonOrthogonalGroupsError,
     NonPositiveGammaError,
 )
@@ -311,6 +315,21 @@ class TestRobustError:
         with pytest.raises(ValueError):
             robust_error(multi, truth, self.dist, self.spec, samples=10)
 
+    @pytest.mark.parametrize(
+        "sigma", [np.eye(3) * 0.25, np.array([[0.3, 0.1, 0.0], [0.1, 0.2, 0.0], [0.0, 0.0, 0.1]])]
+    )
+    def test_one_draw_gives_each_models_robust_error(self, sigma):
+        dist = TestDistribution(sigma)
+        models = [fit_core(self.data), fit_full(self.data)]
+        together = robust_errors(models, self.truth, dist, self.spec, samples=700, seed=9)
+        alone = [robust_error(m, self.truth, dist, self.spec, samples=700, seed=9) for m in models]
+        assert together == alone
+
+    def test_overflowing_loss_raises_typed_error(self):
+        full = fit_full(self.data)
+        with pytest.raises(NonFiniteResultError, match="not finite"):
+            robust_error(full, self.truth, self.dist, RobustSpec(gamma=1e300), samples=50, seed=1)
+
 
 class TestGroupwiseReport:
     def test_table2_deltas(self):
@@ -484,12 +503,73 @@ class TestGroupwiseSpuriousError:
             )
 
 
+# Where a diagonal Sigma's PSD decision could go either way: signed zeros,
+# subnormals, the 1e-10 tolerance and its neighbours, and extreme magnitudes.
+BELOW_TOL = float(np.nextafter(-1e-10, -1.0))
+ABOVE_TOL = float(np.nextafter(-1e-10, 0.0))
+DIAGONAL_EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    -1e-10, BELOW_TOL, ABOVE_TOL, 1e-10, float(np.nextafter(1e-10, 0.0)),
+    float(np.nextafter(1e-10, 1.0)), 1e300, -1e300, 1e-300, -1e-300,
+]
+
+
+# LAPACK's symmetric eigensolver rescales a matrix whose largest entry
+# exceeds sqrt(eps / tiny), about 1e146, and scales the eigenvalues back,
+# which can move a small eigenvalue by an ulp; a diagonal's is exact.
+LAPACK_RMAX = float(np.sqrt(np.finfo(float).eps / np.finfo(float).tiny))
+
+
 class TestValidation:
     def test_sigma_must_be_psd(self):
         with pytest.raises(ValueError):
             TestDistribution(np.array([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(ValueError):
             TestDistribution(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        v=st.lists(
+            st.one_of(
+                st.sampled_from(DIAGONAL_EDGE_VALUES),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @example(v=[1.0, -1e-10])
+    @example(v=[1.0, BELOW_TOL])
+    @example(v=[1.0, ABOVE_TOL])
+    # eigvalsh rescales this one and returns -1.0000000000000002e-10
+    @example(v=[2.0901618131163305e191, -1e-10])
+    def test_diagonal_sigma_decision_is_exact_and_matches_eigvalsh(self, v):
+        m = np.diag(v)
+        try:
+            TestDistribution(m)
+            accepted = True
+        except ValueError as exc:
+            assert str(exc) == "sigma is not positive semidefinite"
+            accepted = False
+        # A diagonal matrix's eigenvalues are its diagonal, exactly.
+        assert accepted == (min(v) >= -1e-10)
+        if np.max(np.abs(m)) <= LAPACK_RMAX:
+            assert accepted == (float(np.min(np.linalg.eigvalsh(m))) >= -1e-10)
+
+    def test_one_off_diagonal_entry_takes_the_dense_path(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        TestDistribution(np.diag([1.0, 2.0, 3.0]))
+        assert calls == []
+        # positive diagonal, but the off-diagonal pair makes an eigenvalue -1
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            TestDistribution(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        assert len(calls) == 1
+        asymmetric = np.diag([1.0, 2.0, 3.0])
+        asymmetric[0, 2] = 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            TestDistribution(asymmetric)
 
     def test_dimension_checks(self):
         truth, data, pi = table2_setup()

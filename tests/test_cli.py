@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,10 @@ BALANCED_FROM_SCENARIO = {
 # makes the input malformed; a missing block on the path is created empty
 MALFORMED_INPUTS = [
     ("robust_samples_text", {("robust", "samples"): "abc"}, ["analyze"]),
+    ("robust_samples_1e300", {("robust", "samples"): 1e300}, ["analyze"]),
+    ("robust_samples_1e9", {("robust", "samples"): 1e9}, ["analyze"]),
+    ("group_diag_negative_analyze", {("groups", 1, "sigma", "diag", 11): -1e-3}, ["analyze"]),
+    ("group_diag_negative_fit", {("groups", 1, "sigma", "diag", 11): -1e-3}, ["fit"]),
     ("theta_star_nan", {("ground_truth", "theta_star", 0): float("nan")}, ["fit"]),
     ("train_S_text", {("train", "S"): "abc", ("train", "Y"): [1.0] * 5}, ["fit"]),
     ("construct_negative_x", {}, ["construct", "--mode", "disjoint", "--n", "4", "--x", "-1"]),
@@ -355,6 +360,29 @@ class TestAnalyzeCommand:
         status, _, err = run(capsys, ["analyze", "--instance", write_instance(tmp_path, doc)])
         assert status == 3
         assert "gamma is too small" in err
+
+    def test_overflowing_robust_loss_exit_3(self, capsys, tmp_path):
+        doc = golden_instance()
+        doc["robust"]["gamma"] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status, out, err = run(capsys, ["analyze", "--instance", write_instance(tmp_path, doc)])
+        assert status == 3 and out == ""
+        assert "not finite" in err and "Traceback" not in err
+
+    def test_diagonal_groups_need_no_eigendecomposition(self, capsys, tmp_path, monkeypatch):
+        doc = json.loads((GOLDEN / "one_beta_no_robust.instance.json").read_text())
+        d = len(doc["ground_truth"]["theta_star"])
+        doc["groups"][0]["sigma"] = {"diag": [float(i) for i in range(d)]}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a diagonal sigma was eigendecomposed")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        status, out, err = run(capsys, ["analyze", "--instance", write_instance(tmp_path, doc)])
+        assert status == 0, err
+        assert len(json.loads(out)["groups"]) == 2
 
 
 class TestConstructCommand:
