@@ -29,6 +29,7 @@ from .exceptions import (
 )
 from .minnorm import _as_vector, projection
 from .serialize import (
+    MAX_BALANCED_DIM,
     Instance,
     InstanceError,
     _build,
@@ -90,8 +91,9 @@ def _load_instance(args) -> Instance:
     return parse_instance(text)
 
 
-def _emit(args, document: dict, csv_text: str) -> None:
-    payload = csv_text if args.format == "csv" else dumps_canonical(document)
+def _emit(args, document: dict, fieldnames: list[str], rows) -> None:
+    """Write the JSON document, or with --format csv the rows that rows() builds."""
+    payload = rows_to_csv(fieldnames, rows()) if args.format == "csv" else dumps_canonical(document)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
@@ -129,15 +131,17 @@ def cmd_fit(args) -> int:
         "total_norm_sq": model.squared_norm,
         "train_residual": residual,
     }
-    rows = [
-        {"name": "theta_hat", "index": i, "value": float(v)}
-        for i, v in enumerate(model.theta_hat)
-    ]
-    rows += [
-        {"name": "w_hat", "index": i, "value": float(v)} for i, v in enumerate(model.w_hat)
-    ]
-    rows.append({"name": "train_residual", "index": None, "value": residual})
-    _emit(args, doc, rows_to_csv(["name", "index", "value"], rows))
+
+    def rows():
+        out = [
+            {"name": name, "index": i, "value": float(v)}
+            for name in ("theta_hat", "w_hat")
+            for i, v in enumerate(doc[name])
+        ]
+        out.append({"name": "train_residual", "index": None, "value": residual})
+        return out
+
+    _emit(args, doc, ["name", "index", "value"], rows)
     return 0
 
 
@@ -191,11 +195,8 @@ def cmd_analyze(args) -> int:
                 }
             )
         doc["robust"] = robust_rows
-    csv_text = rows_to_csv(
-        ["group", "error_core", "error_full", "delta", "sign_match", "magnitude_holds", "full_better"],
-        group_rows,
-    )
-    _emit(args, doc, csv_text)
+    fields = ["group", "error_core", "error_full", "delta", "sign_match", "magnitude_holds", "full_better"]
+    _emit(args, doc, fields, lambda: group_rows)
     return 0
 
 
@@ -235,7 +236,10 @@ def cmd_construct(args) -> int:
         d = args.d if args.d is not None else scenario.get("d")
         if d is None:
             raise InstanceError("construct --mode balanced needs --d (or scenario.d)")
-        bundle = constructions.construct_balanced(s_vec, y_vec, _number(d, int, "d"))
+        d = _number(d, int, "d")
+        if d > MAX_BALANCED_DIM:
+            raise InstanceError(f"d must be at most {MAX_BALANCED_DIM}")
+        bundle = constructions.construct_balanced(s_vec, y_vec, d)
 
     doc = {
         "command": "construct",
@@ -252,13 +256,13 @@ def cmd_construct(args) -> int:
         "verdict_core_wins": asdict(bundle.verdict_core_wins),
         "verified": True,
     }
-    verdicts = (("full_wins", bundle.verdict_full_wins), ("core_wins", bundle.verdict_core_wins))
-    rows = [dict({"which": which}, **asdict(v)) for which, v in verdicts]
     fields = [
         "which", "sign_match", "magnitude_holds", "full_better", "tie",
         "w_hat", "lhs_seen_corr", "rhs_unseen_corr", "error_core", "error_full",
     ]
-    _emit(args, doc, rows_to_csv(fields, rows))
+    _emit(args, doc, fields, lambda: [
+        dict({"which": which}, **doc[f"verdict_{which}"]) for which in ("full_wins", "core_wins")
+    ])
     return 0
 
 
@@ -320,16 +324,9 @@ def cmd_simulate(args) -> int:
         "verdicts": report.verdicts,
         "three_sigma_ok": not violations,
     }
-    rows = [
-        {
-            "label": label,
-            "closed_form": q.closed_form,
-            "monte_carlo": q.monte_carlo,
-            "stderr": q.stderr,
-        }
-        for label, q in report.quantities.items()
-    ]
-    _emit(args, doc, rows_to_csv(["label", "closed_form", "monte_carlo", "stderr"], rows))
+    _emit(args, doc, ["label", "closed_form", "monte_carlo", "stderr"], lambda: [
+        dict({"label": label}, **q) for label, q in doc["quantities"].items()
+    ])
     if name == "tables" and report.max_closed_form_gap() > TABLES_TOL:
         raise VerificationError(
             f"table reproduction exceeded tolerance {TABLES_TOL}: "

@@ -26,7 +26,7 @@ from .exceptions import (
     ParallelTargetsError,
     VerificationError,
 )
-from .minnorm import DesignMatrix, _as_vector, min_norm_solve, row_space_projection
+from .minnorm import DesignMatrix, Projection, _as_vector, min_norm_solve, row_space_projection
 
 # Verdict error gaps below this are treated as verification failures.
 GAP_TOL = 1e-9
@@ -54,21 +54,13 @@ class CounterexampleBundle:
     b_vector: np.ndarray | None = None
 
     def __post_init__(self):
-        failure = _verdict_pair_failure(self.verdict_full_wins, self.verdict_core_wins)
-        if failure is not None:
-            raise VerificationError(failure)
-
-
-def _verdict_pair_failure(v1: RemovalVerdict, v2: RemovalVerdict) -> str | None:
-    """Why v1 (full should win) and v2 (core should win) are not a
-    counterexample pair, or None when they are."""
-    if not v1.full_better:
-        return "full model does not win on its test design"
-    if v2.full_better or v2.error_full <= v2.error_core:
-        return "core model does not win on its test design"
-    if v1.error_core - v1.error_full <= GAP_TOL or v2.error_full - v2.error_core <= GAP_TOL:
-        return "error gaps are not strictly positive"
-    return None
+        v1, v2 = self.verdict_full_wins, self.verdict_core_wins
+        if not v1.full_better:
+            raise VerificationError("full model does not win on its test design")
+        if v2.full_better or v2.error_full <= v2.error_core:
+            raise VerificationError("core model does not win on its test design")
+        if v1.error_core - v1.error_full <= GAP_TOL or v2.error_full - v2.error_core <= GAP_TOL:
+            raise VerificationError("error gaps are not strictly positive")
 
 
 def _empirical_second_moment(Z: np.ndarray, label: str) -> TestDistribution:
@@ -81,23 +73,36 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _orthonormal_complement(vectors: list[np.ndarray], d: int) -> np.ndarray:
-    """Deterministic orthonormal basis of the complement of span(vectors)."""
+def _orthonormal_complement(vectors: list[np.ndarray], d: int, count: int) -> np.ndarray:
+    """Deterministic orthonormal basis of the complement of span(vectors), its first count rows."""
     basis = np.column_stack(vectors)
     q, _ = np.linalg.qr(basis)
-    proj = q @ q.T
-    resid = np.eye(d) - proj
+    resid = np.eye(d) - q @ q.T
     # Orthonormalize the residuals of the canonical basis, largest first.
     order = np.argsort(-np.linalg.norm(resid, axis=0))
-    out = []
+    out = np.empty((count, d))
+    k = 0
     for idx in order:
-        v = resid[:, idx].copy()
-        for u in out:
-            v -= (u @ v) * u
+        if k == count:
+            break
+        v = resid[:, idx] - out[:k].T @ (out[:k] @ resid[:, idx])
         norm = np.linalg.norm(v)
         if norm > 1e-8:
-            out.append(v / norm)
-    return np.array(out)
+            out[k] = v / norm
+            k += 1
+    return out[:k]
+
+
+def _widening(need: float) -> float:
+    """Smallest c = 2^k - 1 (k >= 0) with c >= need, or inf past the float range.
+
+    These are the partial sums 1 + 2 + 4 + ... of a doubling widening step.
+    """
+    if need <= 0.0:
+        return 0.0
+    if need >= 2.0**1023:
+        return math.inf
+    return 2.0 ** max(1, math.ceil(math.log2(need + 1.0))) - 1.0
 
 
 def construct_disjoint(
@@ -110,9 +115,12 @@ def construct_disjoint(
     a2 = u_t + u_b + 2b and a3 = u_t - u_b, and a training direction a1 with
     a1'b = -x, a1'u_t = x, a1'u_b = x (minimum-norm solution). Training rows
     are a1 plus n-1 unit rows orthogonal to everything above; the test
-    designs are n copies of a2/n and a3/n. The scale x is halved (and a1 is
-    inflated along a spare orthogonal direction when one exists) until the
-    embedded verification passes.
+    designs are n copies of a2/n and a3/n. When a spare orthogonal direction
+    exists, a1 is widened along it by the smallest c = 2^k - 1 that meets
+    the proof's magnitude margin, computed in closed form; x itself is kept.
+    The rows a1/||a1|| and the padding are orthonormal, so they are the
+    projector's basis as they stand. The bundle checks its verdict pair once
+    and raises VerificationError when it does not verify.
     """
     theta = _as_vector(theta_star, "theta_star")
     beta = _as_vector(beta_star, "beta_star")
@@ -135,55 +143,41 @@ def construct_disjoint(
     if not (np.isfinite(x) and x > 0):
         raise ValueError(f"x must be positive and finite, got {x}")
 
-    comp = _orthonormal_complement([u_t, u_b], d)
+    comp = _orthonormal_complement([u_t, u_b], d, n + 1)
     if comp.shape[0] < n:  # needs b plus n-1 padding rows
         raise RuntimeError("could not build enough orthogonal directions")
     b = comp[0]
     padding = comp[1 : n]  # n-1 unit rows, orthogonal to u_t, u_b, b
-    spare = comp[n] if comp.shape[0] > n else None
     a2 = u_t + u_b + 2.0 * b
     a3 = u_t - u_b
     # a1 is linear in x: solve its constraints once, at x = 1
     a1_unit = min_norm_solve(np.vstack([b, u_t, u_b]), np.array([-1.0, 1.0, 1.0])).x
-    # The proof's magnitude margin x^2/(a1'a1 + x^2) <= 2||theta*||/||beta*||,
-    # taken as a square root so that no square of x overflows.
-    margin = math.sqrt(2.0 * nt / nb)
+    a1 = x * a1_unit
+    if comp.shape[0] > n:
+        # The proof's magnitude margin x^2/(x^2 + a1'a1) <= 2||theta*||/||beta*||,
+        # with a1'a1 = x^2 ||a1_unit||^2 + c^2 once a1 is widened by c along
+        # the spare direction, comp[n], which is orthogonal to a1_unit.
+        slack = float(nb) / (2.0 * float(nt)) - 1.0 - float(a1_unit @ a1_unit)
+        c = _widening(x * math.sqrt(max(0.0, slack)))
+        if not math.isfinite(c):
+            raise VerificationError(f"the widening of a1 overflows at x={x}")
+        if c > 0.0:
+            a1 = a1 + c * comp[n]
 
     truth = GroundTruth(theta_star=theta, beta_stars=(beta,))
     z_full_wins = np.tile(a2 / n, (n, 1))
     z_core_wins = np.tile(a3 / n, (n, 1))
-    sigma_prime = _empirical_second_moment(z_full_wins, "full-wins")
-    sigma_second = _empirical_second_moment(z_core_wins, "core-wins")
-
-    cur_x = float(x)
-    for _ in range(64):
-        a1 = cur_x * a1_unit
-        # when the margin fails, widen a1 along a spare orthogonal direction
-        if spare is not None:
-            rho = 1.0
-            for _ in range(64):
-                if cur_x / math.hypot(cur_x, *a1) <= margin:
-                    break
-                a1 = a1 + rho * spare
-                rho *= 2.0
-        z_rows = np.vstack([a1, padding]) if padding.size else a1[None, :]
-        z_train = DesignMatrix(z_rows)
-        pi = row_space_projection(z_train.entries)
-        v1 = removal_verdict(truth, pi, sigma_prime)
-        v2 = removal_verdict(truth, pi, sigma_second)
-        if _verdict_pair_failure(v1, v2) is None:
-            return CounterexampleBundle(
-                Z_train=z_train,
-                Z_test_full_wins=DesignMatrix(z_full_wins),
-                Z_test_core_wins=DesignMatrix(z_core_wins),
-                truth=truth,
-                verdict_full_wins=v1,
-                verdict_core_wins=v2,
-                x_param=cur_x,
-                b_vector=b,
-            )
-        cur_x /= 2.0
-    raise VerificationError("could not verify the counterexample after shrinking x")
+    pi = Projection(basis=np.vstack([a1 / math.hypot(*a1), padding]).T)
+    return CounterexampleBundle(
+        Z_train=DesignMatrix(np.vstack([a1, padding])),
+        Z_test_full_wins=DesignMatrix(z_full_wins),
+        Z_test_core_wins=DesignMatrix(z_core_wins),
+        truth=truth,
+        verdict_full_wins=removal_verdict(truth, pi, _empirical_second_moment(z_full_wins, "full-wins")),
+        verdict_core_wins=removal_verdict(truth, pi, _empirical_second_moment(z_core_wins, "core-wins")),
+        x_param=float(x),
+        b_vector=b,
+    )
 
 
 def construct_balanced(S, Y, d: int) -> CounterexampleBundle:

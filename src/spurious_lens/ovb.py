@@ -23,6 +23,7 @@ import numpy as np
 from .exceptions import (
     DimensionMismatchError,
     EmptyGroupError,
+    NonFiniteResultError,
     SignAssumptionError,
     SingularGramError,
 )
@@ -161,6 +162,7 @@ def estimate_group_losses(
     are evaluated on the population-centered variables:
         with s:    (gamma' z - gamma' lambda s)^2
         without s: (gamma' z + beta s)^2
+    A loss or standard error that overflows raises NonFiniteResultError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -176,13 +178,15 @@ def estimate_group_losses(
         raise EmptyGroupError(f"no group members among {trials} draws")
     sc = s[mask] - pop.mean_s
     zc = z[mask] - pop.mean_z
-    gz = zc @ pop.gamma
-    with_s = (gz - float(pop.gamma @ pop.lam) * sc) ** 2
-    without_s = (gz + pop.beta_s * sc) ** 2
-    diff = with_s - without_s
-    lw, ew = _mean_stderr(with_s)
-    lo, eo = _mean_stderr(without_s)
-    ld, ed = _mean_stderr(diff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gz = zc @ pop.gamma
+        with_s = (gz - float(pop.gamma @ pop.lam) * sc) ** 2
+        without_s = (gz + pop.beta_s * sc) ** 2
+        lw, ew = _mean_stderr(with_s)
+        lo, eo = _mean_stderr(without_s)
+        ld, ed = _mean_stderr(with_s - without_s)
+    if not np.all(np.isfinite([lw, ew, lo, eo, ld, ed])):
+        raise NonFiniteResultError(f"in-group losses are not finite at gamma {pop.gamma}")
     return GroupLossEstimate(
         loss_with_s=lw,
         loss_without_s=lo,

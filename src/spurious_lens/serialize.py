@@ -1,7 +1,10 @@
 """Deterministic report serialization and problem-instance parsing.
 
 JSON output is canonical: keys sorted, floats printed with 17 significant
-digits (lossless round-trip), a single trailing newline. CSV projections
+digits (lossless round-trip), a single trailing newline. A float64 array is
+checked for finiteness once and written one row at a time, with a single
+%-format per row, in the same bytes as its nested lists would give; other
+arrays go through their nested lists. CSV projections
 print floats with Python's shortest round-trip repr and parse back into the
 same row structure.
 
@@ -36,6 +39,13 @@ from .minnorm import DesignMatrix, _as_vector
 # exceeded" or a MemoryError instead of an input error.
 MAX_ROBUST_SAMPLES = 100_000
 
+# Largest dimension `construct --mode balanced` may ask for (--d or
+# scenario.d). The construction forms the d x d second moments of its test
+# designs and eigendecomposes them: about 0.5 GB and 13 s at d = 4000 on a
+# 2-vCPU Xeon. An unbounded d ends in numpy's "Maximum allowed dimension
+# exceeded" or a MemoryError instead of an input error.
+MAX_BALANCED_DIM = 4_096
+
 
 class InstanceError(ValueError):
     """The instance document is malformed or misses a required block."""
@@ -49,6 +59,27 @@ def _fmt_float(x: float) -> str:
     if "e" not in text and "." not in text and "n" not in text:
         text += ".0"
     return text
+
+
+# Per-entry formats of a float row: %.17g, or %.1f for an integer-valued
+# entry below 1e17, which is where format(x, ".17g") has neither "." nor "e"
+# and _fmt_float appends ".0".
+_ROW_FORMATS = ("%.17g", "%.1f")
+
+
+def _encode_float_array(a: np.ndarray, out: list[str]) -> None:
+    """Write a finite float64 array of ndim >= 1, one row per % format."""
+    if a.ndim > 1:
+        out.append("[")
+        for i, sub in enumerate(a):
+            if i:
+                out.append(", ")
+            _encode_float_array(sub, out)
+        out.append("]")
+        return
+    whole = (a == np.floor(a)) & (np.abs(a) < 1e17)
+    fmt = ", ".join([_ROW_FORMATS[w] for w in whole.tolist()])
+    out.append("[" + fmt % tuple(a.tolist()) + "]")
 
 
 def _encode(obj, out: list[str]) -> None:
@@ -80,6 +111,11 @@ def _encode(obj, out: list[str]) -> None:
                 out.append(", ")
             _encode(item, out)
         out.append("]")
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim:
+        finite = np.isfinite(obj)
+        if not finite.all():
+            raise ValueError(f"cannot serialize non-finite float {obj[~finite][0]}")
+        _encode_float_array(obj, out)
     elif isinstance(obj, np.ndarray):
         _encode(obj.tolist(), out)
     else:

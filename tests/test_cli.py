@@ -75,6 +75,16 @@ MALFORMED_INPUTS = [
     ("scenario_n_list", {("scenario", "n"): [3]}, ["simulate", "--scenario", "example1"]),
     ("scenario_threshold_9", {("scenario", "threshold"): 9}, ["simulate", "--scenario", "ovb-simple"]),
     (
+        "balanced_d_1e300",
+        {**BALANCED_FROM_SCENARIO, ("scenario", "S"): [2.0, 1.0], ("scenario", "d"): 1e300},
+        ["construct", "--mode", "balanced"],
+    ),
+    (
+        "balanced_d_1e12",
+        {**BALANCED_FROM_SCENARIO, ("scenario", "S"): [2.0, 1.0], ("scenario", "d"): 1e12},
+        ["construct", "--mode", "balanced"],
+    ),
+    (
         "scenario_S_text",
         {**BALANCED_FROM_SCENARIO, ("scenario", "S"): "abc"},
         ["construct", "--mode", "balanced"],
@@ -414,7 +424,8 @@ class TestConstructCommand:
         assert doc["x_param"] == pytest.approx(0.1)
         assert doc["verdict_core_wins"]["error_full"] > doc["verdict_core_wins"]["error_core"]
 
-    @pytest.mark.parametrize("x", ["1e160", "1e300"])
+    # at 1e-300, a1 = x * a1_unit is still a row of the training design
+    @pytest.mark.parametrize("x", ["1e160", "1e300", "1e-300"])
     def test_disjoint_mode_huge_scale(self, capsys, x):
         path = str(GOLDEN / "one_beta.instance.json")
         status, out, err = run(
@@ -487,6 +498,16 @@ class TestSimulateCommand:
         )
         assert status == 0
         assert json.loads(out)["verdicts"]["group_prefers_core"] is True
+
+    def test_ovb_simple_overflowing_losses_exit_3(self, capsys, tmp_path):
+        path = write_instance(tmp_path, {"scenario": {"gamma": 1e300}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status, out, err = run(
+                capsys, ["simulate", "--scenario", "ovb-simple", "--instance", path, "--trials", "1000"]
+            )
+        assert status == 3 and out == ""
+        assert "not finite" in err and "Traceback" not in err
 
     def test_unknown_scenario_exit_2(self, capsys):
         status, _, _ = run(capsys, ["simulate", "--scenario", "nope"])

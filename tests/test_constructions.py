@@ -13,11 +13,13 @@ from spurious_lens import (
     removal_verdict,
     row_space_projection,
 )
+from spurious_lens.constructions import _orthonormal_complement, _widening
 from spurious_lens.estimators import LabeledData, fit_core, fit_full
 from spurious_lens.exceptions import (
     DimensionTooSmallError,
     ParallelParametersError,
     ParallelTargetsError,
+    VerificationError,
 )
 
 GAP = 1e-9
@@ -113,6 +115,46 @@ class TestConstructDisjoint:
             np.array([0.05, 0.0, 0.05, 0.0]), np.array([0.0, 40.0, 0.0, 35.0]), n=2
         )
         assert_bundle_verified(bundle)
+
+    def test_widened_a1_meets_the_margin(self):
+        # d - 2 > n leaves a spare direction, along which a1 is widened
+        theta, beta = np.array([0.05, 0.0, 0.05, 0.0, 0.0, 0.0]), np.array([0.0, 40.0, 0.0, 35.0, 1.0, 0.0])
+        bundle = construct_disjoint(theta, beta, n=2, x=3.0)
+        assert_bundle_verified(bundle)
+        a1 = bundle.Z_train.entries[0]
+        margin_sq = 2.0 * np.linalg.norm(theta) / np.linalg.norm(beta)
+        assert 3.0**2 / (3.0**2 + a1 @ a1) <= margin_sq
+        assert bundle.x_param == 3.0
+
+    def test_overflowing_widening_raises(self):
+        theta, beta = np.array([1e-10, 0.0, 1e-10, 0.0, 0.0, 0.0]), np.array([0.0, 1e10, 0.0, 1e10, 0.0, 0.0])
+        with pytest.raises(VerificationError, match="overflows"):
+            construct_disjoint(theta, beta, n=2, x=1e300)
+
+    @pytest.mark.parametrize("need", [0.0, 1e-300, 0.5, 1.0, 1.5, 3.0, 3.5, 7.0, 1e6, 2.0**60, 1e300])
+    def test_widening_matches_the_doubling_loop(self, need):
+        c, rho = 0.0, 1.0
+        while c < need:
+            c, rho = c + rho, 2.0 * rho
+        assert _widening(need) == c
+        assert _widening(2.0**1023) == _widening(np.inf) == np.inf
+
+    def test_complement_matches_modified_gram_schmidt(self):
+        rng = np.random.default_rng(42)
+        d = 30
+        vectors = [rng.standard_normal(d), rng.standard_normal(d)]
+        q, _ = np.linalg.qr(np.column_stack(vectors))
+        resid = np.eye(d) - q @ q.T
+        reference = []
+        for idx in np.argsort(-np.linalg.norm(resid, axis=0)):
+            v = resid[:, idx].copy()
+            for u in reference:
+                v -= (u @ v) * u
+            if np.linalg.norm(v) > 1e-8:
+                reference.append(v / np.linalg.norm(v))
+        assert len(reference) == d - 2
+        assert_allclose(_orthonormal_complement(vectors, d, d), np.array(reference), atol=1e-12)
+        assert_allclose(_orthonormal_complement(vectors, d, 5), np.array(reference[:5]), atol=1e-12)
 
     def test_random_invocations(self):
         rng = np.random.default_rng(41)
