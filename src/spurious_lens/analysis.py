@@ -23,7 +23,9 @@ unseen-space correlation beta*' Q Sigma Q theta* share a sign and
         < | 2 beta*' Q Sigma Q theta* / beta*' Q Sigma Q beta* |.
 
 P and Q are applied through the projector's orthonormal basis V, as V(V'x)
-and x - V(V'x); Sigma is the only d x d matrix involved.
+and x - V(V'x). A dense Sigma is the only d x d matrix involved; a diagonal
+Sigma is kept as its diagonal v, so Sigma x is v * x and no d x d array is
+formed outside the robust sampler.
 """
 
 from __future__ import annotations
@@ -61,10 +63,12 @@ NORM_KINDS = ("l2", "linf")
 class TestDistribution:
     """A test population given by its second-moment matrix E[zz'] and a label.
 
-    Sigma must be square, finite, symmetric and positive semidefinite, each
-    to 1e-10. A diagonal Sigma (no off-diagonal nonzero) is symmetric, and
-    its eigenvalues are its diagonal, so it is validated in O(d^2) with no
-    eigendecomposition; any other Sigma is checked with eigvalsh.
+    sigma is a d x d matrix, or a length-d vector v standing for diag(v).
+    Either must be finite and positive semidefinite to 1e-10. A vector is
+    validated in O(d) from its entries and kept as it is. A matrix must also
+    be square and symmetric to 1e-10; one with no off-diagonal nonzero has
+    its diagonal as eigenvalues, so it is validated with no
+    eigendecomposition, and any other matrix is checked with eigvalsh.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -73,19 +77,24 @@ class TestDistribution:
     label: str = ""
 
     def __post_init__(self):
-        m = _as_matrix(self.sigma, "sigma")
-        if m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(f"sigma must be square, got {m.shape}")
-        diag = np.diagonal(m)
-        if np.count_nonzero(m) == np.count_nonzero(diag):
-            smallest = float(np.min(diag))
+        s = np.asarray(self.sigma, dtype=float)
+        if s.ndim == 1 and s.size:
+            s = _as_vector(s, "sigma")
+            smallest = float(np.min(s))
         else:
-            if np.max(np.abs(m - m.T)) >= 1e-10:
-                raise ValueError("sigma is not symmetric")
-            smallest = float(np.min(np.linalg.eigvalsh(m)))
+            s = _as_matrix(s, "sigma")
+            if s.shape[0] != s.shape[1]:
+                raise DimensionMismatchError(f"sigma must be square, got {s.shape}")
+            diag = np.diagonal(s)
+            if np.count_nonzero(s) == np.count_nonzero(diag):
+                smallest = float(np.min(diag))
+            else:
+                if np.max(np.abs(s - s.T)) >= 1e-10:
+                    raise ValueError("sigma is not symmetric")
+                smallest = float(np.min(np.linalg.eigvalsh(s)))
         if smallest < -1e-10:
             raise ValueError("sigma is not positive semidefinite")
-        _freeze(self, sigma=m)
+        _freeze(self, sigma=s)
 
     @property
     def dim(self) -> int:
@@ -156,6 +165,8 @@ def _check_dims(truth: GroundTruth, pi: Projection, dist: TestDistribution):
 
 def _error(r: np.ndarray, dist: TestDistribution) -> float:
     """r' Sigma r: the expected square of the residual functional r'z."""
+    if dist.sigma.ndim == 1:  # r * v holds the values of r @ diag(v)
+        return float((r * dist.sigma) @ r)
     return float(r @ dist.sigma @ r)
 
 
@@ -197,7 +208,7 @@ def removal_verdict(
     lhs = float(pb @ theta)
     denom = 1.0 + float(pb @ beta)
     w = lhs / denom
-    sq = dist.sigma @ qb
+    sq = dist.sigma * qb if dist.sigma.ndim == 1 else dist.sigma @ qb
     rhs = float(qt @ sq)
     bqb = float(qb @ sq)
     error_core = _error(qt, dist)
@@ -227,7 +238,9 @@ def _sample_bounded_gaussian(
     dist: TestDistribution, spec: RobustSpec, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw z ~ N(0, Sigma) rejected to ||z|| <= gamma, as a samples x d array."""
-    eigval, eigvec = np.linalg.eigh(dist.sigma)
+    # eigh of diag(v), not sqrt(v), so a diagonal's draws are its matrix's
+    sigma = np.diag(dist.sigma) if dist.sigma.ndim == 1 else dist.sigma
+    eigval, eigvec = np.linalg.eigh(sigma)
     factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
     d = dist.dim
     out = np.empty((samples, d))

@@ -33,6 +33,7 @@ from .serialize import (
     Instance,
     InstanceError,
     _build,
+    _integer,
     dumps_canonical,
     parse_instance,
     rows_to_csv,
@@ -223,7 +224,7 @@ def cmd_construct(args) -> int:
         if not (np.isfinite(x) and x > 0):
             raise InstanceError(f"x must be positive and finite, got {x}")
         bundle = constructions.construct_disjoint(
-            truth.theta_star, truth.beta_stars[0], _number(n, int, "n"), x
+            truth.theta_star, truth.beta_stars[0], _number(n, _integer, "n"), x
         )
     else:
         if data is not None and data.n_spurious == 1:
@@ -236,7 +237,7 @@ def cmd_construct(args) -> int:
         d = args.d if args.d is not None else scenario.get("d")
         if d is None:
             raise InstanceError("construct --mode balanced needs --d (or scenario.d)")
-        d = _number(d, int, "d")
+        d = _number(d, _integer, "d")
         if d > MAX_BALANCED_DIM:
             raise InstanceError(f"d must be at most {MAX_BALANCED_DIM}")
         bundle = constructions.construct_balanced(s_vec, y_vec, d)
@@ -278,19 +279,19 @@ def cmd_simulate(args) -> int:
     name = args.scenario
     if name == "example1":
         kwargs = {
-            "n": param("n", int, 20),
+            "n": param("n", _integer, 20),
             "p": param("p", float, 0.9),
-            "trials": param("trials", int, 10_000),
+            "trials": param("trials", _integer, 10_000),
         }
     elif name == "example2":
         kwargs = {
-            "n": param("n", int, 20),
+            "n": param("n", _integer, 20),
             "p_s": param("p_s", float, 0.9),
-            "trials": param("trials", int, 10_000),
+            "trials": param("trials", _integer, 10_000),
         }
     elif name == "ovb-simple":
         kwargs = {
-            "trials": param("trials", int, 100_000),
+            "trials": param("trials", _integer, 100_000),
             "sigma": param("sigma", float, 1.0),
             "gamma": param("gamma", float, 1.0),
             "threshold": param("threshold", float, 1.5),

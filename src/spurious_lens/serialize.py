@@ -10,7 +10,9 @@ same row structure.
 
 Instance parsing checks only the document's layout (which blocks and keys
 are present) and passes the raw JSON values to the library's value classes,
-which own every array check and keep finite, read-only copies. `_build` is
+which own every array check and keep finite, read-only copies. The one
+exception is a group's sigma: its document form decides whether it is a
+diagonal vector or a d x d matrix, so it is converted first. `_build` is
 the one place where a failure on outside input, from a conversion or a
 value class, becomes an InstanceError that names its block; the CLI reads
 its scenario values through it too. Fits, constructions and scenario runs
@@ -29,7 +31,7 @@ import numpy as np
 from .analysis import RobustSpec, TestDistribution
 from .estimators import GroundTruth, LabeledData, UnlabeledData
 from .exceptions import SpuriousLensError
-from .minnorm import DesignMatrix, _as_vector
+from .minnorm import DesignMatrix, _as_matrix, _as_vector
 
 
 # Largest robust.samples an instance may ask for. The robust sampler holds
@@ -195,7 +197,7 @@ def _build(name: str, make):
 
     make converts outside values or builds value classes from them, nothing
     more. Besides the value classes' TypeError, ValueError and
-    SpuriousLensError, int() of an infinite float raises OverflowError and
+    SpuriousLensError, float() of a huge JSON integer raises OverflowError and
     json.loads of a deeply nested document raises RecursionError.
     """
     try:
@@ -204,13 +206,21 @@ def _build(name: str, make):
         raise InstanceError(f"{name} invalid: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """int(value), refusing a float with a fractional part instead of truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _sigma(block):
+    """A group's second moment: its diagonal vector for the {"diag": [...]} form,
+    else the d x d matrix the list spells out (a flat list is no diagonal)."""
     if isinstance(block, dict):
         if set(block) != {"diag"}:
             raise ValueError('object form must be {"diag": [...]}')
-        # np.diag of a matrix would silently return its diagonal
-        return np.diag(_as_vector(block["diag"], "diag"))
-    return block
+        return _as_vector(block["diag"], "diag")
+    return _as_matrix(block, "sigma")
 
 
 def parse_instance(text: str) -> Instance:
@@ -280,7 +290,7 @@ def parse_instance(text: str) -> Instance:
                 gamma=float(block["gamma"]), norm_kind=str(block.get("norm_kind", "l2"))
             ),
         )
-        robust_samples = _build("robust.samples", lambda: int(block.get("samples", robust_samples)))
+        robust_samples = _build("robust.samples", lambda: _integer(block.get("samples", robust_samples)))
         if not 1 <= robust_samples <= MAX_ROBUST_SAMPLES:
             raise InstanceError(f"robust.samples must be in [1, {MAX_ROBUST_SAMPLES}]")
 

@@ -545,16 +545,19 @@ class TestValidation:
     @example(v=[2.0901618131163305e191, -1e-10])
     def test_diagonal_sigma_decision_is_exact_and_matches_eigvalsh(self, v):
         m = np.diag(v)
-        try:
-            TestDistribution(m)
-            accepted = True
-        except ValueError as exc:
-            assert str(exc) == "sigma is not positive semidefinite"
-            accepted = False
-        # A diagonal matrix's eigenvalues are its diagonal, exactly.
-        assert accepted == (min(v) >= -1e-10)
+        decisions = []
+        for sigma in (m, np.array(v)):
+            try:
+                TestDistribution(sigma)
+                decisions.append(True)
+            except ValueError as exc:
+                assert str(exc) == "sigma is not positive semidefinite"
+                decisions.append(False)
+        # A diagonal matrix's eigenvalues are its diagonal, exactly, and the
+        # vector form decides from the same entries.
+        assert decisions == [min(v) >= -1e-10] * 2
         if np.max(np.abs(m)) <= LAPACK_RMAX:
-            assert accepted == (float(np.min(np.linalg.eigvalsh(m))) >= -1e-10)
+            assert decisions[0] == (float(np.min(np.linalg.eigvalsh(m))) >= -1e-10)
 
     def test_one_off_diagonal_entry_takes_the_dense_path(self, monkeypatch):
         calls = []
@@ -570,6 +573,26 @@ class TestValidation:
         asymmetric[0, 2] = 1e-3
         with pytest.raises(ValueError, match="not symmetric"):
             TestDistribution(asymmetric)
+
+    def test_vector_form_gives_the_dense_diagonal_results_exactly(self):
+        rng = np.random.default_rng(3)
+        d, n = 9, 4
+        truth = GroundTruth(rng.standard_normal(d), (rng.standard_normal(d),))
+        data = LabeledData.from_truth(DesignMatrix(rng.standard_normal((n, d))), truth)
+        pi = projection(data.Z)
+        models = [fit_core(data), fit_full(data)]
+        v = rng.uniform(0.0, 2.0, d)
+        v[[2, 5]] = 0.0
+        spec = RobustSpec(gamma=2.0 * float(np.sqrt(v.sum())))
+        results = []
+        for dist in (TestDistribution(v), TestDistribution(np.diag(v))):
+            results.append((
+                dist.dim,
+                removal_verdict(truth, pi, dist),
+                [population_error(m, truth, dist, pi) for m in models],
+                robust_errors(models, truth, dist, spec, 256, seed=1),
+            ))
+        assert results[0] == results[1]
 
     def test_dimension_checks(self):
         truth, data, pi = table2_setup()

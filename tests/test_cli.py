@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -69,6 +70,11 @@ MALFORMED_INPUTS = [
     ("construct_negative_x", {}, ["construct", "--mode", "disjoint", "--n", "4", "--x", "-1"]),
     ("train_Z_empty_row", {("train", "Z"): [[]]}, ["fit"]),
     ("group_sigma_not_square", {("groups", 0, "sigma"): [[1.0, 0.0]]}, ["analyze"]),
+    # only the {"diag": [...]} form is a diagonal; a list must spell out d x d
+    ("group_sigma_flat_list", {("groups", 0, "sigma"): [1.0] * 12}, ["analyze"]),
+    ("robust_samples_fractional", {("robust", "samples"): 4096.5}, ["analyze"]),
+    ("scenario_n_fractional", {("scenario", "n"): 4.5}, ["construct", "--mode", "disjoint"]),
+    ("scenario_trials_fractional", {("scenario", "trials"): 50.5}, ["simulate", "--scenario", "example1"]),
     ("beta_stars_number", {("ground_truth", "beta_stars"): 5}, ["fit"]),
     ("groups_number", {("groups",): 3}, ["analyze"]),
     ("scenario_trials_list", {("scenario", "trials"): [3]}, ["simulate", "--scenario", "example1"]),
@@ -82,6 +88,11 @@ MALFORMED_INPUTS = [
     (
         "balanced_d_1e12",
         {**BALANCED_FROM_SCENARIO, ("scenario", "S"): [2.0, 1.0], ("scenario", "d"): 1e12},
+        ["construct", "--mode", "balanced"],
+    ),
+    (
+        "scenario_d_fractional",
+        {**BALANCED_FROM_SCENARIO, ("scenario", "S"): [2.0, 1.0], ("scenario", "d"): 6.5},
         ["construct", "--mode", "balanced"],
     ),
     (
@@ -103,6 +114,25 @@ def set_field(doc, path, value):
     for p in parents:
         target = target[p] if isinstance(target, list) else target.setdefault(p, {})
     target[key] = value
+
+
+@pytest.mark.parametrize(
+    "path,argv",
+    [
+        (("robust", "samples"), ["analyze"]),
+        (("scenario", "n"), ["construct", "--mode", "disjoint"]),
+        (("scenario", "trials"), ["simulate", "--scenario", "example1"]),
+    ],
+)
+def test_integer_valued_float_reads_as_its_integer(capsys, tmp_path, path, argv):
+    outputs = []
+    for value in (6, 6.0):
+        doc = golden_instance()
+        set_field(doc, path, value)
+        status, out, err = run(capsys, argv + ["--instance", write_instance(tmp_path, doc)])
+        assert status == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(
@@ -393,6 +423,54 @@ class TestAnalyzeCommand:
         status, out, err = run(capsys, ["analyze", "--instance", write_instance(tmp_path, doc)])
         assert status == 0, err
         assert len(json.loads(out)["groups"]) == 2
+
+    @pytest.mark.parametrize("robust", [True, False], ids=["robust", "no_robust"])
+    @pytest.mark.parametrize("argv", [["analyze", "--seed", "3"], ["fit", "--model", "full"]])
+    def test_diagonal_form_matches_its_dense_matrix_bytewise(self, capsys, tmp_path, argv, robust):
+        doc = golden_instance()
+        if not robust:
+            del doc["robust"]
+        d = len(doc["ground_truth"]["theta_star"])
+        rng = np.random.default_rng(5)
+        diags = [rng.uniform(0.0, 3.0, d) for _ in doc["groups"]]
+        diags[0][[1, 4]] = 0.0
+        diags[1][7] = -0.0
+        outputs = []
+        for form in (lambda v: {"diag": v.tolist()}, lambda v: np.diag(v).tolist()):
+            for g, v in zip(doc["groups"], diags):
+                g["sigma"] = form(v)
+            status, out, err = run(capsys, argv + ["--instance", write_instance(tmp_path, doc)])
+            assert status == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["fit", "--model", "full"]])
+    def test_diagonal_groups_allocate_no_d_by_d_array(self, tmp_path, argv):
+        d, n = 1000, 5
+        rng = np.random.default_rng(11)
+        doc = {
+            "ground_truth": {
+                "theta_star": rng.standard_normal(d).tolist(),
+                "beta_stars": [rng.standard_normal(d).tolist()],
+            },
+            "train": {"Z": rng.standard_normal((n, d)).tolist()},
+            "groups": [
+                {"label": f"g{i}", "sigma": {"diag": rng.uniform(0.0, 2.0, d).tolist()}}
+                for i in range(4)
+            ],
+        }
+        path = write_instance(tmp_path, doc)
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                status = main(argv + ["--instance", path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        # one d x d float64 array is 8 MB at d = 1000
+        assert peak < d * d * 8, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestConstructCommand:
