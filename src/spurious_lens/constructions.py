@@ -120,7 +120,8 @@ def construct_disjoint(
     the proof's magnitude margin, computed in closed form; x itself is kept.
     The rows a1/||a1|| and the padding are orthonormal, so they are the
     projector's basis as they stand. The bundle checks its verdict pair once
-    and raises VerificationError when it does not verify.
+    and raises VerificationError when it does not verify, as does an x so
+    small that x * a1 rounds to subnormals off a1's direction.
     """
     theta = _as_vector(theta_star, "theta_star")
     beta = _as_vector(beta_star, "beta_star")
@@ -167,7 +168,13 @@ def construct_disjoint(
     truth = GroundTruth(theta_star=theta, beta_stars=(beta,))
     z_full_wins = np.tile(a2 / n, (n, 1))
     z_core_wins = np.tile(a3 / n, (n, 1))
-    pi = Projection(basis=np.vstack([a1 / math.hypot(*a1), padding]).T)
+    # Scaled by a power of two (exact) so that hypot neither overflows nor
+    # underflows; an a1 rounded to subnormals has lost its direction.
+    a1_dir = np.ldexp(a1, -math.frexp(np.max(np.abs(a1)))[1])
+    try:
+        pi = Projection(basis=np.vstack([a1_dir / math.hypot(*a1_dir), padding]).T)
+    except ValueError as exc:
+        raise VerificationError(f"a1 is not representable at x={x}: {exc}") from exc
     return CounterexampleBundle(
         Z_train=DesignMatrix(np.vstack([a1, padding])),
         Z_test_full_wins=DesignMatrix(z_full_wins),

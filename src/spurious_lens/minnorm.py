@@ -14,7 +14,7 @@ module constants below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -82,21 +82,25 @@ def _freeze(obj, **arrays) -> None:
 class DesignMatrix:
     """An n x d matrix of observed core-feature rows (n points, d features).
 
-    full_row_rank is decided from the singular values when the design is
-    built. The thin SVD Z = U diag(s) V' with singular vectors is taken when
-    a fit or a projection first needs it and cached, so a design that is
-    only carried around never pays for it.
+    Building one only validates and freezes the entries. full_row_rank is
+    decided by its own singular-value SVD when it is first read, and the
+    thin SVD Z = U diag(s) V' with singular vectors when a fit or a
+    projection first needs it; both are cached, so a design that is only
+    carried around never takes an SVD.
     """
 
     entries: np.ndarray
-    full_row_rank: bool = field(init=False)
 
     def __post_init__(self):
-        m = _as_matrix(self.entries, "design matrix")
-        _freeze(self, entries=m)
-        s = np.linalg.svd(m, compute_uv=False)
-        full = m.shape[0] <= m.shape[1] and s[0] > 0 and s[-1] / s[0] >= RANK_RTOL
-        object.__setattr__(self, "full_row_rank", bool(full))
+        _freeze(self, entries=_as_matrix(self.entries, "design matrix"))
+
+    @cached_property
+    def full_row_rank(self) -> bool:
+        """n <= d and smin/smax >= RANK_RTOL."""
+        if self.rows > self.cols:
+            return False
+        s = np.linalg.svd(self.entries, compute_uv=False)
+        return bool(s[0] > 0 and s[-1] / s[0] >= RANK_RTOL)
 
     @property
     def rows(self) -> int:

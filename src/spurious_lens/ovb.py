@@ -140,12 +140,17 @@ def group_prefers_core(pop: OvbPopulation, grp: GroupMoments) -> bool:
     """True when the group's loss is no worse without the extra feature s.
 
     Equivalent to the condition gamma' (lambda - 2 lambda_g) >= beta under
-    the standing assumption lambda' gamma + beta > 0.
+    the standing assumption lambda' gamma + beta > 0. A left side that
+    overflows raises NonFiniteResultError.
     """
     if grp.sigma_sz_g.shape[0] != pop.gamma.shape[0]:
         raise DimensionMismatchError("group moments dimension does not match gamma")
     _check_sign_assumption(pop)
-    return float(pop.gamma @ (pop.lam - 2.0 * grp.lam_g)) >= pop.beta_s
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = float(pop.gamma @ (pop.lam - 2.0 * grp.lam_g))
+    if not np.isfinite(lhs):
+        raise NonFiniteResultError(f"decision rule is not finite at gamma {pop.gamma}")
+    return lhs >= pop.beta_s
 
 
 def estimate_group_losses(
@@ -162,12 +167,14 @@ def estimate_group_losses(
     are evaluated on the population-centered variables:
         with s:    (gamma' z - gamma' lambda s)^2
         without s: (gamma' z + beta s)^2
-    A loss or standard error that overflows raises NonFiniteResultError.
+    A draw, loss or standard error that overflows raises
+    NonFiniteResultError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    x, s, z, y = generator(rng, trials)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, s, z, y = generator(rng, trials)
     s = np.asarray(s, dtype=float)
     z = np.asarray(z, dtype=float)
     if z.ndim == 1:

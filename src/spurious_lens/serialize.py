@@ -3,8 +3,9 @@
 JSON output is canonical: keys sorted, floats printed with 17 significant
 digits (lossless round-trip), a single trailing newline. A float64 array is
 checked for finiteness once and written one row at a time, with a single
-%-format per row, in the same bytes as its nested lists would give; other
-arrays go through their nested lists. CSV projections
+%-format per row, in the same bytes as its nested lists would give; a row
+with the same bytes as the row before it is formatted once and its text
+written again. Other arrays go through their nested lists. CSV projections
 print floats with Python's shortest round-trip repr and parse back into the
 same row structure.
 
@@ -69,19 +70,26 @@ def _fmt_float(x: float) -> str:
 _ROW_FORMATS = ("%.17g", "%.1f")
 
 
-def _encode_float_array(a: np.ndarray, out: list[str]) -> None:
-    """Write a finite float64 array of ndim >= 1, one row per % format."""
+def _encode_float_array(a: np.ndarray, out: list[str], last: list) -> None:
+    """Write a finite float64 array of ndim >= 1, one row per % format.
+
+    last holds the bytes and the text of the row written before. A row with
+    the same bytes reuses that text; bytes, not ==, so -0.0 and 0.0 differ.
+    """
     if a.ndim > 1:
         out.append("[")
         for i, sub in enumerate(a):
             if i:
                 out.append(", ")
-            _encode_float_array(sub, out)
+            _encode_float_array(sub, out, last)
         out.append("]")
         return
-    whole = (a == np.floor(a)) & (np.abs(a) < 1e17)
-    fmt = ", ".join([_ROW_FORMATS[w] for w in whole.tolist()])
-    out.append("[" + fmt % tuple(a.tolist()) + "]")
+    key = a.tobytes()
+    if key != last[0]:
+        whole = (a == np.floor(a)) & (np.abs(a) < 1e17)
+        fmt = ", ".join([_ROW_FORMATS[w] for w in whole.tolist()])
+        last[:] = key, "[" + fmt % tuple(a.tolist()) + "]"
+    out.append(last[1])
 
 
 def _encode(obj, out: list[str]) -> None:
@@ -117,7 +125,7 @@ def _encode(obj, out: list[str]) -> None:
         finite = np.isfinite(obj)
         if not finite.all():
             raise ValueError(f"cannot serialize non-finite float {obj[~finite][0]}")
-        _encode_float_array(obj, out)
+        _encode_float_array(obj, out, [None, ""])
     elif isinstance(obj, np.ndarray):
         _encode(obj.tolist(), out)
     else:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spurious_lens
@@ -173,14 +173,21 @@ JUNK = st.one_of(
     st.booleans(),
     st.integers(-3, 8),
     st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.sampled_from([1e300, -1e300, 1e-300, 5e-324, 1.7976931348623157e308]),
     st.text(max_size=3),
     st.sampled_from([[], [[]], [1.0, [2.0]], [[1.0], [2.0, 3.0]], [[1.0, 2.0], [3.0, 4.0]]]),
     st.dictionaries(st.sampled_from(["diag", "a"]), st.sampled_from([1.0, [1.0], [[1.0]]]), max_size=2),
 )
 
 
+# Exit 1 is a verification failure: the disjoint construction at an x so
+# small that x * a1 loses its direction. The largest float overflows the
+# ovb-simple decision rule, which must exit 3 without a RuntimeWarning.
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(field=st.sampled_from(FUZZ_FIELDS), junk=JUNK, argv=st.sampled_from(FUZZ_COMMANDS))
+@example(field=("scenario", "x"), junk=5e-324, argv=["construct", "--mode", "disjoint"])
+@example(field=("scenario", "sigma"), junk=1.7976931348623157e308, argv=["simulate", "--scenario", "ovb-simple"])
+@example(field=("scenario", "gamma"), junk=1.7976931348623157e308, argv=["simulate", "--scenario", "ovb-simple"])
 def test_junk_field_keeps_exit_contract(tmp_path_factory, field, junk, argv):
     doc = dict(golden_instance(), scenario=dict(FUZZ_SCENARIO))
     set_field(doc, field, junk)
@@ -189,9 +196,29 @@ def test_junk_field_keeps_exit_contract(tmp_path_factory, field, junk, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main(argv + ["--instance", str(path)])
-    assert status in (0, 2, 3, 4), err.getvalue()
+    assert status in (0, 2, 3, 4) or (
+        status == 1 and err.getvalue().startswith("verification failed")
+    ), err.getvalue()
     assert "Traceback" not in err.getvalue()
     assert status == 0 or out.getvalue() == ""
+
+
+# A design is factored only where it is used: the disjoint construction
+# builds its projector from orthonormal rows, the balanced one factors its
+# training block once (row_space_projection), and analyze takes the rank SVD
+# and the thin SVD of its training design.
+@pytest.mark.parametrize("argv,calls", [
+    (["construct", "--mode", "disjoint", "--n", "4"], 0),
+    (["construct", "--mode", "balanced", "--d", "12"], 1),
+    (["analyze", "--seed", "3"], 2),
+])
+def test_svd_calls_per_command(capsys, monkeypatch, argv, calls):
+    svd = np.linalg.svd
+    seen = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: seen.append(a[0].shape) or svd(*a, **k))
+    status, _, err = run(capsys, argv + ["--instance", str(GOLDEN / "one_beta.instance.json")])
+    assert status == 0, err
+    assert len(seen) == calls, seen
 
 
 class TestFitCommand:
@@ -502,8 +529,10 @@ class TestConstructCommand:
         assert doc["x_param"] == pytest.approx(0.1)
         assert doc["verdict_core_wins"]["error_full"] > doc["verdict_core_wins"]["error_core"]
 
-    # at 1e-300, a1 = x * a1_unit is still a row of the training design
-    @pytest.mark.parametrize("x", ["1e160", "1e300", "1e-300"])
+    # at 1e-300, a1 = x * a1_unit is still a row of the training design; at
+    # 1e-315 it is subnormal but keeps its direction, and at the largest
+    # float its norm overflows unless a1 is scaled first
+    @pytest.mark.parametrize("x", ["1e160", "1e300", "1e-300", "1e-315", "1.7976931348623157e308"])
     def test_disjoint_mode_huge_scale(self, capsys, x):
         path = str(GOLDEN / "one_beta.instance.json")
         status, out, err = run(
@@ -513,6 +542,16 @@ class TestConstructCommand:
         doc = json.loads(out)
         assert doc["verified"] is True
         assert doc["x_param"] == float(x)
+
+    # x * a1_unit rounds to a few subnormals that no longer point along a1
+    @pytest.mark.parametrize("x", ["5e-324", "1e-320"])
+    def test_disjoint_mode_underflowed_x_fails_verification(self, capsys, x):
+        path = str(GOLDEN / "one_beta.instance.json")
+        status, out, err = run(
+            capsys, ["construct", "--mode", "disjoint", "--instance", path, "--n", "4", "--x", x]
+        )
+        assert status == 1 and out == ""
+        assert err.startswith("verification failed: a1 is not representable") and "Traceback" not in err
 
     def test_parallel_parameters_exit_4(self, capsys, tmp_path):
         path = write_instance(
@@ -583,6 +622,23 @@ class TestSimulateCommand:
             warnings.simplefilter("error", RuntimeWarning)
             status, out, err = run(
                 capsys, ["simulate", "--scenario", "ovb-simple", "--instance", path, "--trials", "1000"]
+            )
+        assert status == 3 and out == ""
+        assert "not finite" in err and "Traceback" not in err
+
+    # the decision rule overflows (the largest float), or a draw
+    # sigma * N(0, 1) overflows (sigma 4e307)
+    @pytest.mark.parametrize("scenario", [
+        {"gamma": 1.7976931348623157e308},
+        {"sigma": 1.7976931348623157e308},
+        {"sigma": 4e307, "gamma": 1e-300},
+    ])
+    def test_ovb_simple_overflowing_rule_or_draw_exit_3(self, capsys, tmp_path, scenario):
+        path = write_instance(tmp_path, {"scenario": scenario})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status, out, err = run(
+                capsys, ["simulate", "--scenario", "ovb-simple", "--instance", path, "--trials", "100000"]
             )
         assert status == 3 and out == ""
         assert "not finite" in err and "Traceback" not in err

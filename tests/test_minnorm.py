@@ -227,6 +227,16 @@ class TestDesignMatrixInvariants:
         assert DesignMatrix(np.array([[1.0, 0.0]])).full_row_rank
         assert not DesignMatrix(np.array([[1.0, 0.0], [1.0, 0.0]])).full_row_rank
         assert not DesignMatrix(np.zeros((1, 3))).full_row_rank
+        assert not DesignMatrix(np.eye(3)[:, :2]).full_row_rank
+
+    def test_rank_svd_on_first_read_only(self, monkeypatch):
+        svd = np.linalg.svd
+        seen = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: seen.append(k) or svd(*a, **k))
+        z = DesignMatrix(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
+        assert seen == []
+        assert z.full_row_rank and z.full_row_rank
+        assert seen == [{"compute_uv": False}]
 
     def test_rejects_bad_input(self):
         with pytest.raises(DimensionMismatchError):

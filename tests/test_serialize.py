@@ -7,7 +7,7 @@ The two must give the same bytes.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -58,8 +58,28 @@ FLOATS = st.one_of(
 )
 
 
+ROW = np.array([0.1, -2.0, 1e17, 3.5, -0.0])
+NON_INTEGER = (np.arange(400) + 0.5) / 3.0
+
+
+# A row with the same bytes as the row before it reuses that row's text;
+# rows with no integer-valued entry take %.17g throughout.
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6), elements=FLOATS))
+@example(a=np.tile(ROW, (6, 1)))
+@example(a=np.tile(ROW, (2, 3, 1)))
+@example(a=np.stack([np.tile(ROW, (2, 1)), np.tile(ROW[::-1], (2, 1))]))
+@example(a=np.array([[0.0, 1.5], [-0.0, 1.5], [-0.0, 1.5], [0.0, 1.5]]))
+@example(a=np.array([[1.5, 0.0], [1.5, -0.0], [1.5, 0.0], [1.5, 0.0]]))
+@example(a=np.array([[0.5, 2.0], [0.5, 2.5], [0.5, 2.0], [0.5, 2.0]]))
+@example(a=np.zeros((3, 0)))
+@example(a=np.array([0.1]))
+@example(a=np.array([[0.1], [0.1], [-0.25]]))
+@example(a=np.array([-0.25, 1e300]))
+@example(a=np.array([[1e17, 5e-324], [1e17, 5e-324], [0.1, 2.0]]))
+@example(a=NON_INTEGER)
+@example(a=np.tile(NON_INTEGER, (3, 1)))
+@example(a=np.vstack([NON_INTEGER, NON_INTEGER * 3.0, NON_INTEGER * 3.0]))
 def test_random_float_arrays_match_nested_lists(a):
     assert_same_as_lists(a)
 
