@@ -85,11 +85,11 @@ def _load_instance(args) -> Instance:
     if not args.instance:
         raise InstanceError("this command needs --instance")
     try:
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.instance, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InstanceError(f"cannot read instance file: {exc}") from exc
-    return parse_instance(text)
+    return parse_instance(data)
 
 
 def _emit(args, document: dict, fieldnames: list[str], rows) -> None:

@@ -9,6 +9,17 @@ written again. Other arrays go through their nested lists. CSV projections
 print floats with Python's shortest round-trip repr and parse back into the
 same row structure.
 
+An instance document is UTF-8 bytes (the CLI reads the file as bytes, with
+no newline translation) or text. Each interior row of a matrix, a flat row
+between two row separators, is read by one orjson call on its own bytes;
+the rest of the document, with each run of such rows replaced by a
+placeholder row, is read by json.loads, and the rows are spliced back in.
+The result is json.loads's for every document, with one exception: an
+integer outside the 64-bit range in an interior row reads as the nearest
+float, which every consumer turns into a float64 anyway. A document the
+fast path cannot take goes through json.loads whole, so a malformed one
+fails with json's own error.
+
 Instance parsing checks only the document's layout (which blocks and keys
 are present) and passes the raw JSON values to the library's value classes,
 which own every array check and keep finite, read-only copies. The one
@@ -25,9 +36,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
+import orjson
 
 from .analysis import RobustSpec, TestDistribution
 from .estimators import GroundTruth, LabeledData, UnlabeledData
@@ -231,9 +245,84 @@ def _sigma(block):
     return _as_matrix(block, "sigma")
 
 
-def parse_instance(text: str) -> Instance:
-    """Parse an instance JSON document into library objects."""
-    doc = _build("instance JSON", lambda: json.loads(text))
+# What joins two rows of a matrix, with JSON's four whitespace bytes only.
+_ROW_SEP = re.compile(rb"\][ \t\n\r]*,[ \t\n\r]*\[")
+# A piece between two row separators that holds none of these is a flat row.
+_NOT_FLAT = (b"[", b"]", b"{", b"}", b'"')
+
+
+def _splice(node, runs: list[list]):
+    """node with each placeholder row, a list of one string "\\0<k>", replaced by the rows of runs[k]."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if isinstance(value, (dict, list)):
+                node[key] = _splice(value, runs)
+        return node
+    out = []
+    for item in node:
+        if isinstance(item, list) and len(item) == 1 and isinstance(item[0], str) and item[0][:1] == "\0":
+            out.extend(runs[int(item[0][1:])])
+        elif isinstance(item, (dict, list)):
+            out.append(_splice(item, runs))
+        else:
+            out.append(item)
+    return out
+
+
+def _loads_rows(data: bytes):
+    """The document, its interior matrix rows read by orjson, the rest by json.loads.
+
+    Raises ValueError when a string of the skeleton holds the escape
+    \\u0000, which would read like a placeholder row.
+    """
+    view = memoryview(data)
+    runs: list[list] = []
+    skeleton = []
+    start, end = 0, -1
+    for left, right in pairwise(_ROW_SEP.finditer(data)):
+        lo, hi = left.end() - 1, right.start() + 1
+        if any(data.find(c, lo + 1, hi - 1) >= 0 for c in _NOT_FLAT):
+            continue
+        if left.start() + 1 != end:
+            skeleton += (view[start:lo], b'["\\u0000%d"]' % len(runs))
+            runs.append([])
+        runs[-1].append(orjson.loads(view[lo:hi]))
+        start = end = hi
+    if not runs:
+        return json.loads(data.decode("utf-8"))
+    skeleton.append(view[start:])
+    text = b"".join(skeleton)
+    if text.count(b"\\u0000") != len(runs):
+        raise ValueError("a string holds the escape \\u0000")
+    return _splice(json.loads(text.decode("utf-8")), runs)
+
+
+def _loads(data: bytes | str):
+    """json.loads(data.decode("utf-8")), with the interior rows of matrices read by orjson.
+
+    A piece between two row separators with no bracket, brace or quote is
+    an interior row. Each is read by one orjson call on its own bytes, so
+    orjson's transient copy holds one row, and each run of them becomes a
+    placeholder row ["\\u0000<k>"] in the skeleton that json.loads reads,
+    under json's rules on NaN, depth, integer size and surrogates. A run
+    inside a string leaves a backslash outside any string, so that skeleton
+    does not parse. On any failure the whole document goes through
+    json.loads, which raises json's own error.
+    """
+    if isinstance(data, str):
+        try:
+            data = data.encode("utf-8")
+        except UnicodeEncodeError:
+            return json.loads(data)
+    try:
+        return _loads_rows(data)
+    except (ValueError, RecursionError):
+        return json.loads(data.decode("utf-8"))
+
+
+def parse_instance(data: bytes | str) -> Instance:
+    """Parse an instance JSON document, UTF-8 bytes or text, into library objects."""
+    doc = _build("instance JSON", lambda: _loads(data))
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
     known = {"ground_truth", "train", "unlabeled", "groups", "robust", "scenario"}

@@ -58,8 +58,21 @@ BALANCED_FROM_SCENARIO = {
 }
 
 # (id, {path into the golden one_beta instance: new value}, argv): each edit
-# makes the input malformed; a missing block on the path is created empty
+# makes the input malformed; a missing block on the path is created empty.
+# In place of the edits, bytes are the whole instance file.
 MALFORMED_INPUTS = [
+    ("instance_not_utf8", b"\xff{}", ["fit", "--model", "core"]),
+    # a NaN or an overflowing number in an interior row of a matrix
+    (
+        "train_Z_row2_nan",
+        b'{"train": {"Z": [[1.0, 0.0], [NaN, 0.0], [0.0, 1.0], [1.0, 1.0]], "S": [1, 2, 3, 4], "Y": [1, 2, 3, 4]}}',
+        ["fit"],
+    ),
+    (
+        "train_Z_row3_1e400",
+        b'{"train": {"Z": [[1.0, 0.0], [0.0, 2.0], [1e400, 1.0], [1.0, 1.0]], "S": [1, 2, 3, 4], "Y": [1, 2, 3, 4]}}',
+        ["fit"],
+    ),
     ("robust_samples_text", {("robust", "samples"): "abc"}, ["analyze"]),
     ("robust_samples_1e300", {("robust", "samples"): 1e300}, ["analyze"]),
     ("robust_samples_1e9", {("robust", "samples"): 1e9}, ["analyze"]),
@@ -139,10 +152,15 @@ def test_integer_valued_float_reads_as_its_integer(capsys, tmp_path, path, argv)
     "edits,argv", [c[1:] for c in MALFORMED_INPUTS], ids=[c[0] for c in MALFORMED_INPUTS]
 )
 def test_malformed_input_exits_2(capsys, tmp_path, edits, argv):
-    doc = golden_instance()
-    for path, value in edits.items():
-        set_field(doc, path, value)
-    status, out, err = run(capsys, argv + ["--instance", write_instance(tmp_path, doc)])
+    path = tmp_path / "instance.json"
+    if isinstance(edits, bytes):
+        path.write_bytes(edits)
+    else:
+        doc = golden_instance()
+        for field, value in edits.items():
+            set_field(doc, field, value)
+        path.write_text(json.dumps(doc))
+    status, out, err = run(capsys, argv + ["--instance", str(path)])
     assert status == 2
     assert out == ""
     assert err.startswith("input error") and "Traceback" not in err

@@ -1,9 +1,15 @@
-"""The canonical encoder's float-array path against its nested-list path.
+"""Each fast path of `serialize` against the plain path it stands in for.
 
 A float64 array is written row by row with one %-format per row; the same
 array given as nested lists goes through `_fmt_float` one entry at a time.
-The two must give the same bytes.
+The two must give the same bytes. An instance document is read with its
+interior matrix rows parsed by orjson; the result, or the error, must be
+json.loads's.
 """
+
+import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spurious_lens.serialize import dumps_canonical
+from spurious_lens.serialize import _loads, dumps_canonical
 
 EDGE_VALUES = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -3.0, 0.5, 0.1,
@@ -103,3 +109,98 @@ def test_int_bool_and_zero_dim_arrays_keep_their_encoding():
     assert dumps_canonical(np.array([1.5, 2.0], dtype=np.float32)) == "[1.5, 2.0]\n"
     with pytest.raises(ValueError, match="non-finite float nan"):
         dumps_canonical(np.array(np.nan))
+
+
+# What joins two matrix rows: JSON whitespace only, so the last two must
+# make the document invalid for the fast path and json.loads alike.
+ROW_SEPS = [b"], [", b"],[", b"],\r\n[", b"],\x0c[", b"]\x0b,["]
+ODD_ENTRIES = [
+    b"-0", b"5e-324", b"9007199254740993", b"9223372036854775807", b"9223372036854775808",
+    b"-9223372036854775808", b"-9223372036854775809", b"18446744073709551616", b"true", b"null",
+    b"NaN", b"1e400", b"01", b'"], ["', b'"x], [1], [2], [y"', b'"\\u0000"', b'"\\u00001"', b"\xff",
+]
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: repr(x).encode()),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: b"%.20e" % x),
+    st.integers(-(2**65), 2**65).map(lambda i: str(i).encode()),
+)
+
+
+@st.composite
+def matrices(draw):
+    """A matrix's JSON text, with at most one odd entry and one odd row separator."""
+    rows = draw(st.lists(st.lists(NUMBERS, max_size=4), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row.insert(draw(st.integers(0, len(row))), draw(st.sampled_from(ODD_ENTRIES)))
+    joins = [b"], ["] * (len(rows) - 1)
+    if joins and draw(st.booleans()):
+        joins[draw(st.integers(0, len(joins) - 1))] = draw(st.sampled_from(ROW_SEPS))
+    text = b"[[" + draw(st.sampled_from([b", ", b",", b" ,\r\n"])).join(rows[0])
+    for join, row in zip(joins, rows[1:]):
+        text += join + b", ".join(row)
+    return text + b"]]"
+
+
+@st.composite
+def documents(draw):
+    depth = draw(st.sampled_from([0, 0, 0, 63, 70, 100_000]))
+    body = b'{"a": %s, "b": [%s, "c"], "c": %s}' % (
+        draw(matrices()), draw(matrices()), draw(st.sampled_from([b"1", *ODD_ENTRIES])),
+    )
+    return b"[" * depth + body + b"]" * depth
+
+
+def same_json(fast, plain) -> bool:
+    """fast equals plain, floats by their bits; fast may read an integer
+    outside the 64-bit range as the nearest float."""
+    if isinstance(plain, int) and not isinstance(plain, bool) and isinstance(fast, float):
+        return not -(2**63) <= plain < 2**64 and fast == float(plain)
+    if type(fast) is not type(plain):
+        return False
+    if isinstance(plain, float):
+        return struct.pack("<d", fast) == struct.pack("<d", plain)
+    if isinstance(plain, list):
+        return len(fast) == len(plain) and all(map(same_json, fast, plain))
+    if isinstance(plain, dict):
+        return fast.keys() == plain.keys() and all(same_json(fast[k], plain[k]) for k in plain)
+    return fast == plain
+
+
+def outcome(loads, data):
+    try:
+        return loads(data)
+    except (ValueError, RecursionError) as exc:
+        return exc
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=documents())
+@example(data=b"[[0], [18446744073709551616], [-9223372036854775809], [0]]")
+@example(data=b"[[1], [2],\x0c[3], [4]]")
+@example(data=b'["x], [1], [2], [y"]')
+@example(data=b'["], [1], [2], [", "\\u0000"]')
+@example(data=b"[[1], [NaN], [3], [4]]")
+@example(data=b"[[1], [2], [1e400], [4]]")
+@example(data=b"[[1], [\xff], [3]]")
+def test_loads_matches_json_loads(data):
+    fast, plain = outcome(_loads, data), outcome(lambda b: json.loads(b.decode("utf-8")), data)
+    if isinstance(plain, Exception):
+        assert (type(fast), str(fast)) == (type(plain), str(plain))
+    else:
+        assert same_json(fast, plain)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return
+        assert same_json(_loads(text), plain)
+
+
+def test_loads_reads_a_wide_integer_in_an_interior_row_as_a_float():
+    doc = _loads(b"[[0], [18446744073709551616], [0]]")
+    assert doc == [[0], [math.ldexp(1.0, 64)], [0]] and isinstance(doc[1][0], float)
+
+
+def test_loads_takes_text_that_utf8_cannot_encode():
+    text = "[\"\ud800\", [1], [2], [3]]"
+    assert _loads(text) == json.loads(text)
