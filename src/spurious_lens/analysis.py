@@ -23,14 +23,18 @@ unseen-space correlation beta*' Q Sigma Q theta* share a sign and
         < | 2 beta*' Q Sigma Q theta* / beta*' Q Sigma Q beta* |.
 
 P and Q are applied through the projector's orthonormal basis V, as V(V'x)
-and x - V(V'x). A dense Sigma is the only d x d matrix involved; a diagonal
-Sigma is kept as its diagonal v, so Sigma x is v * x and no d x d array is
-formed outside the robust sampler.
+and x - V(V'x). Sigma is kept in the form it was given: a diagonal as its
+diagonal v, an empirical second moment Z'Z/n as its sample factor Z/sqrt(n),
+and anything else as a d x d matrix. TestDistribution.quad and apply carry
+the arithmetic of all three, so outside the robust sampler a d x d array
+exists only where one was given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,24 +65,35 @@ NORM_KINDS = ("l2", "linf")
 
 @dataclass(frozen=True)
 class TestDistribution:
-    """A test population given by its second-moment matrix E[zz'] and a label.
+    """A test population given by its second moment Sigma = E[zz'] and a label.
 
-    sigma is a d x d matrix, or a length-d vector v standing for diag(v).
-    Either must be finite and positive semidefinite to 1e-10. A vector is
-    validated in O(d) from its entries and kept as it is. A matrix must also
-    be square and symmetric to 1e-10; one with no off-diagonal nonzero has
-    its diagonal as eigenvalues, so it is validated with no
-    eigendecomposition, and any other matrix is checked with eigvalsh.
+    sigma holds Sigma in one of three forms, each validated in the form it
+    is kept in:
+    - a d x d matrix, which must be finite, square, symmetric to 1e-10 and
+      positive semidefinite to 1e-10; one with no off-diagonal nonzero has
+      its diagonal as eigenvalues, so it is validated with no
+      eigendecomposition, and any other matrix is checked with eigvalsh;
+    - a length-d vector v standing for diag(v), finite and at least -1e-10
+      entrywise, checked in O(d);
+    - an m x d factor F with Sigma = F'F (factored), made by from_samples.
+      F'F is positive semidefinite by construction, so F is only checked
+      for shape and finiteness, in O(md).
+    quad and apply give r' Sigma r and Sigma x in every form, and matrix the
+    dense Sigma, formed on first read.
     """
 
     __test__ = False  # not a pytest class, despite the name
 
     sigma: np.ndarray
     label: str = ""
+    factored: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
         s = np.asarray(self.sigma, dtype=float)
-        if s.ndim == 1 and s.size:
+        if self.factored:
+            s = _as_matrix(s, "sigma factor")
+            smallest = 0.0
+        elif s.ndim == 1 and s.size:
             s = _as_vector(s, "sigma")
             smallest = float(np.min(s))
         else:
@@ -96,9 +111,45 @@ class TestDistribution:
             raise ValueError("sigma is not positive semidefinite")
         _freeze(self, sigma=s)
 
+    @classmethod
+    def from_samples(cls, Z, label: str = "") -> "TestDistribution":
+        """The empirical second moment Z'Z/n of the n rows of Z, kept as F = Z/sqrt(n)."""
+        z = _as_matrix(Z, "samples")
+        return cls(z / math.sqrt(z.shape[0]), label, factored=True)
+
     @property
     def dim(self) -> int:
-        return self.sigma.shape[0]
+        return self.sigma.shape[-1]
+
+    def quad(self, r: np.ndarray) -> float:
+        """r' Sigma r."""
+        s = self.sigma
+        if self.factored:
+            f = s @ r
+            return float(f @ f)
+        if s.ndim == 1:  # r * v holds the values of r @ diag(v)
+            return float((r * s) @ r)
+        return float(r @ s @ r)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Sigma x."""
+        s = self.sigma
+        if self.factored:
+            return s.T @ (s @ x)
+        return s * x if s.ndim == 1 else s @ x
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense d x d Sigma."""
+        s = self.sigma
+        if self.factored:
+            m = s.T @ s
+        elif s.ndim == 1:
+            m = np.diag(s)
+        else:
+            return s
+        m.setflags(write=False)
+        return m
 
 
 @dataclass(frozen=True)
@@ -163,13 +214,6 @@ def _check_dims(truth: GroundTruth, pi: Projection, dist: TestDistribution):
         )
 
 
-def _error(r: np.ndarray, dist: TestDistribution) -> float:
-    """r' Sigma r: the expected square of the residual functional r'z."""
-    if dist.sigma.ndim == 1:  # r * v holds the values of r @ diag(v)
-        return float((r * dist.sigma) @ r)
-    return float(r @ dist.sigma @ r)
-
-
 def population_error(
     model: LinearModel, truth: GroundTruth, dist: TestDistribution, pi: Projection
 ) -> float:
@@ -181,7 +225,7 @@ def population_error(
     pi, the training row-space projector, only enters the dimension check.
     """
     _check_dims(truth, pi, dist)
-    return _error(truth.theta_star - implicit_weights(model, truth), dist)
+    return dist.quad(truth.theta_star - implicit_weights(model, truth))
 
 
 def removal_verdict(
@@ -208,11 +252,11 @@ def removal_verdict(
     lhs = float(pb @ theta)
     denom = 1.0 + float(pb @ beta)
     w = lhs / denom
-    sq = dist.sigma * qb if dist.sigma.ndim == 1 else dist.sigma @ qb
+    sq = dist.apply(qb)
     rhs = float(qt @ sq)
     bqb = float(qb @ sq)
-    error_core = _error(qt, dist)
-    error_full = _error(qt - w * qb, dist)
+    error_core = dist.quad(qt)
+    error_full = dist.quad(qt - w * qb)
 
     tie = abs(w) <= TIE_TOL or abs(bqb) <= TIE_TOL
     if tie:
@@ -239,8 +283,7 @@ def _sample_bounded_gaussian(
 ) -> np.ndarray:
     """Draw z ~ N(0, Sigma) rejected to ||z|| <= gamma, as a samples x d array."""
     # eigh of diag(v), not sqrt(v), so a diagonal's draws are its matrix's
-    sigma = np.diag(dist.sigma) if dist.sigma.ndim == 1 else dist.sigma
-    eigval, eigvec = np.linalg.eigh(sigma)
+    eigval, eigvec = np.linalg.eigh(dist.matrix)
     factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
     d = dist.dim
     out = np.empty((samples, d))
@@ -394,4 +437,4 @@ def groupwise_spurious_error(
     if np.max(np.abs(pi1.basis.T @ pi2.basis)) >= 1e-10:
         raise NonOrthogonalGroupsError("group row spaces are not orthogonal")
     v = pi1.complement(t) - pi2.project(t) - w * pi1.complement(a1) + w * pi2.project(a2)
-    return _error(v, dist)
+    return dist.quad(v)

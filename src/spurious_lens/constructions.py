@@ -8,7 +8,8 @@ balanced dataset can guarantee that feature removal is safe.
 
 Both constructions embed their own verification: the returned bundle carries
 the removal verdicts evaluated on the empirical second moments of the two
-test designs.
+test designs, each kept as its sample factor (TestDistribution.from_samples),
+so no d x d second moment is formed or eigendecomposed.
 """
 
 from __future__ import annotations
@@ -61,12 +62,6 @@ class CounterexampleBundle:
             raise VerificationError("core model does not win on its test design")
         if v1.error_core - v1.error_full <= GAP_TOL or v2.error_full - v2.error_core <= GAP_TOL:
             raise VerificationError("error gaps are not strictly positive")
-
-
-def _empirical_second_moment(Z: np.ndarray, label: str) -> TestDistribution:
-    n = Z.shape[0]
-    sigma = Z.T @ Z / n
-    return TestDistribution(sigma=(sigma + sigma.T) / 2.0, label=label)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -180,8 +175,8 @@ def construct_disjoint(
         Z_test_full_wins=DesignMatrix(z_full_wins),
         Z_test_core_wins=DesignMatrix(z_core_wins),
         truth=truth,
-        verdict_full_wins=removal_verdict(truth, pi, _empirical_second_moment(z_full_wins, "full-wins")),
-        verdict_core_wins=removal_verdict(truth, pi, _empirical_second_moment(z_core_wins, "core-wins")),
+        verdict_full_wins=removal_verdict(truth, pi, TestDistribution.from_samples(z_full_wins, "full-wins")),
+        verdict_core_wins=removal_verdict(truth, pi, TestDistribution.from_samples(z_core_wins, "core-wins")),
         x_param=float(x),
         b_vector=b,
     )
@@ -235,8 +230,8 @@ def construct_balanced(S, Y, d: int) -> CounterexampleBundle:
     z_second = perturbed(a_bar_prime)
 
     pi = row_space_projection(z_train)
-    v1 = removal_verdict(truth, pi, _empirical_second_moment(z_prime, "full-wins"))
-    v2 = removal_verdict(truth, pi, _empirical_second_moment(z_second, "core-wins"))
+    v1 = removal_verdict(truth, pi, TestDistribution.from_samples(z_prime, "full-wins"))
+    v2 = removal_verdict(truth, pi, TestDistribution.from_samples(z_second, "core-wins"))
     bundle = CounterexampleBundle(
         Z_train=DesignMatrix(z_train),
         Z_test_full_wins=DesignMatrix(z_prime),

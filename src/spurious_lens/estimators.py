@@ -16,7 +16,8 @@ parameters):
 
 Every fit also has an (S, Y)-data form used when no ground truth is attached.
 The core, full and multi fits share one solver over the design's cached thin
-SVD; the RST fit solves its stacked system with the min-norm oracle.
+SVD; the RST fit solves its pseudo-label system from one QR factorization
+of the unlabeled design and checks the labels against the result.
 """
 
 from __future__ import annotations
@@ -33,14 +34,14 @@ from .exceptions import (
 )
 from .minnorm import (
     INTERP_RTOL,
+    RANK_RTOL,
     DesignMatrix,
-    MinNormSolution,
     _as_columns,
     _as_matrix,
     _as_vector,
     _freeze,
+    _relative_residual,
     _require_full_row_rank,
-    min_norm_solve,
 )
 
 MODEL_KINDS = ("core", "full", "multi", "rst")
@@ -180,9 +181,7 @@ def _check_interpolation(Z: DesignMatrix, cols: np.ndarray, Y: np.ndarray, theta
     worst relative residual decides, and a non-finite one fails.
     """
     pred = theta @ Z.entries.T + (cols @ w[..., None])[..., 0]
-    residual = float(np.max(np.linalg.norm(pred - Y, axis=-1)))
-    scale = float(np.linalg.norm(Y))
-    rel = residual / scale if scale > 0 else residual
+    rel = _relative_residual(pred - Y, Y)
     if not rel <= INTERP_RTOL:
         raise InconsistentSystemError(
             f"fitted model does not interpolate its training targets (relative residual {rel:.3e})"
@@ -261,8 +260,15 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
     and the full model's pseudo-labels on the unlabeled points.
 
     Solves min ||theta||^2 s.t. Z theta = Y and Zu theta = Zu theta_full + Su w.
-    With enough independent unlabeled points (full column rank) the solution is
-    P theta* + w (I - P) beta*.
+    Zu must have full column rank (m >= d and smin/smax >= RANK_RTOL), so
+    Zu theta = pseudo has at most one solution, and when the stacked system
+    is consistent that solution is its minimum-norm one. It is read from one
+    QR factorization Zu = QR as R^-1 Q' pseudo, with the rank decided by the
+    singular values of R, which are Zu's; the solution is
+    P theta* + w (I - P) beta*. Only when that theta misses the labels (near
+    the rank cutoff) is the stacked system [Z; Zu] solved by its own QR.
+    Raises InconsistentConstraintsError when the stacked system's relative
+    residual exceeds INTERP_RTOL.
     """
     if full.kind != "full":
         raise ValueError(f"fit_rst needs a full-model fit, got kind={full.kind!r}")
@@ -276,7 +282,7 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
     _check_interpolation(labeled.Z, labeled.S, labeled.Y, full.theta_hat, full.w_hat)
     zu = unlabeled.Zu
     su = unlabeled.Su
-    d = labeled.Z.cols
+    m, d = zu.shape[0], labeled.Z.cols
     if zu.shape[1] != d:
         raise DimensionMismatchError(
             f"unlabeled design has {zu.shape[1]} columns, expected {d}"
@@ -285,20 +291,32 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
         raise DimensionMismatchError(
             f"Su has {su.shape[1]} columns but the full model has {full.w_hat.shape[0]} spurious weights"
         )
-    if np.linalg.matrix_rank(zu) < d:
-        raise RankDeficientError(
-            f"unlabeled design ({zu.shape[0]}x{d}) must have full column rank"
-        )
+    full_rank = m >= d
+    if full_rank:
+        q, r = np.linalg.qr(zu)
+        s = np.linalg.svd(r, compute_uv=False)
+        full_rank = s[0] > 0 and s[-1] / s[0] >= RANK_RTOL
+    if not full_rank:
+        raise RankDeficientError(f"unlabeled design ({m}x{d}) must have full column rank")
     pseudo = zu @ full.theta_hat + su @ full.w_hat
-    stacked = np.vstack([labeled.Z.entries, zu])
     rhs = np.concatenate([labeled.Y, pseudo])
-    try:
-        sol: MinNormSolution = min_norm_solve(stacked, rhs)
-    except InconsistentSystemError as exc:
+    theta = np.linalg.solve(r, q.T @ pseudo)
+    rel = _relative_residual(np.concatenate([labeled.Z.entries @ theta, zu @ theta]) - rhs, rhs)
+    if not rel <= INTERP_RTOL:
+        # Near the rank cutoff theta's forward error, about cond(Zu) * eps,
+        # shows in the label rows. The least-squares solution of the stacked
+        # system, which has full column rank, leaves a residual at rounding
+        # level whenever that system is consistent.
+        stacked = np.vstack([labeled.Z.entries, zu])
+        q, r = np.linalg.qr(stacked)
+        theta = np.linalg.solve(r, q.T @ rhs)
+        rel = _relative_residual(stacked @ theta - rhs, rhs)
+    if not rel <= INTERP_RTOL:
         raise InconsistentConstraintsError(
-            "labels and pseudo-labels cannot be interpolated by one parameter vector"
-        ) from exc
-    return LinearModel(theta_hat=sol.x, w_hat=np.zeros(0), kind="rst")
+            "labels and pseudo-labels cannot be interpolated by one parameter vector "
+            f"(relative residual {rel:.3e})"
+        )
+    return LinearModel(theta_hat=theta, w_hat=np.zeros(0), kind="rst")
 
 
 def predict(model: LinearModel, z, s=None) -> float:

@@ -14,6 +14,7 @@ module constants below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -189,6 +190,24 @@ class Projection:
         return x - self.project(x)
 
 
+def _relative_residual(res: np.ndarray, b: np.ndarray) -> float:
+    """max ||res_i|| / ||b|| over the rows res_i of res (||res_i|| when b is 0).
+
+    When max|b| lies outside [2^-450, 2^450], where squares could overflow
+    or underflow, res and b are first scaled by the power of two that brings
+    it into [0.5, 1), which is exact; so the ratio is right wherever it is
+    representable. A residual far above b gives inf, a non-finite one inf
+    or nan.
+    """
+    e = -math.frexp(float(np.max(np.abs(b), initial=0.0)))[1]
+    if abs(e) > 450:
+        res, b = np.ldexp(res, e), np.ldexp(b, e)
+    with np.errstate(over="ignore"):
+        residual = float(np.max(np.linalg.norm(res, axis=-1)))
+    scale = float(np.linalg.norm(b))
+    return residual / scale if scale > 0 else residual
+
+
 @dataclass(frozen=True)
 class MinNormSolution:
     """Least-norm interpolant of a consistent linear system."""
@@ -229,14 +248,14 @@ def min_norm_solve(A, y) -> MinNormSolution:
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatchError(f"system has {a.shape[0]} rows but rhs has {b.shape[0]}")
     x, _, _, _ = np.linalg.lstsq(a, b, rcond=PINV_RTOL)
-    residual = float(np.linalg.norm(a @ x - b))
-    scale = float(np.linalg.norm(b))
-    rel = residual / scale if scale > 0 else residual
-    if rel > INTERP_RTOL:
+    res = a @ x - b
+    rel = _relative_residual(res, b)
+    if not rel <= INTERP_RTOL:
         raise InconsistentSystemError(
             f"system Ax = y is inconsistent (relative residual {rel:.3e})"
         )
-    return MinNormSolution(x=x, residual_norm=residual, solution_norm=float(np.linalg.norm(x)))
+    # hypot scales its arguments, so neither norm overflows on a huge system
+    return MinNormSolution(x=x, residual_norm=math.hypot(*res), solution_norm=math.hypot(*x))
 
 
 def null_projection(pi: Projection) -> Projection:

@@ -3,11 +3,12 @@
 JSON output is canonical: keys sorted, floats printed with 17 significant
 digits (lossless round-trip), a single trailing newline. A float64 array is
 checked for finiteness once and written one row at a time, with a single
-%-format per row, in the same bytes as its nested lists would give; a row
-with the same bytes as the row before it is formatted once and its text
-written again. Other arrays go through their nested lists. CSV projections
-print floats with Python's shortest round-trip repr and parse back into the
-same row structure.
+%-format per row, in the same bytes as its nested lists would give. A +0.0
+entry is a literal 0.0 in its row's format, each distinct format is built
+once per array, and a row with the same bytes as the row before it is
+formatted once and its text written again. Other arrays go through their
+nested lists. CSV projections print floats with Python's shortest
+round-trip repr and parse back into the same row structure.
 
 An instance document is UTF-8 bytes (the CLI reads the file as bytes, with
 no newline translation) or text. Each interior row of a matrix, a flat row
@@ -57,10 +58,11 @@ from .minnorm import DesignMatrix, _as_matrix, _as_vector
 MAX_ROBUST_SAMPLES = 100_000
 
 # Largest dimension `construct --mode balanced` may ask for (--d or
-# scenario.d). The construction forms the d x d second moments of its test
-# designs and eigendecomposes them: about 0.5 GB and 13 s at d = 4000 on a
-# 2-vCPU Xeon. An unbounded d ends in numpy's "Maximum allowed dimension
-# exceeded" or a MemoryError instead of an input error.
+# scenario.d). The construction holds and writes three n x d designs, so
+# its time and memory grow as n * d: at d = 4096 and n = 200, 0.18 s, a
+# 94 MB peak and 12 MB of JSON on a 2-vCPU Xeon. An unbounded d ends in
+# numpy's "Maximum allowed dimension exceeded" or a MemoryError instead of
+# an input error.
 MAX_BALANCED_DIM = 4_096
 
 
@@ -78,17 +80,21 @@ def _fmt_float(x: float) -> str:
     return text
 
 
-# Per-entry formats of a float row: %.17g, or %.1f for an integer-valued
-# entry below 1e17, which is where format(x, ".17g") has neither "." nor "e"
-# and _fmt_float appends ".0".
-_ROW_FORMATS = ("%.17g", "%.1f")
+# Per-entry formats of a float row by kind: %.17g; %.1f for an
+# integer-valued entry below 1e17, which is where format(x, ".17g") has
+# neither "." nor "e" and _fmt_float appends ".0"; and the literal 0.0 for
+# an entry whose bits are all zero (+0.0; -0.0 takes %.1f), which is not
+# passed to %.
+_ROW_FORMATS = ("%.17g", "%.1f", "0.0")
 
 
 def _encode_float_array(a: np.ndarray, out: list[str], last: list) -> None:
     """Write a finite float64 array of ndim >= 1, one row per % format.
 
-    last holds the bytes and the text of the row written before. A row with
-    the same bytes reuses that text; bytes, not ==, so -0.0 and 0.0 differ.
+    last holds the bytes and the text of the row written before, and the
+    row formats made so far for this array, keyed by their entry kinds. A
+    row with the same bytes reuses that text; bytes, not ==, so -0.0 and
+    0.0 differ.
     """
     if a.ndim > 1:
         out.append("[")
@@ -100,9 +106,13 @@ def _encode_float_array(a: np.ndarray, out: list[str], last: list) -> None:
         return
     key = a.tobytes()
     if key != last[0]:
-        whole = (a == np.floor(a)) & (np.abs(a) < 1e17)
-        fmt = ", ".join([_ROW_FORMATS[w] for w in whole.tolist()])
-        last[:] = key, "[" + fmt % tuple(a.tolist()) + "]"
+        zero = a.view(np.uint64) == 0
+        kinds = ((a == np.floor(a)) & (np.abs(a) < 1e17)).view(np.uint8) + zero
+        kind_key = kinds.tobytes()
+        fmt = last[2].get(kind_key)
+        if fmt is None:
+            fmt = last[2][kind_key] = ", ".join([_ROW_FORMATS[k] for k in kinds.tolist()])
+        last[:2] = key, "[" + fmt % tuple(a[~zero].tolist()) + "]"
     out.append(last[1])
 
 
@@ -139,7 +149,7 @@ def _encode(obj, out: list[str]) -> None:
         finite = np.isfinite(obj)
         if not finite.all():
             raise ValueError(f"cannot serialize non-finite float {obj[~finite][0]}")
-        _encode_float_array(obj, out, [None, ""])
+        _encode_float_array(obj, out, [None, "", {}])
     elif isinstance(obj, np.ndarray):
         _encode(obj.tolist(), out)
     else:

@@ -27,6 +27,7 @@ from spurious_lens import (
     robust_error,
     robust_errors,
 )
+from spurious_lens.analysis import TIE_TOL
 from spurious_lens.exceptions import (
     DimensionMismatchError,
     NonFiniteResultError,
@@ -600,3 +601,82 @@ class TestValidation:
             population_error(fit_core(data), truth, TestDistribution(np.eye(2)), pi)
         with pytest.raises(DimensionMismatchError):
             removal_verdict(GroundTruth(np.zeros(3), ()), pi, TestDistribution(np.eye(3)))
+
+
+# An empirical second moment Z'Z/n kept as its factor F = Z/sqrt(n), against
+# the dense symmetrized matrix. The two round differently, so the numbers
+# agree to 1e-12 of ||F||^2 ||r||^2, the scale of a quadratic form r' Sigma r,
+# and the booleans wherever no decision margin is within rounding of zero.
+class TestSampleFactor:
+    @staticmethod
+    def forms(z):
+        sigma = z.T @ z / z.shape[0]
+        return TestDistribution.from_samples(z), TestDistribution((sigma + sigma.T) / 2.0)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(3, 10),
+        n=st.integers(1, 12),
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+        repeated=st.booleans(),
+    )
+    def test_factor_matches_dense_second_moment(self, seed, d, n, scale, repeated):
+        rng = np.random.default_rng(seed)
+        z = scale * rng.standard_normal((n, d))
+        if repeated:  # n copies of one row, as in the disjoint construction
+            z = np.tile(z[:1], (n, 1))
+        factored, dense = self.forms(z)
+        f2 = float(np.sum(factored.sigma**2))
+        assert factored.dim == dense.dim == d
+        for _ in range(3):
+            r = rng.standard_normal(d)
+            assert abs(factored.quad(r) - dense.quad(r)) <= 1e-12 * f2 * float(r @ r)
+            assert float(np.linalg.norm(factored.apply(r) - dense.apply(r))) <= (
+                1e-12 * f2 * float(np.linalg.norm(r))
+            )
+
+        truth = GroundTruth(rng.standard_normal(d), (rng.standard_normal(d),))
+        pi = projection(DesignMatrix(rng.standard_normal((int(rng.integers(1, d)), d))))
+        vf, vd = removal_verdict(truth, pi, factored), removal_verdict(truth, pi, dense)
+        assert (vf.lhs_seen_corr, vf.w_hat) == (vd.lhs_seen_corr, vd.w_hat)
+        theta, beta = truth.theta_star, truth.beta_stars[0]
+        norm_r = float(np.linalg.norm(theta)) + abs(vd.w_hat) * float(np.linalg.norm(beta))
+        tol = 1e-12 * f2 * norm_r**2
+        for name in ("rhs_unseen_corr", "error_core", "error_full"):
+            assert abs(getattr(vf, name) - getattr(vd, name)) <= tol, name
+        bqb = dense.quad(pi.complement(beta))
+        ratio = abs(2.0 * vd.rhs_unseen_corr / bqb) if bqb else np.inf
+        near_tie = (
+            abs(abs(bqb) - TIE_TOL) <= 1e6 * tol
+            or abs(vd.rhs_unseen_corr) <= 1e6 * tol
+            or abs(abs(vd.w_hat) - ratio) <= 1e-3 * ratio
+        )
+        if not near_tie:
+            assert (vf.tie, vf.sign_match, vf.magnitude_holds) == (
+                vd.tie, vd.sign_match, vd.magnitude_holds
+            )
+
+    def test_factor_is_validated_for_shape_and_finiteness_only(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample factor was eigendecomposed")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        z = np.array([[1.0, 2.0, 0.0, -1.0], [0.5, 0.0, 3.0, 1.0]])
+        dist = TestDistribution.from_samples(z, "g")
+        assert dist.factored and dist.label == "g" and dist.dim == 4
+        assert_allclose(dist.matrix, z.T @ z / 2.0, rtol=1e-15)
+        assert not dist.matrix.flags.writeable
+        with pytest.raises(ValueError, match="non-finite"):
+            TestDistribution.from_samples(np.array([[1.0, np.nan]]))
+        with pytest.raises(DimensionMismatchError):
+            TestDistribution.from_samples(np.ones(3))
+        # a non-square matrix is no second moment unless it is a factor
+        with pytest.raises(DimensionMismatchError, match="square"):
+            TestDistribution(z)
+
+    def test_diagonal_and_dense_forms_give_their_matrix(self):
+        v = np.array([1.0, 0.0, 2.5])
+        assert TestDistribution(v).matrix.tolist() == np.diag(v).tolist()
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert TestDistribution(m).matrix.tolist() == m.tolist()

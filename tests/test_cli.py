@@ -229,6 +229,7 @@ def test_junk_field_keeps_exit_contract(tmp_path_factory, field, junk, argv):
     (["construct", "--mode", "disjoint", "--n", "4"], 0),
     (["construct", "--mode", "balanced", "--d", "12"], 1),
     (["analyze", "--seed", "3"], 2),
+    (["fit", "--model", "rst"], 3),
 ])
 def test_svd_calls_per_command(capsys, monkeypatch, argv, calls):
     svd = np.linalg.svd
@@ -237,6 +238,17 @@ def test_svd_calls_per_command(capsys, monkeypatch, argv, calls):
     status, _, err = run(capsys, argv + ["--instance", str(GOLDEN / "one_beta.instance.json")])
     assert status == 0, err
     assert len(seen) == calls, seen
+
+
+# The RST fit reads theta and Zu's rank from one QR of Zu (the third SVD
+# above is of its R factor), with no least-squares solve.
+def test_rst_fit_makes_no_lstsq_call(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit --model rst called lstsq")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    status, _, err = run(capsys, ["fit", "--model", "rst", "--instance", str(GOLDEN / "one_beta.instance.json")])
+    assert status == 0, err
 
 
 class TestFitCommand:
@@ -274,6 +286,42 @@ class TestFitCommand:
         status, out, _ = run(capsys, ["fit", "--instance", path, "--model", "rst"])
         assert status == 0
         assert json.loads(out)["theta_hat"] == pytest.approx([2.0, 2.0, -2.0])
+
+    @staticmethod
+    def rst_instance(tmp_path, zu, su=None):
+        """A d = 6, n = 2 instance with unlabeled block (zu, su); su defaults to zu beta*."""
+        rng = np.random.default_rng(23)
+        d = zu.shape[1]
+        beta = rng.standard_normal(d)
+        su = zu @ beta if su is None else su
+        return write_instance(tmp_path, {
+            "ground_truth": {"theta_star": rng.standard_normal(d).tolist(), "beta_stars": [beta.tolist()]},
+            "train": {"Z": rng.standard_normal((2, d)).tolist()},
+            "unlabeled": {"Zu": zu.tolist(), "Su": su.tolist()},
+        })
+
+    # Pseudo-labels of order 1e200 square past the float range; their
+    # inconsistency must still be caught, with no RuntimeWarning.
+    def test_rst_inconsistent_at_huge_magnitude_exit_3(self, capsys, tmp_path):
+        rng = np.random.default_rng(24)
+        zu = 1e200 * rng.standard_normal((8, 6))
+        path = self.rst_instance(tmp_path, zu, 1e200 * rng.standard_normal(8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, out, err = run(capsys, ["fit", "--model", "rst", "--instance", path])
+        assert status == 3 and out == ""
+        assert "cannot be interpolated" in err
+
+    # smin/smax = 3e-11 passes numpy's max(m, d) * eps rank rule but not
+    # RANK_RTOL, so these consistent pseudo-labels are refused.
+    def test_rst_unlabeled_rank_follows_rank_rtol_exit_3(self, capsys, tmp_path):
+        rng = np.random.default_rng(25)
+        u, _, vt = np.linalg.svd(rng.standard_normal((8, 6)), full_matrices=False)
+        zu = u @ np.diag([1.0, 0.8, 0.6, 0.4, 0.2, 3e-11]) @ vt
+        path = self.rst_instance(tmp_path, zu)
+        status, out, err = run(capsys, ["fit", "--model", "rst", "--instance", path])
+        assert status == 3 and out == ""
+        assert "must have full column rank" in err
 
     def test_multi_model(self, capsys, tmp_path):
         path = write_instance(
@@ -519,6 +567,24 @@ class TestAnalyzeCommand:
 
 
 class TestConstructCommand:
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--mode", "disjoint", "--n", "4"],
+        ["construct", "--mode", "balanced", "--d", "12"],
+    ])
+    def test_constructions_need_no_eigendecomposition(self, capsys, tmp_path, monkeypatch, argv):
+        doc = golden_instance()
+        del doc["groups"], doc["robust"]  # dense groups are validated by eigvalsh
+        path = write_instance(tmp_path, doc)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a test design's second moment was eigendecomposed")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        status, out, err = run(capsys, argv + ["--instance", path])
+        assert status == 0, err
+        assert json.loads(out)["verified"] is True
+
     def test_balanced_mode(self, capsys, tmp_path):
         path = write_instance(
             tmp_path, {"scenario": {"S": [1.0, 1.0], "Y": [1.0, 0.0], "d": 4}}

@@ -303,6 +303,37 @@ class TestFitRst:
         with pytest.raises(RankDeficientError):
             fit_rst(data, unlabeled, full)
 
+    # The rank is read from the singular values of R with the library's
+    # RANK_RTOL, not numpy's max(m, d) * eps: a smin/smax of 3e-11 is refused.
+    @pytest.mark.parametrize("ratio,ok", [(3e-10, True), (3e-11, False)])
+    def test_column_rank_follows_rank_rtol(self, ratio, ok):
+        rng = np.random.default_rng(18)
+        data = table2()
+        u, _, vt = np.linalg.svd(rng.standard_normal((5, 3)), full_matrices=False)
+        zu = u @ np.diag([1.0, 0.5, ratio]) @ vt
+        unlabeled = UnlabeledData(Zu=zu, Su=zu @ data.truth.beta_stars[0])
+        if ok:
+            assert_allclose(fit_rst(data, unlabeled, fit_full(data)).theta_hat, [2.0, 2.0, -2.0], atol=1e-4)
+        else:
+            with pytest.raises(RankDeficientError, match="must have full column rank"):
+                fit_rst(data, unlabeled, fit_full(data))
+
+    # Near the rank cutoff the solve from Zu's QR alone misses the labels by
+    # about cond(Zu) * eps; the stacked system's own QR then interpolates both.
+    def test_consistent_system_near_rank_cutoff_is_accepted(self):
+        rng = np.random.default_rng(19)
+        d, n, m = 12, 5, 20
+        for _ in range(10):
+            truth = GroundTruth(rng.standard_normal(d), (rng.standard_normal(d),))
+            data = LabeledData.from_truth(DesignMatrix(rng.standard_normal((n, d))), truth)
+            u, _, vt = np.linalg.svd(rng.standard_normal((m, d)), full_matrices=False)
+            zu = u @ np.diag(np.geomspace(1.0, 2e-10, d)) @ vt
+            full = fit_full(data)
+            model = fit_rst(data, UnlabeledData(Zu=zu, Su=zu @ truth.beta_stars[0]), full)
+            stacked = np.vstack([data.Z.entries, zu])
+            rhs = np.concatenate([data.Y, zu @ full.theta_hat + zu @ truth.beta_stars[0] * full.w_hat[0]])
+            assert np.linalg.norm(stacked @ model.theta_hat - rhs) <= 1e-8 * np.linalg.norm(rhs)
+
     def test_needs_full_model(self):
         data = table2()
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -120,6 +122,25 @@ class TestMinNormSolve:
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
             min_norm_solve(np.eye(2), [1.0, 2.0, 3.0])
+
+    # ||y||^2 overflows past about 1e154: the residual check scales before
+    # it takes norms, so the decision and the reported norms hold up to the
+    # largest floats, with no RuntimeWarning.
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
+    def test_inconsistent_raises_when_norms_overflow(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InconsistentSystemError, match="relative residual 3.333e-01"):
+                min_norm_solve(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0, 5.0]) * scale)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e200, 1e300])
+    def test_consistent_accepted_at_extreme_magnitudes(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = min_norm_solve(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0, 2.0]) * scale)
+        assert_allclose(sol.x, [scale, scale], rtol=1e-14)
+        assert sol.solution_norm == pytest.approx(np.sqrt(2.0) * scale, rel=1e-14)
+        assert sol.residual_norm <= 1e-14 * scale
 
     def test_against_kkt_oracle(self):
         rng = np.random.default_rng(2)

@@ -66,10 +66,15 @@ FLOATS = st.one_of(
 
 ROW = np.array([0.1, -2.0, 1e17, 3.5, -0.0])
 NON_INTEGER = (np.arange(400) + 0.5) / 3.0
+MOSTLY_ZERO = np.zeros(400)
+MOSTLY_ZERO[[0, 7, 399]] = [0.1, -3.0, 2.5]
 
 
 # A row with the same bytes as the row before it reuses that row's text;
-# rows with no integer-valued entry take %.17g throughout.
+# rows with no integer-valued entry take %.17g throughout. A +0.0 entry is a
+# literal in its row's format, which is reused by every later row whose
+# entries fall in the same kinds (zero, integer-valued, other); -0.0 is not
+# zero in that sense.
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6), elements=FLOATS))
 @example(a=np.tile(ROW, (6, 1)))
@@ -86,6 +91,12 @@ NON_INTEGER = (np.arange(400) + 0.5) / 3.0
 @example(a=NON_INTEGER)
 @example(a=np.tile(NON_INTEGER, (3, 1)))
 @example(a=np.vstack([NON_INTEGER, NON_INTEGER * 3.0, NON_INTEGER * 3.0]))
+@example(a=MOSTLY_ZERO[None, :])
+@example(a=np.array([[0.0, 0.5, 0.0, 3.0], [0.0, 0.25, 0.0, -7.0], [0.0, 1e-300, 0.0, 1e16]]))
+@example(a=np.array([[0.0, 1.5], [-0.0, 1.5], [0.0, 2.5], [-0.0, 2.5]]))
+@example(a=np.array([[1.5, 2.0, 0.1], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-0.0, 0.0, 0.0]]))
+@example(a=np.array([[0.0, 1.5, 0.0], [0.0, 1.5, 0.0], [1.5, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 1.5, 0.0]]))
+@example(a=np.array([[0.0, 2.0], [0.0, 2.5], [0.0, 2.0], [2.0, 0.0]]))
 def test_random_float_arrays_match_nested_lists(a):
     assert_same_as_lists(a)
 
