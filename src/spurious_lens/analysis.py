@@ -47,6 +47,7 @@ from .exceptions import (
 )
 from .estimators import GroundTruth, LinearModel, implicit_weights
 from .minnorm import (
+    RANK_RTOL,
     DesignMatrix,
     Projection,
     _as_matrix,
@@ -237,7 +238,7 @@ def removal_verdict(
     beta*' P theta* against the unseen-space correlation
     beta*' (I-P) Sigma (I-P) theta*; also reports both errors, as the
     quadratic forms of the core and full residuals Q theta* and
-    Q theta* - w Q beta*.
+    Q theta* - w Q beta*. A number that overflows raises NonFiniteResultError.
     """
     if truth.n_spurious != 1:
         raise DimensionMismatchError(
@@ -246,17 +247,20 @@ def removal_verdict(
     _check_dims(truth, pi, dist)
     theta = truth.theta_star
     beta = truth.beta_stars[0]
-    pb = pi.project(beta)
-    qt = pi.complement(theta)
-    qb = beta - pb
-    lhs = float(pb @ theta)
-    denom = 1.0 + float(pb @ beta)
-    w = lhs / denom
-    sq = dist.apply(qb)
-    rhs = float(qt @ sq)
-    bqb = float(qb @ sq)
-    error_core = dist.quad(qt)
-    error_full = dist.quad(qt - w * qb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pb = pi.project(beta)
+        qt = pi.complement(theta)
+        qb = beta - pb
+        lhs = float(pb @ theta)
+        denom = 1.0 + float(pb @ beta)
+        w = lhs / denom
+        sq = dist.apply(qb)
+        rhs = float(qt @ sq)
+        bqb = float(qb @ sq)
+        error_core = dist.quad(qt)
+        error_full = dist.quad(qt - w * qb)
+    if not np.all(np.isfinite([lhs, rhs, w, bqb, error_core, error_full])):
+        raise NonFiniteResultError(f"removal verdict is not finite on test distribution {dist.label!r}")
 
     tie = abs(w) <= TIE_TOL or abs(bqb) <= TIE_TOL
     if tie:
@@ -434,7 +438,7 @@ def groupwise_spurious_error(
         raise DimensionMismatchError("group designs, parameters and sigma must share one dimension")
     pi1 = projection(Z1)
     pi2 = projection(Z2)
-    if np.max(np.abs(pi1.basis.T @ pi2.basis)) >= 1e-10:
+    if np.max(np.abs(pi1.basis.T @ pi2.basis)) >= RANK_RTOL:
         raise NonOrthogonalGroupsError("group row spaces are not orthogonal")
     v = pi1.complement(t) - pi2.project(t) - w * pi1.complement(a1) + w * pi2.project(a2)
     return dist.quad(v)

@@ -27,12 +27,10 @@ from .exceptions import (
     ParallelTargetsError,
     VerificationError,
 )
-from .minnorm import DesignMatrix, Projection, _as_vector, min_norm_solve, row_space_projection
+from .minnorm import RANK_RTOL, DesignMatrix, Projection, _as_vector, min_norm_solve, row_space_projection
 
 # Verdict error gaps below this are treated as verification failures.
 GAP_TOL = 1e-9
-
-_PARALLEL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -64,8 +62,24 @@ class CounterexampleBundle:
             raise VerificationError("error gaps are not strictly positive")
 
 
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(v 2^-e, e) such that no square of v 2^-e overflows or underflows: e = 0 while
+    max|v| lies in [2^-450, 2^450], else the exponent that brings it into [0.5, 1)."""
+    e = math.frexp(float(max(v.max(), -v.min())))[1]
+    if abs(e) <= 450:
+        return v, 0
+    return np.ldexp(v, -e), e
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+    """v / ||v||, the plain quotient while max|v| lies in [2^-450, 2^450]."""
+    u, _ = _scaled(v)
+    return u / np.linalg.norm(u)
+
+
+def _parallel(u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the unit vectors u and v are parallel: sin(u, v) <= RANK_RTOL."""
+    return bool(np.linalg.norm(v - (u @ v) * u) <= RANK_RTOL)
 
 
 def _orthonormal_complement(vectors: list[np.ndarray], d: int, count: int) -> np.ndarray:
@@ -127,21 +141,17 @@ def construct_disjoint(
         raise DimensionTooSmallError(f"construction needs dimension >= 4, got {d}")
     if not (1 <= n < d - 1):
         raise DimensionTooSmallError(f"construction needs 1 <= n < d - 1, got n={n}, d={d}")
-    nt = np.linalg.norm(theta)
-    nb = np.linalg.norm(beta)
-    if nt == 0 or nb == 0:
+    if not theta.any() or not beta.any():
         raise ParallelParametersError("theta_star and beta_star must be nonzero")
-    u_t = theta / nt
-    u_b = beta / nb
-    resid = u_b - (u_t @ u_b) * u_t
-    if np.linalg.norm(resid) <= _PARALLEL_TOL:
+    (ts, et), (bs, eb) = _scaled(theta), _scaled(beta)
+    nt, nb = np.linalg.norm(ts), np.linalg.norm(bs)
+    u_t, u_b = ts / nt, bs / nb
+    if _parallel(u_t, u_b):
         raise ParallelParametersError("beta_star is a scalar multiple of theta_star")
     if not (np.isfinite(x) and x > 0):
         raise ValueError(f"x must be positive and finite, got {x}")
 
-    comp = _orthonormal_complement([u_t, u_b], d, n + 1)
-    if comp.shape[0] < n:  # needs b plus n-1 padding rows
-        raise RuntimeError("could not build enough orthogonal directions")
+    comp = _orthonormal_complement([u_t, u_b], d, n + 1)  # d - 2 >= n rows
     b = comp[0]
     padding = comp[1 : n]  # n-1 unit rows, orthogonal to u_t, u_b, b
     a2 = u_t + u_b + 2.0 * b
@@ -153,7 +163,10 @@ def construct_disjoint(
         # The proof's magnitude margin x^2/(x^2 + a1'a1) <= 2||theta*||/||beta*||,
         # with a1'a1 = x^2 ||a1_unit||^2 + c^2 once a1 is widened by c along
         # the spare direction, comp[n], which is orthogonal to a1_unit.
-        slack = float(nb) / (2.0 * float(nt)) - 1.0 - float(a1_unit @ a1_unit)
+        # ||beta*|| / ||theta*|| from the scaled norms; inf past the float range.
+        with np.errstate(over="ignore"):
+            ratio = float(np.ldexp(nb / nt, eb - et))
+        slack = ratio / 2.0 - 1.0 - float(a1_unit @ a1_unit)
         c = _widening(x * math.sqrt(max(0.0, slack)))
         if not math.isfinite(c):
             raise VerificationError(f"the widening of a1 overflows at x={x}")
@@ -197,10 +210,9 @@ def construct_balanced(S, Y, d: int) -> CounterexampleBundle:
         raise DimensionTooSmallError("S and Y must have the same length")
     if d < 4:
         raise DimensionTooSmallError(f"construction needs dimension >= 4, got {d}")
-    if np.linalg.norm(s) == 0 or np.linalg.norm(y) == 0:
+    if not s.any() or not y.any():
         raise ParallelTargetsError("S and Y must be nonzero")
-    resid = y - (y @ s) / (s @ s) * s
-    if np.linalg.norm(resid) <= _PARALLEL_TOL * np.linalg.norm(y):
+    if _parallel(_unit(s), _unit(y)):
         raise ParallelTargetsError("Y is a scalar multiple of S")
 
     theta_bar = np.array([1.0, 1.0])

@@ -34,12 +34,12 @@ from .exceptions import (
 )
 from .minnorm import (
     INTERP_RTOL,
-    RANK_RTOL,
     DesignMatrix,
     _as_columns,
     _as_matrix,
     _as_vector,
     _freeze,
+    _rank,
     _relative_residual,
     _require_full_row_rank,
 )
@@ -260,7 +260,7 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
     and the full model's pseudo-labels on the unlabeled points.
 
     Solves min ||theta||^2 s.t. Z theta = Y and Zu theta = Zu theta_full + Su w.
-    Zu must have full column rank (m >= d and smin/smax >= RANK_RTOL), so
+    Zu must have full column rank (rank d by minnorm's rank rule), so
     Zu theta = pseudo has at most one solution, and when the stacked system
     is consistent that solution is its minimum-norm one. It is read from one
     QR factorization Zu = QR as R^-1 Q' pseudo, with the rank decided by the
@@ -291,12 +291,8 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
         raise DimensionMismatchError(
             f"Su has {su.shape[1]} columns but the full model has {full.w_hat.shape[0]} spurious weights"
         )
-    full_rank = m >= d
-    if full_rank:
-        q, r = np.linalg.qr(zu)
-        s = np.linalg.svd(r, compute_uv=False)
-        full_rank = s[0] > 0 and s[-1] / s[0] >= RANK_RTOL
-    if not full_rank:
+    q, r = np.linalg.qr(zu)
+    if _rank(np.linalg.svd(r, compute_uv=False)) < d:
         raise RankDeficientError(f"unlabeled design ({m}x{d}) must have full column rank")
     pseudo = zu @ full.theta_hat + su @ full.w_hat
     rhs = np.concatenate([labeled.Y, pseudo])

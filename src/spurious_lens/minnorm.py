@@ -3,10 +3,10 @@
 A full-row-rank design is factored once, by a thin SVD Z = U S V' cached on
 the design. Its orthonormal row basis V backs the row-space projector
 P = V V', which is applied as V(V'x) and formed densely only on request;
-the same factors give every minimum-norm fit. Also here: the
-pseudoinverse-based minimum-norm solver (the oracle everything else is
-checked against), orthogonal-complement projectors, and the projector onto
-an intersection of two subspaces.
+the same factors give every minimum-norm fit. Also here: the least-norm
+solver by pseudoinverse (the oracle everything else is checked against),
+and complement and intersection projectors taken from orthonormal bases by
+a complete QR and by principal angles. One rule, _rank, decides every rank.
 
 All functions are pure and operate on immutable inputs; tolerances are the
 module constants below.
@@ -32,6 +32,11 @@ PINV_RTOL = 1e-12
 _SYM_TOL = 1e-10
 _ORTHO_TOL = 1e-9
 _EIG_TOL = 1e-8
+
+
+def _rank(s: np.ndarray) -> int:
+    """Numerical rank from descending singular values: the count above s[0] * RANK_RTOL."""
+    return int(np.count_nonzero(s > s[0] * RANK_RTOL))
 
 
 def _finite(a: np.ndarray, name: str) -> np.ndarray:
@@ -97,11 +102,10 @@ class DesignMatrix:
 
     @cached_property
     def full_row_rank(self) -> bool:
-        """n <= d and smin/smax >= RANK_RTOL."""
+        """n <= d and every singular value counts toward the rank (_rank)."""
         if self.rows > self.cols:
             return False
-        s = np.linalg.svd(self.entries, compute_uv=False)
-        return bool(s[0] > 0 and s[-1] / s[0] >= RANK_RTOL)
+        return _rank(np.linalg.svd(self.entries, compute_uv=False)) == self.rows
 
     @property
     def rows(self) -> int:
@@ -234,7 +238,7 @@ def row_space_projection(M: np.ndarray) -> Projection:
     """
     m = _as_matrix(M, "matrix")
     v, s, _ = np.linalg.svd(m.T, full_matrices=False)
-    return Projection(basis=v[:, s > s[0] * RANK_RTOL])
+    return Projection(basis=v[:, : _rank(s)])
 
 
 def min_norm_solve(A, y) -> MinNormSolution:
@@ -259,18 +263,18 @@ def min_norm_solve(A, y) -> MinNormSolution:
 
 
 def null_projection(pi: Projection) -> Projection:
-    """Projector onto the orthogonal complement: I - pi."""
-    return Projection.from_matrix(np.eye(pi.dim) - pi.matrix)
+    """Projector onto the orthogonal complement, I - pi, from a complete QR of pi's basis."""
+    return Projection(basis=np.linalg.qr(pi.basis, mode="complete")[0][:, pi.rank :])
 
 
 def intersection_projection(pi1: Projection, pi2: Projection) -> Projection:
-    """Projector onto range(pi1) intersected with range(pi2).
+    """Projector onto range(pi1) intersected with range(pi2), from principal angles.
 
-    Uses the parallel-sum identity 2 * pi1 (pi1 + pi2)^+ pi2; an empty
-    intersection yields the zero matrix.
+    The singular values of (I - pi1) V2, V2 pi2's basis, are the sines of the
+    principal angles (Bjorck & Golub, 1973); V2 times the right singular
+    vectors with sine <= RANK_RTOL spans the intersection, possibly rank 0.
     """
     if pi1.dim != pi2.dim:
         raise DimensionMismatchError(f"projection dims differ: {pi1.dim} vs {pi2.dim}")
-    pinv = np.linalg.pinv(pi1.matrix + pi2.matrix, rcond=PINV_RTOL)
-    p = 2.0 * pi1.matrix @ pinv @ pi2.matrix
-    return Projection.from_matrix((p + p.T) / 2.0)
+    _, sines, vt = np.linalg.svd(pi1.complement(pi2.basis), full_matrices=False)
+    return Projection(basis=pi2.basis @ vt[sines <= RANK_RTOL].T)

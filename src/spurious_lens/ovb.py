@@ -27,7 +27,7 @@ from .exceptions import (
     SignAssumptionError,
     SingularGramError,
 )
-from .minnorm import RANK_RTOL, _as_matrix, _as_vector, _freeze
+from .minnorm import _as_matrix, _as_vector, _freeze, _rank
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,7 @@ def ovb_bias(X, cross_moment, delta) -> np.ndarray:
             f"cross_moment must be {p} x {dv.shape[0]}, got {cm.shape}"
         )
     gram = x.T @ x
-    svals = np.linalg.svd(gram, compute_uv=False)
-    if svals[0] == 0.0 or svals[-1] / svals[0] < RANK_RTOL:
+    if _rank(np.linalg.svd(gram, compute_uv=False)) < p:
         raise SingularGramError("X'X is singular")
     return np.linalg.solve(gram, cm @ dv)
 

@@ -221,6 +221,37 @@ def test_junk_field_keeps_exit_contract(tmp_path_factory, field, junk, argv):
     assert status == 0 or out.getvalue() == ""
 
 
+# Scaling one block of the golden instance far up or down keeps analyze and
+# both constructions inside the exit contract: an overflow ends in a typed
+# error (exit 3 or a failed verification), never in a RuntimeWarning or in
+# main's untyped exit 1.
+SCALED_FIELDS = [
+    ("ground_truth", "theta_star"), ("ground_truth", "beta_stars"), ("train", "Z"),
+    ("unlabeled", "Zu"), ("unlabeled", "Su"), ("groups", 0, "sigma"),
+    ("groups", 1, "sigma", "diag"), ("robust", "gamma"),
+]
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-200, 1e300, 1e-300])
+@pytest.mark.parametrize("path", SCALED_FIELDS, ids=[".".join(map(str, p)) for p in SCALED_FIELDS])
+def test_scaled_field_keeps_exit_contract(capsys, tmp_path, path, scale):
+    doc = golden_instance()
+    value = doc
+    for key in path:
+        value = value[key]
+    set_field(doc, path, (np.asarray(value) * scale).tolist())
+    instance = write_instance(tmp_path, doc)
+    for argv in (
+        ["analyze", "--seed", "3"],
+        ["construct", "--mode", "disjoint", "--n", "4"],
+        ["construct", "--mode", "balanced", "--d", "12"],
+    ):
+        status, out, err = run(capsys, argv + ["--instance", instance])
+        assert status in (0, 2, 3, 4) or err.startswith("verification failed"), err
+        assert "Traceback" not in err
+        assert status == 0 or out == ""
+
+
 # A design is factored only where it is used: the disjoint construction
 # builds its projector from orthonormal rows, the balanced one factors its
 # training block once (row_space_projection), and analyze takes the rank SVD
@@ -503,6 +534,21 @@ class TestAnalyzeCommand:
         assert status == 3 and out == ""
         assert "not finite" in err and "Traceback" not in err
 
+    def test_overflowing_verdict_exit_3(self, capsys, tmp_path):
+        path = write_instance(
+            tmp_path,
+            {
+                "ground_truth": {"theta_star": [1e200, 1e200, 1e200], "beta_stars": [[1.0, 2.0, -2.0]]},
+                "train": {"Z": [[1.0, 0.0, 0.0]]},
+                "groups": [{"label": "z2", "sigma": {"diag": [0.0, 1.0, 1.0]}}],
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status, out, err = run(capsys, ["analyze", "--instance", path])
+        assert status == 3 and out == ""
+        assert "not finite" in err and "Traceback" not in err
+
     def test_diagonal_groups_need_no_eigendecomposition(self, capsys, tmp_path, monkeypatch):
         doc = json.loads((GOLDEN / "one_beta_no_robust.instance.json").read_text())
         d = len(doc["ground_truth"]["theta_star"])
@@ -637,19 +683,49 @@ class TestConstructCommand:
         assert status == 1 and out == ""
         assert err.startswith("verification failed: a1 is not representable") and "Traceback" not in err
 
-    def test_parallel_parameters_exit_4(self, capsys, tmp_path):
+    # The preconditions are scale-free: parallel inputs exit 4 at any scale,
+    # with no overflow or underflow on the way.
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-200])
+    def test_parallel_parameters_exit_4(self, capsys, tmp_path, scale):
+        theta = [scale, 0.0, scale, 0.0]
         path = write_instance(
-            tmp_path,
-            {"ground_truth": {"theta_star": [1.0, 0.0, 1.0, 0.0], "beta_stars": [[2.0, 0.0, 2.0, 0.0]]}},
+            tmp_path, {"ground_truth": {"theta_star": theta, "beta_stars": [[2.0 * t for t in theta]]}}
         )
-        status, _, err = run(capsys, ["construct", "--mode", "disjoint", "--instance", path, "--n", "2"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status, _, err = run(capsys, ["construct", "--mode", "disjoint", "--instance", path, "--n", "2"])
         assert status == 4
-        assert "construction precondition" in err
+        assert "construction precondition" in err and "scalar multiple" in err
 
-    def test_parallel_targets_exit_4(self, capsys, tmp_path):
-        path = write_instance(tmp_path, {"scenario": {"S": [1.0, 2.0], "Y": [3.0, 6.0], "d": 4}})
-        status, _, _ = run(capsys, ["construct", "--mode", "balanced", "--instance", path])
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-200])
+    def test_parallel_targets_exit_4(self, capsys, tmp_path, scale):
+        s = [scale, 2.0 * scale]
+        path = write_instance(tmp_path, {"scenario": {"S": s, "Y": [3.0 * v for v in s], "d": 4}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status, _, err = run(capsys, ["construct", "--mode", "balanced", "--instance", path])
         assert status == 4
+        assert "scalar multiple" in err
+
+    # Orthogonal parameters and non-parallel targets pass the preconditions
+    # at every scale; a construction whose numbers leave the float range
+    # ends in a typed error, never a traceback.
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-200])
+    @pytest.mark.parametrize("mode", ["disjoint", "balanced"])
+    def test_non_parallel_inputs_pass_preconditions(self, capsys, tmp_path, mode, scale):
+        doc = {
+            "ground_truth": {"theta_star": [scale, 0.0, 0.0, 0.0], "beta_stars": [[0.0, 2.0 * scale, 0.0, 0.0]]},
+            "scenario": {"S": [scale, 2.0 * scale], "Y": [2.0 * scale, scale], "d": 6},
+        }
+        argv = ["construct", "--mode", mode, "--instance", write_instance(tmp_path, doc), "--n", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status, out, err = run(capsys, argv)
+        assert status != 4, err
+        assert status in (0, 3) or err.startswith("verification failed"), err
+        assert "Traceback" not in err
+        if scale == 1.0:
+            assert status == 0 and json.loads(out)["verified"] is True
 
     def test_csv_projection(self, capsys, tmp_path):
         path = write_instance(tmp_path, {"scenario": {"S": [1.0, 1.0], "Y": [1.0, 0.0], "d": 4}})

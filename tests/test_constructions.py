@@ -130,6 +130,10 @@ class TestConstructDisjoint:
         theta, beta = np.array([1e-10, 0.0, 1e-10, 0.0, 0.0, 0.0]), np.array([0.0, 1e10, 0.0, 1e10, 0.0, 0.0])
         with pytest.raises(VerificationError, match="overflows"):
             construct_disjoint(theta, beta, n=2, x=1e300)
+        # ||beta*|| / ||theta*|| itself past the float range
+        theta, beta = 1e-290 * theta, 1e290 * beta
+        with pytest.raises(VerificationError, match="overflows"):
+            construct_disjoint(theta, beta, n=2)
 
     @pytest.mark.parametrize("need", [0.0, 1e-300, 0.5, 1.0, 1.5, 3.0, 3.5, 7.0, 1e6, 2.0**60, 1e300])
     def test_widening_matches_the_doubling_loop(self, need):

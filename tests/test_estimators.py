@@ -16,6 +16,7 @@ from spurious_lens import (
     fit_rst,
     implicit_weights,
     min_norm_solve,
+    ovb_bias,
     population_error,
     predict,
     projection,
@@ -25,6 +26,7 @@ from spurious_lens.exceptions import (
     InconsistentConstraintsError,
     InconsistentSystemError,
     RankDeficientError,
+    SingularGramError,
     SpuriousLensError,
 )
 
@@ -305,18 +307,26 @@ class TestFitRst:
 
     # The rank is read from the singular values of R with the library's
     # RANK_RTOL, not numpy's max(m, d) * eps: a smin/smax of 3e-11 is refused.
+    # The same rule decides a design's row rank and the OVB Gram matrix's
+    # rank, so both flip between the same two ratios.
     @pytest.mark.parametrize("ratio,ok", [(3e-10, True), (3e-11, False)])
     def test_column_rank_follows_rank_rtol(self, ratio, ok):
         rng = np.random.default_rng(18)
         data = table2()
+        spectrum = np.diag([1.0, 0.5, ratio])
         u, _, vt = np.linalg.svd(rng.standard_normal((5, 3)), full_matrices=False)
-        zu = u @ np.diag([1.0, 0.5, ratio]) @ vt
+        zu = u @ spectrum @ vt
         unlabeled = UnlabeledData(Zu=zu, Su=zu @ data.truth.beta_stars[0])
+        assert DesignMatrix(zu.T).full_row_rank == ok
+        x = np.sqrt(spectrum) @ vt  # X'X has the singular values [1, 0.5, ratio]
         if ok:
             assert_allclose(fit_rst(data, unlabeled, fit_full(data)).theta_hat, [2.0, 2.0, -2.0], atol=1e-4)
+            ovb_bias(x, np.ones((3, 1)), np.ones(1))
         else:
             with pytest.raises(RankDeficientError, match="must have full column rank"):
                 fit_rst(data, unlabeled, fit_full(data))
+            with pytest.raises(SingularGramError):
+                ovb_bias(x, np.ones((3, 1)), np.ones(1))
 
     # Near the rank cutoff the solve from Zu's QR alone misses the labels by
     # about cond(Zu) * eps; the stacked system's own QR then interpolates both.

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -33,6 +34,20 @@ def intersection_by_basis(p1, p2):
     _, s, vt = np.linalg.svd(stacked)
     null = vt[np.concatenate([s, np.zeros(max(0, d - s.size))]) < 1e-10]
     return null.T @ null
+
+
+def line_pair(angle):
+    """Two lines in R^3 at the given principal angle."""
+    u2 = np.array([[math.cos(angle)], [math.sin(angle)], [0.0]])
+    return Projection(basis=np.eye(3)[:, :1]), Projection(basis=u2)
+
+
+def refuse_dense_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense projector algebra")
+
+    monkeypatch.setattr(np.linalg, "pinv", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
 
 
 def kkt_min_norm(a, y):
@@ -191,6 +206,21 @@ class TestNullProjection:
             back = null_projection(null_projection(pi))
             assert np.max(np.abs(back.matrix - pi.matrix)) < 1e-12
             assert back.rank == pi.rank
+        # rank-0 and full-rank inputs
+        for pi in (Projection(basis=np.zeros((5, 0))), random_projection(rng, 5, 5)):
+            out = null_projection(pi)
+            assert out.rank == 5 - pi.rank
+            assert_allclose(out.matrix, np.eye(5) - pi.matrix, atol=1e-12)
+            back = null_projection(out)
+            assert np.max(np.abs(back.matrix - pi.matrix)) < 1e-12
+            assert back.rank == pi.rank
+
+    def test_no_pinv_or_eigh(self, monkeypatch):
+        pi = random_projection(np.random.default_rng(8), 7, 3)
+        refuse_dense_algebra(monkeypatch)
+        out = null_projection(pi)
+        assert out.rank == 4
+        assert_allclose(out.matrix, np.eye(7) - pi.matrix, atol=1e-12)
 
 
 class TestIntersectionProjection:
@@ -219,6 +249,40 @@ class TestIntersectionProjection:
             out = intersection_projection(p1, p2)
             oracle = intersection_by_basis(p1.matrix, p2.matrix)
             assert_allclose(out.matrix, oracle, atol=1e-7)
+        # rank-0 and full-rank inputs, on either side
+        d = 6
+        some = random_projection(rng, d, 3)
+        for p1, p2 in [
+            (random_projection(rng, d, 0), some),
+            (some, random_projection(rng, d, 0)),
+            (random_projection(rng, d, d), some),
+            (some, random_projection(rng, d, d)),
+            (random_projection(rng, d, d), random_projection(rng, d, d)),
+            (random_projection(rng, d, 0), random_projection(rng, d, 0)),
+        ]:
+            out = intersection_projection(p1, p2)
+            oracle = intersection_by_basis(p1.matrix, p2.matrix)
+            assert out.rank == round(float(np.trace(oracle)))
+            assert_allclose(out.matrix, oracle, atol=1e-7)
+
+    def test_no_pinv_or_eigh(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        p1, p2 = random_projection(rng, 9, 6), random_projection(rng, 9, 5)
+        oracle = intersection_by_basis(p1.matrix, p2.matrix)
+        refuse_dense_algebra(monkeypatch)
+        out = intersection_projection(p1, p2)
+        assert out.rank == 2
+        assert_allclose(out.matrix, oracle, atol=1e-10)
+
+    # Lines at an angle above RANK_RTOL do not meet, as the basis oracle says;
+    # a cutoff on the squared sines, as pinv(P1 + P2) applies, would merge
+    # them up to an angle of about 1e-6.
+    @pytest.mark.parametrize("angle,rank", [(1e-6, 0), (1e-7, 0), (1e-9, 0), (1e-12, 1)])
+    def test_nearly_parallel_lines(self, angle, rank):
+        p1, p2 = line_pair(angle)
+        out = intersection_projection(p1, p2)
+        assert out.rank == rank
+        assert_allclose(out.matrix, intersection_by_basis(p1.matrix, p2.matrix), atol=1e-12)
 
     def test_shared_direction_recovered(self):
         rng = np.random.default_rng(6)
