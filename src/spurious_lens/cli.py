@@ -14,6 +14,7 @@ JSON output is byte-deterministic for a fixed command line and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict
 
@@ -22,6 +23,7 @@ import numpy as np
 from . import analysis, constructions, estimators, scenarios
 from .exceptions import (
     DimensionTooSmallError,
+    NonFiniteResultError,
     ParallelParametersError,
     ParallelTargetsError,
     SpuriousLensError,
@@ -42,6 +44,26 @@ from .serialize import (
 TABLES_TOL = 1e-9
 
 _CONSTRUCTION_ERRORS = (ParallelParametersError, ParallelTargetsError, DimensionTooSmallError)
+
+# Each scenario's runner (seed, **parameters) and its (key, type, default)
+# parameters, read from the scenario block or --trials and checked in order.
+# The runners look the scenario functions up when called, so a wrapper set
+# on the scenarios module (perfbench's tracer) is the one that runs.
+_SCENARIOS = {
+    "example1": (
+        lambda seed, **kw: scenarios.example1_simulate(scenarios.Example1Spec(seed=seed, **kw)),
+        (("n", _integer, 20), ("p", float, 0.9), ("trials", _integer, 10_000)),
+    ),
+    "example2": (
+        lambda seed, **kw: scenarios.example2_simulate(seed=seed, **kw),
+        (("n", _integer, 20), ("p_s", float, 0.9), ("trials", _integer, 10_000)),
+    ),
+    "ovb-simple": (
+        lambda seed, **kw: scenarios.ovb_simple_scenario(seed=seed, **kw),
+        (("trials", _integer, 100_000), ("sigma", float, 1.0), ("gamma", float, 1.0), ("threshold", float, 1.5)),
+    ),
+    "tables": (lambda seed: scenarios.reference_tables(), ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,9 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_si = sub.add_parser("simulate", help="run a named scenario")
     common(p_si)
-    p_si.add_argument(
-        "--scenario", choices=("example1", "example2", "ovb-simple", "tables"), required=True
-    )
+    p_si.add_argument("--scenario", choices=tuple(_SCENARIOS), required=True)
     p_si.add_argument("--trials", type=int)
     return parser
 
@@ -96,8 +116,11 @@ def _emit(args, document: dict, fieldnames: list[str], rows) -> None:
     """Write the JSON document, or with --format csv the rows that rows() builds."""
     payload = rows_to_csv(fieldnames, rows()) if args.format == "csv" else dumps_canonical(document)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise InstanceError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(payload)
 
@@ -121,16 +144,19 @@ def cmd_fit(args) -> int:
     inst = _load_instance(args)
     model = _fit_requested_model(inst, args.model)
     residual = estimators.interpolation_residual(inst.data, model.theta_hat, model.w_hat)
+    with np.errstate(over="ignore"):
+        theta_sq, w_sq = float(model.theta_hat @ model.theta_hat), float(model.w_hat @ model.w_hat)
+    norms = dict(theta_norm_sq=theta_sq, w_norm_sq=w_sq, total_norm_sq=theta_sq + w_sq, train_residual=residual)
+    non_finite = [name for name, value in norms.items() if not math.isfinite(value)]
+    if non_finite:
+        raise NonFiniteResultError(f"not finite in the fit report: {', '.join(non_finite)}")
     doc = {
         "command": "fit",
         "model": model.kind,
         "seed": args.seed,
         "theta_hat": model.theta_hat,
         "w_hat": model.w_hat,
-        "theta_norm_sq": float(model.theta_hat @ model.theta_hat),
-        "w_norm_sq": float(model.w_hat @ model.w_hat),
-        "total_norm_sq": model.squared_norm,
-        "train_residual": residual,
+        **norms,
     }
 
     def rows():
@@ -271,40 +297,14 @@ def cmd_simulate(args) -> int:
     params = _load_instance(args).scenario if args.instance else {}
     if args.trials is not None:
         params = dict(params, trials=args.trials)
-
-    def param(key: str, kind, default):
-        value = params.get(key)
-        return _number(default if value is None else value, kind, f"scenario.{key}")
-
     name = args.scenario
-    if name == "example1":
-        kwargs = {
-            "n": param("n", _integer, 20),
-            "p": param("p", float, 0.9),
-            "trials": param("trials", _integer, 10_000),
-        }
-    elif name == "example2":
-        kwargs = {
-            "n": param("n", _integer, 20),
-            "p_s": param("p_s", float, 0.9),
-            "trials": param("trials", _integer, 10_000),
-        }
-    elif name == "ovb-simple":
-        kwargs = {
-            "trials": param("trials", _integer, 100_000),
-            "sigma": param("sigma", float, 1.0),
-            "gamma": param("gamma", float, 1.0),
-            "threshold": param("threshold", float, 1.5),
-        }
+    runner, spec = _SCENARIOS[name]
+    kwargs = {
+        key: _number(default if params.get(key) is None else params[key], kind, f"scenario.{key}")
+        for key, kind, default in spec
+    }
     try:
-        if name == "tables":
-            report = scenarios.reference_tables()
-        elif name == "example1":
-            report = scenarios.example1_simulate(scenarios.Example1Spec(seed=args.seed, **kwargs))
-        elif name == "example2":
-            report = scenarios.example2_simulate(seed=args.seed, **kwargs)
-        else:
-            report = scenarios.ovb_simple_scenario(seed=args.seed, **kwargs)
+        report = runner(args.seed, **kwargs)
     except ValueError as exc:
         raise InstanceError(f"bad scenario parameters: {exc}") from exc
 
@@ -362,9 +362,6 @@ def main(argv=None) -> int:
     except SpuriousLensError as exc:
         print(f"numerical precondition failed: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -23,11 +23,12 @@ from .analysis import RemovalVerdict, TestDistribution, removal_verdict
 from .estimators import GroundTruth
 from .exceptions import (
     DimensionTooSmallError,
+    NonFiniteResultError,
     ParallelParametersError,
     ParallelTargetsError,
     VerificationError,
 )
-from .minnorm import RANK_RTOL, DesignMatrix, Projection, _as_vector, min_norm_solve, row_space_projection
+from .minnorm import RANK_RTOL, DesignMatrix, Projection, _as_vector, _scaled, min_norm_solve, row_space_projection
 
 # Verdict error gaps below this are treated as verification failures.
 GAP_TOL = 1e-9
@@ -60,15 +61,6 @@ class CounterexampleBundle:
             raise VerificationError("core model does not win on its test design")
         if v1.error_core - v1.error_full <= GAP_TOL or v2.error_full - v2.error_core <= GAP_TOL:
             raise VerificationError("error gaps are not strictly positive")
-
-
-def _scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """(v 2^-e, e) such that no square of v 2^-e overflows or underflows: e = 0 while
-    max|v| lies in [2^-450, 2^450], else the exponent that brings it into [0.5, 1)."""
-    e = math.frexp(float(max(v.max(), -v.min())))[1]
-    if abs(e) <= 450:
-        return v, 0
-    return np.ldexp(v, -e), e
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -176,9 +168,9 @@ def construct_disjoint(
     truth = GroundTruth(theta_star=theta, beta_stars=(beta,))
     z_full_wins = np.tile(a2 / n, (n, 1))
     z_core_wins = np.tile(a3 / n, (n, 1))
-    # Scaled by a power of two (exact) so that hypot neither overflows nor
-    # underflows; an a1 rounded to subnormals has lost its direction.
-    a1_dir = np.ldexp(a1, -math.frexp(np.max(np.abs(a1)))[1])
+    # hypot neither overflows nor underflows on the scaled a1; an a1 rounded
+    # to subnormals has lost its direction.
+    a1_dir, _ = _scaled(a1)
     try:
         pi = Projection(basis=np.vstack([a1_dir / math.hypot(*a1_dir), padding]).T)
     except ValueError as exc:
@@ -225,9 +217,13 @@ def construct_balanced(S, Y, d: int) -> CounterexampleBundle:
     beta[d - 1] = 1.0
     truth = GroundTruth(theta_star=theta, beta_stars=(beta,))
 
+    with np.errstate(over="ignore"):
+        y_minus_s = y - s
+    if not np.isfinite(y_minus_s).all():
+        raise NonFiniteResultError("the training column Y - S overflows")
     z_train = np.zeros((n, d))
     z_train[:, 0] = s
-    z_train[:, 1] = y - s
+    z_train[:, 1] = y_minus_s
 
     def perturbed(direction: np.ndarray) -> np.ndarray:
         a = np.zeros(d)

@@ -42,6 +42,7 @@ from .minnorm import (
     _rank,
     _relative_residual,
     _require_full_row_rank,
+    _scaled,
 )
 
 MODEL_KINDS = ("core", "full", "multi", "rst")
@@ -167,11 +168,14 @@ class LinearModel:
 
 
 def interpolation_residual(data: LabeledData, theta: np.ndarray, w: np.ndarray) -> float:
-    """Norm of the training residual Z theta + S w - Y."""
-    pred = data.Z.entries @ theta
-    if w.size:
-        pred = pred + data.S @ w
-    return float(np.linalg.norm(pred - data.Y))
+    """Norm of the training residual Z theta + S w - Y, taken of the residual
+    scaled by _scaled; inf or nan, with no warning, when it is not representable."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = data.Z.entries @ theta
+        if w.size:
+            pred = pred + data.S @ w
+        r, e = _scaled(pred - data.Y)
+        return float(np.ldexp(np.linalg.norm(r), e))
 
 
 def _check_interpolation(Z: DesignMatrix, cols: np.ndarray, Y: np.ndarray, theta, w) -> None:
@@ -196,7 +200,12 @@ def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray
     SVD Z = U S V', theta_i = V c_i where c_i = b - A_i w_i,
     A_i = S^{-1} U' cols_i and b = S^{-1} U' Y; minimizing
     ||c_i||^2 + ||w_i||^2 gives (I + A_i'A_i) w_i = A_i'b, solved for all
-    blocks by one broadcast solve. Nothing here squares cond(Z). Raises
+    blocks by one broadcast solve. Nothing here squares cond(Z). Only when
+    A'A overflows (a column of A past about 1e154) is each column of A first
+    scaled by the power of two that brings its max|a_j| into [0.5, 1):
+    with A~ = A 2^-E, (2^-2E + A~'A~) x = A~'b and w = 2^-E x. Raises
+    RankDeficientError when that k x k system is singular in floating point
+    (collinear columns so large that the identity is lost next to A'A), and
     InconsistentSystemError when the worst block fails to interpolate Y.
     """
     cols = np.asarray(cols, dtype=float)
@@ -212,7 +221,19 @@ def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray
     if k:
         a = (u.T @ cols) / s[:, None]
         at = a.transpose(0, 2, 1)
-        w = np.linalg.solve(np.eye(k) + at @ a, (at @ b)[..., None])[..., 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = at @ a
+        try:
+            if np.isfinite(gram).all():
+                w = np.linalg.solve(np.eye(k) + gram, (at @ b)[..., None])[..., 0]
+            else:
+                e = np.frexp(np.max(np.abs(a), axis=1))[1][:, None, :]
+                a_s = np.ldexp(a, -e)
+                at_s = a_s.transpose(0, 2, 1)
+                x = np.linalg.solve(np.ldexp(np.eye(k), -2 * e) + at_s @ a_s, (at_s @ b)[..., None])
+                w = np.ldexp(x[..., 0], -e[:, 0])
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficientError(f"the spurious-weight system is singular: {exc}") from exc
         c = b - (a @ w[..., None])[..., 0]
     else:
         w = np.zeros((t, 0))

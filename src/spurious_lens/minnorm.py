@@ -194,20 +194,25 @@ class Projection:
         return x - self.project(x)
 
 
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(v 2^-e, e) such that no square of v 2^-e overflows or underflows: e = 0 while
+    max|v| lies in [2^-450, 2^450], else the exponent that brings it into [0.5, 1)."""
+    e = math.frexp(float(max(v.max(), -v.min())))[1]
+    if abs(e) <= 450:
+        return v, 0
+    return np.ldexp(v, -e), e
+
+
 def _relative_residual(res: np.ndarray, b: np.ndarray) -> float:
     """max ||res_i|| / ||b|| over the rows res_i of res (||res_i|| when b is 0).
 
-    When max|b| lies outside [2^-450, 2^450], where squares could overflow
-    or underflow, res and b are first scaled by the power of two that brings
-    it into [0.5, 1), which is exact; so the ratio is right wherever it is
-    representable. A residual far above b gives inf, a non-finite one inf
-    or nan.
+    res and b are scaled together by _scaled(b), so the ratio is right
+    wherever it is representable. A residual far above b gives inf, a
+    non-finite one inf or nan.
     """
-    e = -math.frexp(float(np.max(np.abs(b), initial=0.0)))[1]
-    if abs(e) > 450:
-        res, b = np.ldexp(res, e), np.ldexp(b, e)
+    b, e = _scaled(b)
     with np.errstate(over="ignore"):
-        residual = float(np.max(np.linalg.norm(res, axis=-1)))
+        residual = float(np.max(np.linalg.norm(np.ldexp(res, -e) if e else res, axis=-1)))
     scale = float(np.linalg.norm(b))
     return residual / scale if scale > 0 else residual
 

@@ -221,10 +221,10 @@ def test_junk_field_keeps_exit_contract(tmp_path_factory, field, junk, argv):
     assert status == 0 or out.getvalue() == ""
 
 
-# Scaling one block of the golden instance far up or down keeps analyze and
-# both constructions inside the exit contract: an overflow ends in a typed
-# error (exit 3 or a failed verification), never in a RuntimeWarning or in
-# main's untyped exit 1.
+# Scaling one block of the golden instance far up or down keeps every fit,
+# analyze and both constructions inside the exit contract: a number that
+# leaves the float range ends in a typed error (exit 3, or exit 1 with a
+# failed verification), never in a RuntimeWarning or a traceback.
 SCALED_FIELDS = [
     ("ground_truth", "theta_star"), ("ground_truth", "beta_stars"), ("train", "Z"),
     ("unlabeled", "Zu"), ("unlabeled", "Su"), ("groups", 0, "sigma"),
@@ -242,6 +242,7 @@ def test_scaled_field_keeps_exit_contract(capsys, tmp_path, path, scale):
     set_field(doc, path, (np.asarray(value) * scale).tolist())
     instance = write_instance(tmp_path, doc)
     for argv in (
+        *(["fit", "--model", model] for model in ("core", "full", "multi", "rst")),
         ["analyze", "--seed", "3"],
         ["construct", "--mode", "disjoint", "--n", "4"],
         ["construct", "--mode", "balanced", "--d", "12"],
@@ -410,6 +411,24 @@ class TestFitCommand:
     def test_missing_instance_exit_2(self, capsys):
         status, _, _ = run(capsys, ["fit"])
         assert status == 2
+
+    @pytest.mark.parametrize("output", ["missing/out.json", "."], ids=["missing_dir", "directory"])
+    def test_unwritable_output_exit_2(self, capsys, tmp_path, output):
+        argv = ["fit", "--instance", str(GOLDEN / "one_beta.instance.json"), "--output", str(tmp_path / output)]
+        status, out, err = run(capsys, argv)
+        assert status == 2 and out == ""
+        assert err.startswith("input error: cannot write output file") and "Traceback" not in err
+
+    # Two equal spurious columns at 1e100: I + A'A is singular in floating point.
+    def test_equal_huge_spurious_columns_exit_3(self, capsys, tmp_path):
+        doc = json.loads((GOLDEN / "two_betas.instance.json").read_text())
+        beta = [1e100 * b for b in doc["ground_truth"]["beta_stars"][0]]
+        doc["ground_truth"]["beta_stars"] = [beta, beta]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status, out, err = run(capsys, ["fit", "--model", "multi", "--instance", write_instance(tmp_path, doc)])
+        assert status == 3 and out == ""
+        assert "spurious-weight system is singular" in err
 
     def test_unknown_block_exit_2(self, capsys, tmp_path):
         path = write_instance(
@@ -709,14 +728,17 @@ class TestConstructCommand:
 
     # Orthogonal parameters and non-parallel targets pass the preconditions
     # at every scale; a construction whose numbers leave the float range
-    # ends in a typed error, never a traceback.
-    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-200])
-    @pytest.mark.parametrize("mode", ["disjoint", "balanced"])
+    # ends in a typed error, never a traceback. The last input's S and Y are
+    # finite but Y - S, a column of the balanced training design, overflows.
+    @pytest.mark.parametrize("mode,scale", [
+        *((mode, scale) for mode in ("balanced", "disjoint") for scale in (1.0, 1e160, 1e-200)),
+        pytest.param("balanced", None, id="balanced-Y_minus_S_overflows"),
+    ])
     def test_non_parallel_inputs_pass_preconditions(self, capsys, tmp_path, mode, scale):
         doc = {
             "ground_truth": {"theta_star": [scale, 0.0, 0.0, 0.0], "beta_stars": [[0.0, 2.0 * scale, 0.0, 0.0]]},
             "scenario": {"S": [scale, 2.0 * scale], "Y": [2.0 * scale, scale], "d": 6},
-        }
+        } if scale else {"scenario": {"S": [1e308, 0.0], "Y": [-1e308, 1e308], "d": 6}}
         argv = ["construct", "--mode", mode, "--instance", write_instance(tmp_path, doc), "--n", "1"]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -726,6 +748,8 @@ class TestConstructCommand:
         assert "Traceback" not in err
         if scale == 1.0:
             assert status == 0 and json.loads(out)["verified"] is True
+        if scale is None:
+            assert status == 3 and "Y - S overflows" in err
 
     def test_csv_projection(self, capsys, tmp_path):
         path = write_instance(tmp_path, {"scenario": {"S": [1.0, 1.0], "Y": [1.0, 0.0], "d": 4}})

@@ -162,6 +162,45 @@ class TestFitMulti:
             assert_allclose(a.w_hat, b.w_hat, atol=1e-9)
 
 
+def scaled_closed_form(data):
+    """theta and w from the truth form with each beta_j = 2^E_j b_j, b_j's max in [0.5, 1):
+    (2^-2E + G) x = c with G_ij = b_i'P b_j and c_i = theta*'P b_i, w = 2^-E x and
+    theta = P(theta* - sum_j x_j b_j), so no quantity overflows at any scale."""
+    pi = projection(data.Z).matrix
+    exps = [int(np.frexp(np.max(np.abs(b)))[1]) for b in data.truth.beta_stars]
+    bs = np.array([np.ldexp(b, -e) for b, e in zip(data.truth.beta_stars, exps)])
+    x = np.linalg.solve(np.diag(np.ldexp(1.0, [-2 * e for e in exps])) + bs @ pi @ bs.T,
+                        bs @ pi @ data.truth.theta_star)
+    return pi @ (data.truth.theta_star - x @ bs), np.ldexp(x, [-e for e in exps])
+
+
+class TestHugeSpuriousColumns:
+    # A spurious column past about 1e154 overflows A'A; its weight is then
+    # solved from columns scaled by powers of two, not dropped to zero.
+    @pytest.mark.parametrize("scale", [1e100, 1e160, 1e300])
+    @pytest.mark.parametrize("fit,k", [(fit_full, 1), (fit_multi, 2)])
+    def test_matches_scale_aware_closed_form(self, fit, k, scale):
+        rng = np.random.default_rng(23)
+        z = DesignMatrix(rng.standard_normal((5, 12)))
+        betas = (rng.standard_normal(12) * scale, rng.standard_normal(12))[:k]
+        data = LabeledData.from_truth(z, GroundTruth(rng.standard_normal(12), betas))
+        theta, w = scaled_closed_form(data)
+        model = fit(data)
+        assert abs(model.w_hat[0]) > 0.0
+        assert_allclose(model.w_hat, w, rtol=1e-12, atol=0.0)
+        assert_allclose(model.theta_hat, theta, rtol=0.0, atol=1e-12 * np.max(np.abs(theta)))
+
+    # Two equal columns so large that the identity is lost next to A'A leave
+    # the weight system singular in floating point: a typed error.
+    @pytest.mark.parametrize("scale", [1e100, 1e300])
+    def test_equal_huge_columns_raise_rank_deficient(self, scale):
+        rng = np.random.default_rng(29)
+        beta = rng.standard_normal(12) * scale
+        truth = GroundTruth(rng.standard_normal(12), (beta, beta))
+        with pytest.raises(RankDeficientError, match="spurious-weight system is singular"):
+            fit_multi(LabeledData.from_truth(DesignMatrix(rng.standard_normal((5, 12))), truth))
+
+
 class TestOracleEquivalence:
     def test_fits_match_min_norm_oracle(self):
         rng = np.random.default_rng(13)
