@@ -191,6 +191,12 @@ class RobustSpec:
         if self.norm_kind not in NORM_KINDS:
             raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {self.norm_kind!r}")
 
+    def row_norms(self, z: np.ndarray) -> np.ndarray:
+        """Norm of each row of z in this budget's norm."""
+        if self.norm_kind == "l2":
+            return np.linalg.norm(z, axis=1)
+        return np.max(np.abs(z), axis=1)
+
     def spurious_halfwidth(self, beta_star: np.ndarray) -> float:
         """Half-width of the spurious perturbation interval (dual norm of beta*)."""
         if self.norm_kind == "l2":
@@ -289,29 +295,19 @@ def _sample_bounded_gaussian(
     # eigh of diag(v), not sqrt(v), so a diagonal's draws are its matrix's
     eigval, eigvec = np.linalg.eigh(dist.matrix)
     factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    d = dist.dim
-    out = np.empty((samples, d))
-    filled = 0
-    attempts = 0
-    batch = max(samples, 512)
-    while filled < samples:
-        attempts += 1
-        if attempts > 1000:
-            raise SamplerExhaustedError(
-                f"rejection sampling kept exceeding ||z|| <= {spec.gamma}; "
-                "gamma is too small for this second moment"
-            )
-        g = rng.standard_normal((batch, d))
-        z = g @ factor.T
-        if spec.norm_kind == "l2":
-            norms = np.linalg.norm(z, axis=1)
-        else:
-            norms = np.max(np.abs(z), axis=1)
-        z = z[norms <= spec.gamma]
-        take = min(samples - filled, z.shape[0])
-        out[filled : filled + take] = z[:take]
-        filled += take
-    return out
+    kept, need = [], samples
+    for _ in range(1000):
+        z = rng.standard_normal((max(samples, 512), dist.dim)) @ factor.T
+        # cut by index: a slice of the masked rows would keep all of them alive
+        z = z[np.flatnonzero(spec.row_norms(z) <= spec.gamma)[:need]]
+        kept.append(z)
+        need -= z.shape[0]
+        if not need:
+            return np.concatenate(kept)
+    raise SamplerExhaustedError(
+        f"rejection sampling kept exceeding ||z|| <= {spec.gamma}; "
+        "gamma is too small for this second moment"
+    )
 
 
 def robust_errors(

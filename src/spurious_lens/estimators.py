@@ -120,8 +120,10 @@ class LabeledData:
     def from_truth(cls, Z: DesignMatrix, truth: GroundTruth) -> "LabeledData":
         """Generate S and Y from the truth on the given design."""
         z = Z.entries
-        s = np.column_stack([z @ b for b in truth.beta_stars]) if truth.beta_stars else np.zeros((Z.rows, 0))
-        return cls(Z=Z, S=s, Y=z @ truth.theta_star, truth=truth)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.column_stack([z @ b for b in truth.beta_stars]) if truth.beta_stars else np.zeros((Z.rows, 0))
+            y = z @ truth.theta_star
+        return cls(Z=Z, S=s, Y=y, truth=truth)
 
     @property
     def n_spurious(self) -> int:
@@ -201,11 +203,11 @@ def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray
     A_i = S^{-1} U' cols_i and b = S^{-1} U' Y; minimizing
     ||c_i||^2 + ||w_i||^2 gives (I + A_i'A_i) w_i = A_i'b, solved for all
     blocks by one broadcast solve. Nothing here squares cond(Z). Only when
-    A'A overflows (a column of A past about 1e154) is each column of A first
-    scaled by the power of two that brings its max|a_j| into [0.5, 1):
-    with A~ = A 2^-E, (2^-2E + A~'A~) x = A~'b and w = 2^-E x. Raises
-    RankDeficientError when that k x k system is singular in floating point
-    (collinear columns so large that the identity is lost next to A'A), and
+    A'A or A'b overflows is each column of A with max|a_j| >= 0.5 scaled
+    by the power of two that brings it into [0.5, 1): with A~ = A 2^-E,
+    (2^-2E + A~'A~) x = A~'b and w = 2^-E x. Raises RankDeficientError
+    when that k x k system is singular in floating point (collinear columns
+    so large that the identity is lost next to A'A), and
     InconsistentSystemError when the worst block fails to interpolate Y.
     """
     cols = np.asarray(cols, dtype=float)
@@ -222,12 +224,12 @@ def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray
         a = (u.T @ cols) / s[:, None]
         at = a.transpose(0, 2, 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = at @ a
+            gram, atb = at @ a, at @ b
         try:
-            if np.isfinite(gram).all():
-                w = np.linalg.solve(np.eye(k) + gram, (at @ b)[..., None])[..., 0]
+            if np.isfinite(gram).all() and np.isfinite(atb).all():
+                w = np.linalg.solve(np.eye(k) + gram, atb[..., None])[..., 0]
             else:
-                e = np.frexp(np.max(np.abs(a), axis=1))[1][:, None, :]
+                e = np.maximum(np.frexp(np.max(np.abs(a), axis=1))[1], 0)[:, None, :]
                 a_s = np.ldexp(a, -e)
                 at_s = a_s.transpose(0, 2, 1)
                 x = np.linalg.solve(np.ldexp(np.eye(k), -2 * e) + at_s @ a_s, (at_s @ b)[..., None])

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spurious_lens
+from spurious_lens import scenarios
 from spurious_lens.cli import main
 from spurious_lens.serialize import csv_to_rows, dumps_canonical
 
@@ -118,6 +119,19 @@ MALFORMED_INPUTS = [
         {**BALANCED_FROM_SCENARIO, ("scenario", "S"): [1.0, float("nan")]},
         ["construct", "--mode", "balanced"],
     ),
+    # a block a command needs is missing, or the document is not an object
+    ("instance_top_level_array", b"[1.0, 2.0]", ["fit"]),
+    ("train_Z_only_without_truth", b'{"train": {"Z": [[1.0, 0.0]]}}', ["fit"]),
+    ("fit_without_train", b'{"ground_truth": {"theta_star": [1.0, 0.0]}}', ["fit"]),
+    (
+        "fit_rst_without_unlabeled",
+        b'{"train": {"Z": [[1.0, 0.0]], "S": [1.0], "Y": [2.0]}}',
+        ["fit", "--model", "rst"],
+    ),
+    ("analyze_without_truth", b'{"train": {"Z": [[1.0, 0.0]], "S": [1.0], "Y": [2.0]}}', ["analyze"]),
+    ("disjoint_without_truth", b'{"scenario": {"n": 4}}', ["construct", "--mode", "disjoint"]),
+    ("disjoint_without_n", {}, ["construct", "--mode", "disjoint"]),
+    ("balanced_without_S_Y", {("ground_truth", "beta_stars"): []}, ["construct", "--mode", "balanced", "--d", "12"]),
 ]
 
 
@@ -127,6 +141,13 @@ def set_field(doc, path, value):
     for p in parents:
         target = target[p] if isinstance(target, list) else target.setdefault(p, {})
     target[key] = value
+
+
+def scale_field(doc, path, scale):
+    value = doc
+    for key in path:
+        value = value[key]
+    set_field(doc, path, (np.asarray(value) * scale).tolist())
 
 
 @pytest.mark.parametrize(
@@ -236,10 +257,7 @@ SCALED_FIELDS = [
 @pytest.mark.parametrize("path", SCALED_FIELDS, ids=[".".join(map(str, p)) for p in SCALED_FIELDS])
 def test_scaled_field_keeps_exit_contract(capsys, tmp_path, path, scale):
     doc = golden_instance()
-    value = doc
-    for key in path:
-        value = value[key]
-    set_field(doc, path, (np.asarray(value) * scale).tolist())
+    scale_field(doc, path, scale)
     instance = write_instance(tmp_path, doc)
     for argv in (
         *(["fit", "--model", model] for model in ("core", "full", "multi", "rst")),
@@ -251,6 +269,40 @@ def test_scaled_field_keeps_exit_contract(capsys, tmp_path, path, scale):
         assert status in (0, 2, 3, 4) or err.startswith("verification failed"), err
         assert "Traceback" not in err
         assert status == 0 or out == ""
+
+
+# Two blocks scaled at once, each case with its exit code and message. A
+# product of two large blocks overflows while S and Y are generated (exit 2);
+# large targets with a large spurious column overflow A'b (exit 3 from the
+# report, not from the interpolation check); a column far below the design's
+# scale beside a huge one is fitted (exit 0). None prints a RuntimeWarning.
+TWO_BLOCK_CASES = [
+    ("Z_1e150_beta_1e300", "one_beta", {("train", "Z"): 1e150, ("ground_truth", "beta_stars"): 1e300},
+     ["fit"], 2, "input error: train invalid: S contains non-finite entries"),
+    ("Z_1e150_theta_1e300", "one_beta", {("train", "Z"): 1e150, ("ground_truth", "theta_star"): 1e300},
+     ["fit"], 2, "input error: train invalid: Y contains non-finite entries"),
+    ("theta_1e300_beta_1e150", "one_beta", {("ground_truth", "theta_star"): 1e300, ("ground_truth", "beta_stars"): 1e150},
+     ["fit", "--model", "full"], 3, "numerical precondition failed: not finite in the fit report"),
+    ("betas_1e200_1e-200", "two_betas", {("ground_truth", "beta_stars", 0): 1e200, ("ground_truth", "beta_stars", 1): 1e-200},
+     ["fit", "--model", "multi"], 0, ""),
+    ("betas_1e160_1e-160", "two_betas", {("ground_truth", "beta_stars", 0): 1e160, ("ground_truth", "beta_stars", 1): 1e-160},
+     ["fit", "--model", "multi"], 0, ""),
+]
+
+
+@pytest.mark.parametrize(
+    "name,scales,argv,status,message", [c[1:] for c in TWO_BLOCK_CASES], ids=[c[0] for c in TWO_BLOCK_CASES]
+)
+def test_two_scaled_blocks_keep_exit_contract(capsys, tmp_path, name, scales, argv, status, message):
+    doc = json.loads((GOLDEN / f"{name}.instance.json").read_text())
+    for path, scale in scales.items():
+        scale_field(doc, path, scale)
+    got, out, err = run(capsys, argv + ["--instance", write_instance(tmp_path, doc)])
+    assert got == status, err
+    assert err.startswith(message) and (status == 0) == (err == "")
+    if status == 0:
+        w = np.asarray(json.loads(out)["w_hat"])
+        assert np.all(np.isfinite(w)) and np.all(w != 0.0)
 
 
 # A design is factored only where it is used: the disjoint construction
@@ -411,6 +463,12 @@ class TestFitCommand:
     def test_missing_instance_exit_2(self, capsys):
         status, _, _ = run(capsys, ["fit"])
         assert status == 2
+
+    @pytest.mark.parametrize("instance", ["missing.json", "."], ids=["missing_file", "directory"])
+    def test_unreadable_instance_exit_2(self, capsys, tmp_path, instance):
+        status, out, err = run(capsys, ["fit", "--instance", str(tmp_path / instance)])
+        assert status == 2 and out == ""
+        assert err.startswith("input error: cannot read instance file") and "Traceback" not in err
 
     @pytest.mark.parametrize("output", ["missing/out.json", "."], ids=["missing_dir", "directory"])
     def test_unwritable_output_exit_2(self, capsys, tmp_path, output):
@@ -769,6 +827,22 @@ class TestSimulateCommand:
         doc = json.loads(out)
         assert doc["three_sigma_ok"] is True
         assert doc["quantities"]["table2.full.w"]["monte_carlo"] == 1.0
+
+    def test_tables_gap_above_tolerance_exit_1(self, capsys, monkeypatch):
+        report = scenarios.ScenarioReport(name="tables", quantities={"t": scenarios.Quantity(1.0, 1.0 + 1e-6, 0.0)})
+        monkeypatch.setattr(scenarios, "reference_tables", lambda: report)
+        status, _, err = run(capsys, ["simulate", "--scenario", "tables"])
+        assert status == 1
+        assert err.startswith("verification failed: table reproduction exceeded tolerance")
+
+    # a closed form within TABLES_TOL of its Monte-Carlo mean but more than
+    # 3 stderr from it
+    def test_three_sigma_violation_reported(self, capsys, monkeypatch):
+        report = scenarios.ScenarioReport(name="tables", quantities={"t": scenarios.Quantity(1.0, 1.0 + 5e-10, 1e-13)})
+        monkeypatch.setattr(scenarios, "reference_tables", lambda: report)
+        status, out, err = run(capsys, ["simulate", "--scenario", "tables"])
+        assert status == 0, err
+        assert json.loads(out)["three_sigma_ok"] is False
 
     def test_example1_report(self, capsys):
         status, out, _ = run(

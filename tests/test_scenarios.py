@@ -182,6 +182,17 @@ class TestReferenceTables:
         assert q["table4.only_s1.w"].monte_carlo == pytest.approx(1.0)
 
 
+class TestScenarioReport:
+    def test_three_sigma_violations(self):
+        rep = scenarios.ScenarioReport(name="r", quantities={
+            "near": scenarios.Quantity(1.0, 1.25, 0.1),
+            "far": scenarios.Quantity(1.0, 1.35, 0.1),
+            "mc_only": scenarios.Quantity(None, 9.0, 0.0),
+        })
+        assert rep.three_sigma_violations() == ["far"]
+        assert rep.max_closed_form_gap() == pytest.approx(0.35)
+
+
 class TestOvbSimpleScenario:
     def test_runs_and_prefers_core(self):
         rep = ovb_simple_scenario(trials=30_000, seed=2)
