@@ -351,8 +351,8 @@ def robust_errors(
     half = spec.spurious_halfwidth(truth.beta_stars[0])
     errors = []
     for model in models:
-        slack = sum(abs(w) * half for w in model.w_hat)
         with np.errstate(over="ignore", invalid="ignore"):
+            slack = sum(abs(w) * half for w in model.w_hat)
             err = float(np.mean((np.abs(y - z @ model.theta_hat) + slack) ** 2))
         if not np.isfinite(err):
             raise NonFiniteResultError(

@@ -134,10 +134,16 @@ def _fit_requested_model(inst: Instance, kind: str):
         return estimators.fit_full(inst.data)
     if kind == "multi":
         return estimators.fit_multi(inst.data)
-    if inst.unlabeled is None:
+    u = inst.unlabeled
+    if u is None:
         raise InstanceError("fit --model rst needs an unlabeled block")
+    if u.Zu.shape[1] != inst.data.Z.cols or u.Su.shape[1] != inst.data.n_spurious:
+        raise InstanceError(
+            f"unlabeled Zu has {u.Zu.shape[1]} columns and Su {u.Su.shape[1]}, but train.Z has "
+            f"{inst.data.Z.cols} and train.S {inst.data.n_spurious}"
+        )
     full = estimators.fit_full(inst.data)
-    return estimators.fit_rst(inst.data, inst.unlabeled, full)
+    return estimators.fit_rst(inst.data, u, full)
 
 
 def cmd_fit(args) -> int:

@@ -6,10 +6,13 @@ feature strictly helps on one test distribution and strictly hurts on the
 other. This demonstrates that neither disjoint parameter supports nor a
 balanced dataset can guarantee that feature removal is safe.
 
-Both constructions embed their own verification: the returned bundle carries
-the removal verdicts evaluated on the empirical second moments of the two
-test designs, each kept as its sample factor (TestDistribution.from_samples),
-so no d x d second moment is formed or eigendecomposed.
+Each construction builds its vectors in closed form and takes its projector
+from an orthonormal basis it already holds, so it makes no factorization and
+no least-squares solve, and decides the rank of its training design once.
+Both embed their own verification: the returned bundle carries the removal
+verdicts evaluated on the empirical second moments of the two test designs,
+each kept as its sample factor (TestDistribution.from_samples), so no d x d
+second moment is formed or eigendecomposed.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .exceptions import (
     ParallelTargetsError,
     VerificationError,
 )
-from .minnorm import RANK_RTOL, DesignMatrix, Projection, _as_vector, _scaled, min_norm_solve, row_space_projection
+from .minnorm import RANK_RTOL, DesignMatrix, Projection, _as_vector, _scaled
 
 # Verdict error gaps below this are treated as verification failures.
 GAP_TOL = 1e-9
@@ -61,6 +64,19 @@ class CounterexampleBundle:
             raise VerificationError("core model does not win on its test design")
         if v1.error_core - v1.error_full <= GAP_TOL or v2.error_full - v2.error_core <= GAP_TOL:
             raise VerificationError("error gaps are not strictly positive")
+
+    @classmethod
+    def verified(cls, truth, pi, z_train, z_full, z_core, **construction) -> CounterexampleBundle:
+        """The bundle of three designs, with both verdicts taken under pi on the test designs' sample factors."""
+        return cls(
+            Z_train=DesignMatrix(z_train),
+            Z_test_full_wins=DesignMatrix(z_full),
+            Z_test_core_wins=DesignMatrix(z_core),
+            truth=truth,
+            verdict_full_wins=removal_verdict(truth, pi, TestDistribution.from_samples(z_full, "full-wins")),
+            verdict_core_wins=removal_verdict(truth, pi, TestDistribution.from_samples(z_core, "core-wins")),
+            **construction,
+        )
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -114,7 +130,8 @@ def construct_disjoint(
     Builds unit directions u_t = theta*/||theta*||, u_b = beta*/||beta*||, an
     auxiliary unit vector b orthogonal to both, the test directions
     a2 = u_t + u_b + 2b and a3 = u_t - u_b, and a training direction a1 with
-    a1'b = -x, a1'u_t = x, a1'u_b = x (minimum-norm solution). Training rows
+    a1'b = -x, a1'u_t = x, a1'u_b = x, the minimum-norm solution
+    a1 = x((u_t + u_b)/(1 + u_t'u_b) - b) in closed form. Training rows
     are a1 plus n-1 unit rows orthogonal to everything above; the test
     designs are n copies of a2/n and a3/n. When a spare orthogonal direction
     exists, a1 is widened along it by the smallest c = 2^k - 1 that meets
@@ -146,10 +163,9 @@ def construct_disjoint(
     comp = _orthonormal_complement([u_t, u_b], d, n + 1)  # d - 2 >= n rows
     b = comp[0]
     padding = comp[1 : n]  # n-1 unit rows, orthogonal to u_t, u_b, b
-    a2 = u_t + u_b + 2.0 * b
-    a3 = u_t - u_b
-    # a1 is linear in x: solve its constraints once, at x = 1
-    a1_unit = min_norm_solve(np.vstack([b, u_t, u_b]), np.array([-1.0, 1.0, 1.0])).x
+    # a1 is linear in x. At x = 1 the minimum-norm solution of its three
+    # constraints lies in span(u_t, u_b, b), and b is orthogonal to u_t and u_b.
+    a1_unit = (u_t + u_b) / (1.0 + u_t @ u_b) - b
     a1 = x * a1_unit
     if comp.shape[0] > n:
         # The proof's magnitude margin x^2/(x^2 + a1'a1) <= 2||theta*||/||beta*||,
@@ -165,9 +181,6 @@ def construct_disjoint(
         if c > 0.0:
             a1 = a1 + c * comp[n]
 
-    truth = GroundTruth(theta_star=theta, beta_stars=(beta,))
-    z_full_wins = np.tile(a2 / n, (n, 1))
-    z_core_wins = np.tile(a3 / n, (n, 1))
     # hypot neither overflows nor underflows on the scaled a1; an a1 rounded
     # to subnormals has lost its direction.
     a1_dir, _ = _scaled(a1)
@@ -175,15 +188,9 @@ def construct_disjoint(
         pi = Projection(basis=np.vstack([a1_dir / math.hypot(*a1_dir), padding]).T)
     except ValueError as exc:
         raise VerificationError(f"a1 is not representable at x={x}: {exc}") from exc
-    return CounterexampleBundle(
-        Z_train=DesignMatrix(np.vstack([a1, padding])),
-        Z_test_full_wins=DesignMatrix(z_full_wins),
-        Z_test_core_wins=DesignMatrix(z_core_wins),
-        truth=truth,
-        verdict_full_wins=removal_verdict(truth, pi, TestDistribution.from_samples(z_full_wins, "full-wins")),
-        verdict_core_wins=removal_verdict(truth, pi, TestDistribution.from_samples(z_core_wins, "core-wins")),
-        x_param=float(x),
-        b_vector=b,
+    return CounterexampleBundle.verified(
+        GroundTruth(theta_star=theta, beta_stars=(beta,)), pi, np.vstack([a1, padding]),
+        np.tile((u_t + u_b + 2.0 * b) / n, (n, 1)), np.tile((u_t - u_b) / n, (n, 1)), x_param=float(x), b_vector=b,
     )
 
 
@@ -193,7 +200,9 @@ def construct_balanced(S, Y, d: int) -> CounterexampleBundle:
     Uses reduced parameters [1, 1] and [1, 0] on the first two coordinates,
     training design [S, Y-S, 0], and perturbs the training rows by vectors
     annihilating both theta* and beta* so the spurious values and targets are
-    reproduced exactly on both test designs while the verdicts flip.
+    reproduced exactly on both test designs while the verdicts flip. The
+    stored columns S and Y - S must not be parallel (ParallelTargetsError),
+    so the training rows span e1 and e2, which are the projector's basis.
     """
     s = _as_vector(S, "S")
     y = _as_vector(Y, "Y")
@@ -204,23 +213,17 @@ def construct_balanced(S, Y, d: int) -> CounterexampleBundle:
         raise DimensionTooSmallError(f"construction needs dimension >= 4, got {d}")
     if not s.any() or not y.any():
         raise ParallelTargetsError("S and Y must be nonzero")
-    if _parallel(_unit(s), _unit(y)):
-        raise ParallelTargetsError("Y is a scalar multiple of S")
-
-    theta_bar = np.array([1.0, 1.0])
-    beta_bar = np.array([1.0, 0.0])
-    theta = np.zeros(d)
-    theta[:2] = theta_bar
-    theta[d - 2] = 1.0
-    beta = np.zeros(d)
-    beta[:2] = beta_bar
-    beta[d - 1] = 1.0
-    truth = GroundTruth(theta_star=theta, beta_stars=(beta,))
-
     with np.errstate(over="ignore"):
         y_minus_s = y - s
     if not np.isfinite(y_minus_s).all():
         raise NonFiniteResultError("the training column Y - S overflows")
+    if not y_minus_s.any() or _parallel(_unit(s), _unit(y_minus_s)):
+        raise ParallelTargetsError("Y is a scalar multiple of S")
+
+    theta, beta = np.zeros(d), np.zeros(d)
+    theta[[0, 1, d - 2]] = 1.0
+    beta[[0, d - 1]] = 1.0
+    theta_bar, beta_bar = theta[:2], beta[:2]
     z_train = np.zeros((n, d))
     z_train[:, 0] = s
     z_train[:, 1] = y_minus_s
@@ -232,21 +235,10 @@ def construct_balanced(S, Y, d: int) -> CounterexampleBundle:
         a[d - 1] = -(direction @ beta_bar)
         return z_train + np.tile(a / n, (n, 1))
 
-    a_bar = _unit(theta_bar) + _unit(beta_bar)
-    a_bar_prime = _unit(theta_bar) - _unit(beta_bar)
-    z_prime = perturbed(a_bar)
-    z_second = perturbed(a_bar_prime)
-
-    pi = row_space_projection(z_train)
-    v1 = removal_verdict(truth, pi, TestDistribution.from_samples(z_prime, "full-wins"))
-    v2 = removal_verdict(truth, pi, TestDistribution.from_samples(z_second, "core-wins"))
-    bundle = CounterexampleBundle(
-        Z_train=DesignMatrix(z_train),
-        Z_test_full_wins=DesignMatrix(z_prime),
-        Z_test_core_wins=DesignMatrix(z_second),
-        truth=truth,
-        verdict_full_wins=v1,
-        verdict_core_wins=v2,
+    z_prime = perturbed(_unit(theta_bar) + _unit(beta_bar))
+    z_second = perturbed(_unit(theta_bar) - _unit(beta_bar))
+    bundle = CounterexampleBundle.verified(
+        GroundTruth(theta_star=theta, beta_stars=(beta,)), Projection(basis=np.eye(d, 2)), z_train, z_prime, z_second
     )
     for z in (z_train, z_prime, z_second):
         if not np.allclose(z @ theta, y, rtol=1e-9, atol=1e-9):

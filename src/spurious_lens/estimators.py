@@ -219,27 +219,23 @@ def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray
         )
     u, s, v = Z.svd
     b = (u.T @ y) / s
-    t, k = cols.shape[0], cols.shape[2]
-    if k:
-        a = (u.T @ cols) / s[:, None]
-        at = a.transpose(0, 2, 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram, atb = at @ a, at @ b
-        try:
-            if np.isfinite(gram).all() and np.isfinite(atb).all():
-                w = np.linalg.solve(np.eye(k) + gram, atb[..., None])[..., 0]
-            else:
-                e = np.maximum(np.frexp(np.max(np.abs(a), axis=1))[1], 0)[:, None, :]
-                a_s = np.ldexp(a, -e)
-                at_s = a_s.transpose(0, 2, 1)
-                x = np.linalg.solve(np.ldexp(np.eye(k), -2 * e) + at_s @ a_s, (at_s @ b)[..., None])
-                w = np.ldexp(x[..., 0], -e[:, 0])
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficientError(f"the spurious-weight system is singular: {exc}") from exc
-        c = b - (a @ w[..., None])[..., 0]
-    else:
-        w = np.zeros((t, 0))
-        c = np.broadcast_to(b, (t, b.shape[0]))
+    k = cols.shape[2]
+    a = (u.T @ cols) / s[:, None]
+    at = a.transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, atb = at @ a, at @ b
+    try:
+        if np.isfinite(gram).all() and np.isfinite(atb).all():
+            w = np.linalg.solve(np.eye(k) + gram, atb[..., None])[..., 0]
+        else:
+            e = np.maximum(np.frexp(np.max(np.abs(a), axis=1))[1], 0)[:, None, :]
+            a_s = np.ldexp(a, -e)
+            at_s = a_s.transpose(0, 2, 1)
+            x = np.linalg.solve(np.ldexp(np.eye(k), -2 * e) + at_s @ a_s, (at_s @ b)[..., None])
+            w = np.ldexp(x[..., 0], -e[:, 0])
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficientError(f"the spurious-weight system is singular: {exc}") from exc
+    c = b - (a @ w[..., None])[..., 0]
     theta = (v @ c[..., None])[..., 0]
     _check_interpolation(Z, cols, y, theta, w)
     return theta, w
@@ -317,19 +313,22 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
     q, r = np.linalg.qr(zu)
     if _rank(np.linalg.svd(r, compute_uv=False)) < d:
         raise RankDeficientError(f"unlabeled design ({m}x{d}) must have full column rank")
-    pseudo = zu @ full.theta_hat + su @ full.w_hat
-    rhs = np.concatenate([labeled.Y, pseudo])
-    theta = np.linalg.solve(r, q.T @ pseudo)
-    rel = _relative_residual(np.concatenate([labeled.Z.entries @ theta, zu @ theta]) - rhs, rhs)
-    if not rel <= INTERP_RTOL:
-        # Near the rank cutoff theta's forward error, about cond(Zu) * eps,
-        # shows in the label rows. The least-squares solution of the stacked
-        # system, which has full column rank, leaves a residual at rounding
-        # level whenever that system is consistent.
-        stacked = np.vstack([labeled.Z.entries, zu])
-        q, r = np.linalg.qr(stacked)
-        theta = np.linalg.solve(r, q.T @ rhs)
-        rel = _relative_residual(stacked @ theta - rhs, rhs)
+    # Pseudo-labels or a solution past the float range give a non-finite
+    # residual, which the check below refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pseudo = zu @ full.theta_hat + su @ full.w_hat
+        rhs = np.concatenate([labeled.Y, pseudo])
+        theta = np.linalg.solve(r, q.T @ pseudo)
+        rel = _relative_residual(np.concatenate([labeled.Z.entries @ theta, zu @ theta]) - rhs, rhs)
+        if not rel <= INTERP_RTOL:
+            # Near the rank cutoff theta's forward error, about cond(Zu) * eps,
+            # shows in the label rows. The least-squares solution of the stacked
+            # system, which has full column rank, leaves a residual at rounding
+            # level whenever that system is consistent.
+            stacked = np.vstack([labeled.Z.entries, zu])
+            q, r = np.linalg.qr(stacked)
+            theta = np.linalg.solve(r, q.T @ rhs)
+            rel = _relative_residual(stacked @ theta - rhs, rhs)
     if not rel <= INTERP_RTOL:
         raise InconsistentConstraintsError(
             "labels and pseudo-labels cannot be interpolated by one parameter vector "

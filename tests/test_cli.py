@@ -132,6 +132,36 @@ MALFORMED_INPUTS = [
     ("disjoint_without_truth", b'{"scenario": {"n": 4}}', ["construct", "--mode", "disjoint"]),
     ("disjoint_without_n", {}, ["construct", "--mode", "disjoint"]),
     ("balanced_without_S_Y", {("ground_truth", "beta_stars"): []}, ["construct", "--mode", "balanced", "--d", "12"]),
+    # an unlabeled block whose columns do not match the training block
+    (
+        "rst_Zu_11_columns",
+        {("unlabeled", "Zu"): [row[:11] for row in golden_instance()["unlabeled"]["Zu"]]},
+        ["fit", "--model", "rst"],
+    ),
+    (
+        "rst_Su_2_columns",
+        {("unlabeled", "Su"): [[v, v] for v in golden_instance()["unlabeled"]["Su"]]},
+        ["fit", "--model", "rst"],
+    ),
+    # train S and Y that the attached ground truth does not produce
+    (
+        "truth_wrong_dimension",
+        b'{"ground_truth": {"theta_star": [1.0, 0.0, 0.0], "beta_stars": [[0.0, 1.0, 0.0]]}, '
+        b'"train": {"Z": [[1.0, 0.0]], "S": [0.0], "Y": [1.0]}}',
+        ["fit"],
+    ),
+    (
+        "truth_wrong_beta_count",
+        b'{"ground_truth": {"theta_star": [1.0, 0.0], "beta_stars": [[0.0, 1.0], [1.0, 1.0]]}, '
+        b'"train": {"Z": [[1.0, 0.0]], "S": [0.0], "Y": [1.0]}}',
+        ["fit"],
+    ),
+    (
+        "truth_Y_not_Z_theta",
+        b'{"ground_truth": {"theta_star": [1.0, 0.0], "beta_stars": [[0.0, 1.0]]}, '
+        b'"train": {"Z": [[1.0, 0.0]], "S": [0.0], "Y": [5.0]}}',
+        ["fit"],
+    ),
 ]
 
 
@@ -275,7 +305,9 @@ def test_scaled_field_keeps_exit_contract(capsys, tmp_path, path, scale):
 # product of two large blocks overflows while S and Y are generated (exit 2);
 # large targets with a large spurious column overflow A'b (exit 3 from the
 # report, not from the interpolation check); a column far below the design's
-# scale beside a huge one is fitted (exit 0). None prints a RuntimeWarning.
+# scale beside a huge one is fitted (exit 0); overflowing pseudo-labels, in
+# the first solve or in the stacked fallback, and an overflowing robust slack
+# exit 3. None prints a RuntimeWarning.
 TWO_BLOCK_CASES = [
     ("Z_1e150_beta_1e300", "one_beta", {("train", "Z"): 1e150, ("ground_truth", "beta_stars"): 1e300},
      ["fit"], 2, "input error: train invalid: S contains non-finite entries"),
@@ -287,6 +319,12 @@ TWO_BLOCK_CASES = [
      ["fit", "--model", "multi"], 0, ""),
     ("betas_1e160_1e-160", "two_betas", {("ground_truth", "beta_stars", 0): 1e160, ("ground_truth", "beta_stars", 1): 1e-160},
      ["fit", "--model", "multi"], 0, ""),
+    ("theta_1e300_Zu_1e150", "one_beta", {("ground_truth", "theta_star"): 1e300, ("unlabeled", "Zu"): 1e150},
+     ["fit", "--model", "rst"], 3, "numerical precondition failed: labels and pseudo-labels cannot be interpolated"),
+    ("theta_1e150_Su_1e300", "one_beta", {("ground_truth", "theta_star"): 1e150, ("unlabeled", "Su"): 1e300},
+     ["fit", "--model", "rst"], 3, "numerical precondition failed: labels and pseudo-labels cannot be interpolated"),
+    ("theta_1e150_gamma_1e300", "one_beta", {("ground_truth", "theta_star"): 1e150, ("robust", "gamma"): 1e300},
+     ["analyze"], 3, "numerical precondition failed: robust full error is not finite"),
 ]
 
 
@@ -305,13 +343,13 @@ def test_two_scaled_blocks_keep_exit_contract(capsys, tmp_path, name, scales, ar
         assert np.all(np.isfinite(w)) and np.all(w != 0.0)
 
 
-# A design is factored only where it is used: the disjoint construction
-# builds its projector from orthonormal rows, the balanced one factors its
-# training block once (row_space_projection), and analyze takes the rank SVD
-# and the thin SVD of its training design.
+# A design is factored only where it is used: both constructions take their
+# projector from an orthonormal basis they build (the disjoint one from its
+# orthonormal training rows, the balanced one from e1 and e2), and analyze
+# takes the rank SVD and the thin SVD of its training design.
 @pytest.mark.parametrize("argv,calls", [
     (["construct", "--mode", "disjoint", "--n", "4"], 0),
-    (["construct", "--mode", "balanced", "--d", "12"], 1),
+    (["construct", "--mode", "balanced", "--d", "12"], 0),
     (["analyze", "--seed", "3"], 2),
     (["fit", "--model", "rst"], 3),
 ])
@@ -333,6 +371,38 @@ def test_rst_fit_makes_no_lstsq_call(capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     status, _, err = run(capsys, ["fit", "--model", "rst", "--instance", str(GOLDEN / "one_beta.instance.json")])
     assert status == 0, err
+
+
+# Each construction writes its vectors in closed form, with no least-squares solve.
+@pytest.mark.parametrize("argv", [
+    ["construct", "--mode", "disjoint", "--n", "4"],
+    ["construct", "--mode", "balanced", "--d", "12"],
+])
+def test_construct_makes_no_lstsq_call(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("construct called lstsq")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    status, _, err = run(capsys, argv + ["--instance", str(GOLDEN / "one_beta.instance.json")])
+    assert status == 0, err
+
+
+# The balanced construction decides rank on its stored columns S and Y - S.
+# At sin(S, Y) = 1e-5 they span e1 and e2, so the bundle verifies; when Y is
+# far below S, fl(Y - S) = -S and the training design has rank 1.
+@pytest.mark.parametrize("s,y,status", [
+    ([1.0, 0.0], [1e7, 100.0], 0),
+    ([1.0, 0.0], [1e7, 1e-3], 0),
+    ([1.0, 2.0], [3e-17, -1e-17], 4),
+])
+def test_balanced_rank_decided_on_stored_columns(capsys, tmp_path, s, y, status):
+    path = write_instance(tmp_path, {"scenario": {"S": s, "Y": y}})
+    got, out, err = run(capsys, ["construct", "--mode", "balanced", "--d", "6", "--instance", path])
+    assert got == status, err
+    if status == 0:
+        assert json.loads(out)["verified"] is True
+    else:
+        assert out == "" and err.startswith("construction precondition failed: Y is a scalar multiple of S")
 
 
 class TestFitCommand:

@@ -8,6 +8,7 @@ from spurious_lens import (
     TestDistribution,
     construct_balanced,
     construct_disjoint,
+    min_norm_solve,
     population_error,
     projection,
     removal_verdict,
@@ -95,6 +96,16 @@ class TestConstructDisjoint:
             assert a1 @ beta == pytest.approx(x * np.linalg.norm(beta), abs=1e-9)
             assert abs(b @ theta) < 1e-9 and abs(b @ beta) < 1e-9
             assert np.linalg.norm(b) == pytest.approx(1.0)
+
+    def test_a1_is_the_min_norm_oracle_solution(self):
+        # d - 2 == n leaves no spare direction, so a1 is not widened
+        rng = np.random.default_rng(45)
+        for d in (4, 5, 9):
+            theta, beta = rng.standard_normal(d), rng.standard_normal(d)
+            bundle = construct_disjoint(theta, beta, n=d - 2, x=0.3)
+            u_t, u_b = theta / np.linalg.norm(theta), beta / np.linalg.norm(beta)
+            oracle = min_norm_solve(np.vstack([bundle.b_vector, u_t, u_b]), [-0.3, 0.3, 0.3]).x
+            assert_allclose(bundle.Z_train.entries[0], oracle, rtol=1e-12, atol=1e-14)
 
     def test_training_design_full_row_rank(self):
         bundle = construct_disjoint(
@@ -208,6 +219,21 @@ class TestConstructBalanced:
             construct_balanced(s, 3.0 * s, d=4)
         with pytest.raises(ParallelTargetsError):
             construct_balanced(s, np.zeros(2), d=4)
+        with pytest.raises(ParallelTargetsError):
+            construct_balanced(s, s, d=4)  # Y - S = 0
+        # Y far below S: fl(Y - S) = -S, so the stored columns are parallel
+        with pytest.raises(ParallelTargetsError):
+            construct_balanced(s, np.array([3e-17, -1e-17]), d=4)
+
+    def test_nearly_parallel_targets_verify(self):
+        # sin(S, Y) = 1e-5: the stored S and Y - S still span e1 and e2, though
+        # the training design's condition number (1e12) is past RANK_RTOL. The
+        # verdicts depend on n and d only, not on S and Y.
+        bundle = construct_balanced(np.array([1.0, 0.0]), np.array([1e7, 100.0]), d=6)
+        assert_bundle_verified(bundle)
+        reference = construct_balanced(np.array([1.0, 1.0]), np.array([1.0, 0.0]), d=6)
+        assert bundle.verdict_full_wins == reference.verdict_full_wins
+        assert bundle.verdict_core_wins == reference.verdict_core_wins
 
     def test_dimension_too_small(self):
         with pytest.raises(DimensionTooSmallError):
