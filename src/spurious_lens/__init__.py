@@ -9,11 +9,9 @@ models by self-training, and runs omitted-variable-bias group analysis.
 """
 
 from .analysis import (
-    GroupErrorTable,
     RemovalVerdict,
     RobustSpec,
     TestDistribution,
-    groupwise_report,
     groupwise_spurious_error,
     groupwise_spurious_fit,
     population_error,
@@ -69,7 +67,6 @@ __all__ = [
     "DesignMatrix",
     "Example1Spec",
     "GroundTruth",
-    "GroupErrorTable",
     "GroupLossEstimate",
     "GroupMoments",
     "LabeledData",
@@ -95,7 +92,6 @@ __all__ = [
     "fit_multi",
     "fit_rst",
     "group_prefers_core",
-    "groupwise_report",
     "groupwise_spurious_error",
     "groupwise_spurious_fit",
     "implicit_weights",

@@ -3,8 +3,7 @@
 Closed-form population errors under a test second-moment matrix, the
 sign/magnitude removal verdict that decides whether using the spurious
 feature lowers error, a Monte-Carlo robust (worst-case-perturbation) error,
-per-group error tables, and the two-group spurious-function estimator and
-its group error expansion.
+and the two-group spurious-function estimator and its group error expansion.
 
 Every population error is one quadratic form. Once each spurious value is
 beta*' z, a model predicts e'z with e = implicit_weights(model, truth), so its
@@ -28,10 +27,16 @@ diagonal v, an empirical second moment Z'Z/n as its sample factor Z/sqrt(n),
 and anything else as a d x d matrix. TestDistribution.quad and apply carry
 the arithmetic of all three, so outside the robust sampler a d x d array
 exists only where one was given.
+
+The robust sampler draws a seed's standard normals once per robust_errors
+call and replays them to every group, each mapping them through its own
+Sigma factor, so each group keeps the rows it would keep if sampled alone.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -206,14 +211,6 @@ class RobustSpec:
         return self.gamma * dual
 
 
-@dataclass(frozen=True)
-class GroupErrorTable:
-    """Per-(group, model) population errors plus per-group core-minus-full deltas."""
-
-    entries: tuple[tuple[str, str, float], ...]
-    deltas: tuple[tuple[str, float], ...]
-
-
 def _check_dims(truth: GroundTruth, pi: Projection, dist: TestDistribution):
     if not (truth.dim == pi.dim == dist.dim):
         raise DimensionMismatchError(
@@ -288,16 +285,46 @@ def removal_verdict(
     )
 
 
+# A shared normal stream keeps at most this many batches for replay. That is
+# about what one group's sampler holds at its peak (the rows kept so far, a
+# batch and its image), and more than the 2 or 3 batches a group needs when
+# about half of the draws are kept. A group that needs more continues from a
+# copy of the generator taken after them, so memory does not grow with the
+# rejection rate.
+SHARED_BATCHES = 4
+
+
+def _normal_batches(seed: int, samples: int, dim: int):
+    """default_rng(seed)'s max(samples, 512) x dim standard-normal batches, as
+    a function returning a new iterator over them on each call; the first
+    SHARED_BATCHES are drawn once and replayed to every iterator."""
+    rng = np.random.default_rng(seed)
+    shape = (max(samples, 512), dim)
+    kept = []
+
+    def replay():
+        for i in range(SHARED_BATCHES):
+            if i == len(kept):
+                kept.append(rng.standard_normal(shape))
+            yield kept[i]
+        rest = copy.deepcopy(rng)
+        while True:
+            yield rest.standard_normal(shape)
+
+    return replay
+
+
 def _sample_bounded_gaussian(
-    dist: TestDistribution, spec: RobustSpec, samples: int, rng: np.random.Generator
+    dist: TestDistribution, spec: RobustSpec, samples: int, batches
 ) -> np.ndarray:
-    """Draw z ~ N(0, Sigma) rejected to ||z|| <= gamma, as a samples x d array."""
+    """Map standard-normal batches to z ~ N(0, Sigma) rejected to ||z|| <= gamma,
+    as a samples x d array; at most 1000 batches are drawn."""
     # eigh of diag(v), not sqrt(v), so a diagonal's draws are its matrix's
     eigval, eigvec = np.linalg.eigh(dist.matrix)
     factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
     kept, need = [], samples
-    for _ in range(1000):
-        z = rng.standard_normal((max(samples, 512), dist.dim)) @ factor.T
+    for normals in itertools.islice(batches, 1000):
+        z = normals @ factor.T
         # cut by index: a slice of the masked rows would keep all of them alive
         z = z[np.flatnonzero(spec.row_norms(z) <= spec.gamma)[:need]]
         kept.append(z)
@@ -313,20 +340,24 @@ def _sample_bounded_gaussian(
 def robust_errors(
     models: list[LinearModel],
     truth: GroundTruth,
-    dist: TestDistribution,
+    groups: list[TestDistribution],
     spec: RobustSpec,
     samples: int,
     seed: int = 0,
-) -> list[float]:
-    """Monte-Carlo worst-case error of each model over spurious perturbations.
+) -> list[list[float]]:
+    """Monte-Carlo worst-case error of each model on each group over spurious
+    perturbations, as one list of per-model errors per group.
 
     For each sampled z the per-point loss is maximized over spurious values
     in [-gamma ||beta*||_dual, +gamma ||beta*||_dual]; the maximum of the
     resulting convex parabola sits at an interval endpoint, so the loss is
     (|theta*'z - theta_hat'z| + sum_i |w_i| gamma ||beta*||_dual)^2. Models
-    without spurious weights get their plain squared error. Every model is
-    evaluated on one draw, the same one robust_error makes at this seed, so
-    the errors are paired. A loss that overflows raises NonFiniteResultError.
+    without spurious weights get their plain squared error. The seed's
+    standard normals are drawn once and replayed to every group, which maps
+    them through its own Sigma factor, so each group gets the draw that
+    robust_error makes for it alone at this seed. Every model is evaluated
+    on its group's one draw, so the errors are paired. A loss that overflows
+    raises NonFiniteResultError.
     """
     if truth.n_spurious != 1:
         raise DimensionMismatchError(
@@ -337,7 +368,7 @@ def robust_errors(
             raise ValueError(
                 f"robust error is defined for core/full/rst models, got {model.kind!r}"
             )
-        if model.theta_hat.shape[0] != truth.dim or dist.dim != truth.dim:
+        if model.theta_hat.shape[0] != truth.dim or any(g.dim != truth.dim for g in groups):
             raise DimensionMismatchError("model, truth and sigma dimensions disagree")
         if model.kind == "full" and model.w_hat.shape[0] != 1:
             raise DimensionMismatchError(
@@ -345,20 +376,23 @@ def robust_errors(
             )
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = _sample_bounded_gaussian(dist, spec, samples, rng)
-    y = z @ truth.theta_star
+    replay = _normal_batches(seed, samples, truth.dim)
     half = spec.spurious_halfwidth(truth.beta_stars[0])
     errors = []
-    for model in models:
-        with np.errstate(over="ignore", invalid="ignore"):
-            slack = sum(abs(w) * half for w in model.w_hat)
-            err = float(np.mean((np.abs(y - z @ model.theta_hat) + slack) ** 2))
-        if not np.isfinite(err):
-            raise NonFiniteResultError(
-                f"robust {model.kind} error is not finite at gamma {spec.gamma}"
-            )
-        errors.append(err)
+    for dist in groups:
+        z = _sample_bounded_gaussian(dist, spec, samples, replay())
+        y = z @ truth.theta_star
+        row = []
+        for model in models:
+            with np.errstate(over="ignore", invalid="ignore"):
+                slack = sum(abs(w) * half for w in model.w_hat)
+                err = float(np.mean((np.abs(y - z @ model.theta_hat) + slack) ** 2))
+            if not np.isfinite(err):
+                raise NonFiniteResultError(
+                    f"robust {model.kind} error is not finite at gamma {spec.gamma}"
+                )
+            row.append(err)
+        errors.append(row)
     return errors
 
 
@@ -370,28 +404,8 @@ def robust_error(
     samples: int,
     seed: int = 0,
 ) -> float:
-    """Monte-Carlo worst-case error of one model; see robust_errors."""
-    return robust_errors([model], truth, dist, spec, samples, seed)[0]
-
-
-def groupwise_report(
-    models: list[LinearModel],
-    truth: GroundTruth,
-    groups: list[TestDistribution],
-    pi: Projection,
-) -> GroupErrorTable:
-    """Population error of every model on every group, with core-minus-full deltas."""
-    entries = []
-    deltas = []
-    for g in groups:
-        by_kind = {}
-        for m in models:
-            err = population_error(m, truth, g, pi)
-            entries.append((g.label, m.kind, err))
-            by_kind.setdefault(m.kind, err)
-        if "core" in by_kind and "full" in by_kind:
-            deltas.append((g.label, by_kind["core"] - by_kind["full"]))
-    return GroupErrorTable(entries=tuple(entries), deltas=tuple(deltas))
+    """Monte-Carlo worst-case error of one model on one group; see robust_errors."""
+    return robust_errors([model], truth, [dist], spec, samples, seed)[0][0]
 
 
 def groupwise_spurious_fit(Z1: DesignMatrix, Z2: DesignMatrix, alpha1, alpha2) -> np.ndarray:

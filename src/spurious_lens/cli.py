@@ -22,6 +22,7 @@ import numpy as np
 
 from . import analysis, constructions, estimators, scenarios
 from .exceptions import (
+    AbsorbedTargetsError,
     DimensionTooSmallError,
     NonFiniteResultError,
     ParallelParametersError,
@@ -43,7 +44,7 @@ from .serialize import (
 
 TABLES_TOL = 1e-9
 
-_CONSTRUCTION_ERRORS = (ParallelParametersError, ParallelTargetsError, DimensionTooSmallError)
+_CONSTRUCTION_ERRORS = (ParallelParametersError, ParallelTargetsError, AbsorbedTargetsError, DimensionTooSmallError)
 
 # Each scenario's runner (seed, **parameters) and its (key, type, default)
 # parameters, read from the scenario block or --trials and checked in order.
@@ -212,22 +213,20 @@ def cmd_analyze(args) -> int:
     if inst.robust is not None:
         core = estimators.fit_core(inst.data)
         full = estimators.fit_full(inst.data)
-        robust_rows = []
-        for g in inst.groups:
-            r_core, r_full = analysis.robust_errors(
-                [core, full], inst.truth, g, inst.robust, inst.robust_samples, seed=args.seed
-            )
-            robust_rows.append(
-                {
-                    "group": g.label,
-                    "robust_core": r_core,
-                    "robust_full": r_full,
-                    "samples": inst.robust_samples,
-                    "gamma": inst.robust.gamma,
-                    "norm_kind": inst.robust.norm_kind,
-                }
-            )
-        doc["robust"] = robust_rows
+        robust = analysis.robust_errors(
+            [core, full], inst.truth, inst.groups, inst.robust, inst.robust_samples, seed=args.seed
+        )
+        doc["robust"] = [
+            {
+                "group": g.label,
+                "robust_core": r_core,
+                "robust_full": r_full,
+                "samples": inst.robust_samples,
+                "gamma": inst.robust.gamma,
+                "norm_kind": inst.robust.norm_kind,
+            }
+            for g, (r_core, r_full) in zip(inst.groups, robust)
+        ]
     fields = ["group", "error_core", "error_full", "delta", "sign_match", "magnitude_holds", "full_better"]
     _emit(args, doc, fields, lambda: group_rows)
     return 0

@@ -25,6 +25,7 @@ import numpy as np
 from .analysis import RemovalVerdict, TestDistribution, removal_verdict
 from .estimators import GroundTruth
 from .exceptions import (
+    AbsorbedTargetsError,
     DimensionTooSmallError,
     NonFiniteResultError,
     ParallelParametersError,
@@ -202,7 +203,9 @@ def construct_balanced(S, Y, d: int) -> CounterexampleBundle:
     annihilating both theta* and beta* so the spurious values and targets are
     reproduced exactly on both test designs while the verdicts flip. The
     stored columns S and Y - S must not be parallel (ParallelTargetsError),
-    so the training rows span e1 and e2, which are the projector's basis.
+    so the training rows span e1 and e2, which are the projector's basis,
+    and fl(Y - S) + S must reproduce Y as the designs must
+    (AbsorbedTargetsError).
     """
     s = _as_vector(S, "S")
     y = _as_vector(Y, "Y")
@@ -219,6 +222,8 @@ def construct_balanced(S, Y, d: int) -> CounterexampleBundle:
         raise NonFiniteResultError("the training column Y - S overflows")
     if not y_minus_s.any() or _parallel(_unit(s), _unit(y_minus_s)):
         raise ParallelTargetsError("Y is a scalar multiple of S")
+    if not np.allclose(y_minus_s + s, y, rtol=1e-9, atol=1e-9):
+        raise AbsorbedTargetsError("Y - S rounds off an entry of Y, so the design cannot reproduce Y")
 
     theta, beta = np.zeros(d), np.zeros(d)
     theta[[0, 1, d - 2]] = 1.0

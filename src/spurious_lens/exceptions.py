@@ -42,6 +42,10 @@ class ParallelTargetsError(SpuriousLensError):
     """The observed targets and spurious values are scalar multiples."""
 
 
+class AbsorbedTargetsError(SpuriousLensError):
+    """Y - S rounds off an entry of Y, so no design with columns S and Y - S reproduces Y."""
+
+
 class DimensionTooSmallError(SpuriousLensError):
     """The ambient dimension (or sample count) is too small for the construction."""
 

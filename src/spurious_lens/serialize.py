@@ -51,9 +51,10 @@ from .minnorm import DesignMatrix, _as_matrix, _as_vector
 
 
 # Largest robust.samples an instance may ask for. The robust sampler holds
-# about three samples x d float arrays at once (the rows kept so far, a batch
-# of normals and their image under the factor): 96 MB at d = 40 and this
-# bound. An unbounded count ends in numpy's "Maximum allowed dimension
+# about seven samples x d float arrays at once (the rows kept so far, a batch
+# of normals and their image under the factor, and the analysis.SHARED_BATCHES
+# = 4 batches of normals it replays to every group): 224 MB at d = 40 and
+# this bound. An unbounded count ends in numpy's "Maximum allowed dimension
 # exceeded" or a MemoryError instead of an input error.
 MAX_ROBUST_SAMPLES = 100_000
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,6 @@ from spurious_lens import (
     fit_multi,
     fit_rst,
     UnlabeledData,
-    groupwise_report,
     groupwise_spurious_error,
     groupwise_spurious_fit,
     implicit_weights,
@@ -27,12 +28,13 @@ from spurious_lens import (
     robust_error,
     robust_errors,
 )
-from spurious_lens.analysis import TIE_TOL
+from spurious_lens.analysis import SHARED_BATCHES, TIE_TOL
 from spurious_lens.exceptions import (
     DimensionMismatchError,
     NonFiniteResultError,
     NonOrthogonalGroupsError,
     NonPositiveGammaError,
+    SamplerExhaustedError,
 )
 
 
@@ -266,11 +268,11 @@ class TestRobustError:
         self.spec = RobustSpec(gamma=4.0, norm_kind="l2")
 
     def test_core_equals_standard_error_on_shared_sample(self):
-        from spurious_lens.analysis import _sample_bounded_gaussian
+        from spurious_lens.analysis import _normal_batches, _sample_bounded_gaussian
 
         core = fit_core(self.data)
         r = robust_error(core, self.truth, self.dist, self.spec, samples=2000, seed=5)
-        zs = _sample_bounded_gaussian(self.dist, self.spec, 2000, np.random.default_rng(5))
+        zs = _sample_bounded_gaussian(self.dist, self.spec, 2000, _normal_batches(5, 2000, 3)())
         plain = np.mean((zs @ self.truth.theta_star - zs @ core.theta_hat) ** 2)
         assert r == pytest.approx(plain, rel=0, abs=0)
 
@@ -322,9 +324,51 @@ class TestRobustError:
     def test_one_draw_gives_each_models_robust_error(self, sigma):
         dist = TestDistribution(sigma)
         models = [fit_core(self.data), fit_full(self.data)]
-        together = robust_errors(models, self.truth, dist, self.spec, samples=700, seed=9)
+        together = robust_errors(models, self.truth, [dist], self.spec, samples=700, seed=9)
         alone = [robust_error(m, self.truth, dist, self.spec, samples=700, seed=9) for m in models]
+        assert together == [alone]
+
+    def test_one_draw_gives_each_groups_robust_error(self):
+        from spurious_lens.analysis import _normal_batches, _sample_bounded_gaussian
+
+        # At gamma 1 the groups keep from about 98% to 8% of their draws, so
+        # they need from 2 to 12 batches of 600, past the SHARED_BATCHES kept.
+        spec = RobustSpec(gamma=1.0)
+        groups = [
+            TestDistribution(np.full(3, 0.5)),
+            TestDistribution(np.full(3, 2.0)),
+            TestDistribution(np.full(3, 0.1)),
+            TestDistribution(np.array([[0.3, 0.1, 0.0], [0.1, 0.2, 0.0], [0.0, 0.0, 0.1]])),
+        ]
+        drawn = []
+        batches = _normal_batches(11, 600, 3)()
+        _sample_bounded_gaussian(groups[1], spec, 600, (drawn.append(b) or b for b in batches))
+        assert len(drawn) > SHARED_BATCHES
+        models = [fit_core(self.data), fit_full(self.data)]
+        together = robust_errors(models, self.truth, groups, spec, samples=600, seed=11)
+        alone = [[robust_error(m, self.truth, g, spec, samples=600, seed=11) for m in models] for g in groups]
         assert together == alone
+        hopeless = TestDistribution(np.eye(3) * 1e6)
+        with pytest.raises(SamplerExhaustedError):
+            robust_errors(models, self.truth, [groups[0], hopeless, groups[1]], spec, samples=600, seed=11)
+
+    def test_replayed_batches_bound_the_memory(self):
+        # Six groups need 3, 5, 11, 27, 64 and 201 batches of 4096 x 40. The
+        # sampler holds a few batches' worth and the stream SHARED_BATCHES
+        # more; a stream keeping every batch would hold 201 (263 MB).
+        rng = np.random.default_rng(0)
+        d = 40
+        truth = GroundTruth(rng.standard_normal(d), (rng.standard_normal(d),))
+        data = LabeledData.from_truth(DesignMatrix(rng.standard_normal((20, d))), truth)
+        groups = [TestDistribution(np.full(d, v)) for v in (1.0, 1.1, 1.25, 1.4, 1.55, 1.74)]
+        batch = 4096 * d * 8
+        tracemalloc.start()
+        try:
+            robust_errors([fit_core(data), fit_full(data)], truth, groups, RobustSpec(6.0), 4096, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * batch, f"peak {peak / 1e6:.1f} MB"
 
     def test_overflowing_loss_raises_typed_error(self):
         full = fit_full(self.data)
@@ -332,49 +376,41 @@ class TestRobustError:
             robust_error(full, self.truth, self.dist, RobustSpec(gamma=1e300), samples=50, seed=1)
 
 
-class TestGroupwiseReport:
+class TestGroupErrors:
     def test_table2_deltas(self):
         truth, data, pi = table2_setup()
-        groups = [
-            TestDistribution(np.diag([0.0, 1.0, 0.0]), "z2"),
-            TestDistribution(np.diag([0.0, 0.0, 1.0]), "z3"),
-        ]
-        table = groupwise_report([fit_core(data), fit_full(data)], truth, groups, pi)
-        deltas = dict(table.deltas)
-        assert deltas["z2"] == pytest.approx(4.0)
-        assert deltas["z3"] == pytest.approx(-12.0)
+        core, full = fit_core(data), fit_full(data)
+        for sigma, delta in ((np.diag([0.0, 1.0, 0.0]), 4.0), (np.diag([0.0, 0.0, 1.0]), -12.0)):
+            g = TestDistribution(sigma)
+            gap = population_error(core, truth, g, pi) - population_error(full, truth, g, pi)
+            assert gap == pytest.approx(delta)
 
     def test_zero_group(self):
         truth, data, pi = table2_setup()
-        table = groupwise_report(
-            [fit_core(data), fit_full(data)], truth, [TestDistribution(np.zeros((3, 3)), "null")], pi
-        )
-        assert all(abs(err) < 1e-15 for _, _, err in table.entries)
+        null = TestDistribution(np.zeros((3, 3)))
+        for model in (fit_core(data), fit_full(data)):
+            assert abs(population_error(model, truth, null, pi)) < 1e-15
 
-    def test_rows_match_monte_carlo(self):
+    def test_errors_match_monte_carlo(self):
         rng = np.random.default_rng(27)
         d, n = 5, 2
         truth = GroundTruth(rng.standard_normal(d), (rng.standard_normal(d),))
         data = LabeledData.from_truth(DesignMatrix(rng.standard_normal((n, d))), truth)
         pi = projection(data.Z)
-        groups = []
-        for i in range(20):
-            a = rng.standard_normal((d, d))
-            groups.append(TestDistribution(a @ a.T, f"g{i}"))
         models = [fit_core(data), fit_full(data)]
-        table = groupwise_report(models, truth, groups, pi)
-        by_label = {g.label: g for g in groups}
-        by_kind = {m.kind: m for m in models}
-        for label, kind, err in table.entries:
-            g, m = by_label[label], by_kind[kind]
-            chol = np.linalg.cholesky(g.sigma + 1e-12 * np.eye(d))
-            zs = rng.standard_normal((40_000, d)) @ chol.T
-            preds = zs @ m.theta_hat
-            if m.w_hat.size:
-                preds = preds + m.w_hat[0] * (zs @ truth.beta_stars[0])
-            losses = (zs @ truth.theta_star - preds) ** 2
-            se = losses.std(ddof=1) / np.sqrt(losses.size)
-            assert abs(err - losses.mean()) <= 3 * se + 1e-12
+        for _ in range(20):
+            a = rng.standard_normal((d, d))
+            g = TestDistribution(a @ a.T)
+            for m in models:
+                err = population_error(m, truth, g, pi)
+                chol = np.linalg.cholesky(g.sigma + 1e-12 * np.eye(d))
+                zs = rng.standard_normal((40_000, d)) @ chol.T
+                preds = zs @ m.theta_hat
+                if m.w_hat.size:
+                    preds = preds + m.w_hat[0] * (zs @ truth.beta_stars[0])
+                losses = (zs @ truth.theta_star - preds) ** 2
+                se = losses.std(ddof=1) / np.sqrt(losses.size)
+                assert abs(err - losses.mean()) <= 3 * se + 1e-12
 
 
 def schur_complement_fit(z1, z2, a1, a2):
@@ -591,7 +627,7 @@ class TestValidation:
                 dist.dim,
                 removal_verdict(truth, pi, dist),
                 [population_error(m, truth, dist, pi) for m in models],
-                robust_errors(models, truth, dist, spec, 256, seed=1),
+                robust_errors(models, truth, [dist], spec, 256, seed=1),
             ))
         assert results[0] == results[1]
 

@@ -362,6 +362,33 @@ def test_svd_calls_per_command(capsys, monkeypatch, argv, calls):
     assert len(seen) == calls, seen
 
 
+# One analyze draws the seed's normal batches once and replays them to every
+# group. Five groups share one spectrum, so each keeps the same rows of the
+# same B batches; the draws are B, not one set of B per group.
+def test_normal_batches_per_analyze(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    class CountingGenerator(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            calls.append(args)
+            return super().standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: CountingGenerator(np.random.PCG64(seed)))
+    doc = golden_instance()
+    diag = np.linspace(0.5, 2.0, 12)
+    doc["robust"]["gamma"] = 3.6
+    groups = [{"label": f"g{i}", "sigma": {"diag": np.roll(diag, i).tolist()}} for i in range(5)]
+    draws = []
+    for some in (groups[:1], groups):
+        calls.clear()
+        path = write_instance(tmp_path, dict(doc, groups=some))
+        status, _, err = run(capsys, ["analyze", "--seed", "3", "--instance", path])
+        assert status == 0, err
+        draws.append(len(calls))
+    assert draws == [3, 3]
+    assert 3 <= spurious_lens.analysis.SHARED_BATCHES
+
+
 # The RST fit reads theta and Zu's rank from one QR of Zu (the third SVD
 # above is of its R factor), with no least-squares solve.
 def test_rst_fit_makes_no_lstsq_call(capsys, monkeypatch):
@@ -403,6 +430,15 @@ def test_balanced_rank_decided_on_stored_columns(capsys, tmp_path, s, y, status)
         assert json.loads(out)["verified"] is True
     else:
         assert out == "" and err.startswith("construction precondition failed: Y is a scalar multiple of S")
+
+
+# fl(Y - S) + S must reproduce Y before the designs are built: with S = [1e20, 0]
+# and Y = [1, 1e20], fl(1 - 1e20) = -1e20 absorbs Y's first entry.
+def test_balanced_absorbed_target_is_a_precondition_failure(capsys, tmp_path):
+    path = write_instance(tmp_path, {"scenario": {"S": [1e20, 0.0], "Y": [1.0, 1e20]}})
+    got, out, err = run(capsys, ["construct", "--mode", "balanced", "--d", "6", "--instance", path])
+    assert got == 4 and out == ""
+    assert err.startswith("construction precondition failed: Y - S rounds off an entry of Y")
 
 
 class TestFitCommand:

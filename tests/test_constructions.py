@@ -17,6 +17,7 @@ from spurious_lens import (
 from spurious_lens.constructions import _orthonormal_complement, _widening
 from spurious_lens.estimators import LabeledData, fit_core, fit_full
 from spurious_lens.exceptions import (
+    AbsorbedTargetsError,
     DimensionTooSmallError,
     ParallelParametersError,
     ParallelTargetsError,
@@ -224,6 +225,11 @@ class TestConstructBalanced:
         # Y far below S: fl(Y - S) = -S, so the stored columns are parallel
         with pytest.raises(ParallelTargetsError):
             construct_balanced(s, np.array([3e-17, -1e-17]), d=4)
+
+    def test_absorbed_target_rejected(self):
+        # fl(1 - 1e20) = -1e20, so row 0 of [S, Y - S] gives Y = 0, not 1
+        with pytest.raises(AbsorbedTargetsError):
+            construct_balanced(np.array([1e20, 0.0]), np.array([1.0, 1e20]), d=6)
 
     def test_nearly_parallel_targets_verify(self):
         # sin(S, Y) = 1e-5: the stored S and Y - S still span e1 and e2, though
