@@ -39,7 +39,6 @@ from .minnorm import (
     Projection,
     intersection_projection,
     min_norm_solve,
-    null_projection,
     projection,
     row_space_projection,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "implicit_weights",
     "intersection_projection",
     "min_norm_solve",
-    "null_projection",
     "ovb_bias",
     "ovb_simple_scenario",
     "reference_tables",

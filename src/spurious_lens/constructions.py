@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import RemovalVerdict, TestDistribution, removal_verdict
-from .estimators import GroundTruth
+from .estimators import GroundTruth, _reproduces
 from .exceptions import (
     AbsorbedTargetsError,
     DimensionTooSmallError,
@@ -93,17 +93,18 @@ def _parallel(u: np.ndarray, v: np.ndarray) -> bool:
 
 def _orthonormal_complement(vectors: list[np.ndarray], d: int, count: int) -> np.ndarray:
     """Deterministic orthonormal basis of the complement of span(vectors), its first count rows."""
-    basis = np.column_stack(vectors)
-    q, _ = np.linalg.qr(basis)
-    resid = np.eye(d) - q @ q.T
-    # Orthonormalize the residuals of the canonical basis, largest first.
-    order = np.argsort(-np.linalg.norm(resid, axis=0))
+    q, _ = np.linalg.qr(np.column_stack(vectors))
+    # Orthonormalize the residuals e_i - q q_i of the canonical basis, largest
+    # first; their squared norms are 1 - ||q_i||^2, so each is built in O(d).
+    order = np.argsort(np.einsum("ij,ij->i", q, q) - 1.0)
     out = np.empty((count, d))
     k = 0
     for idx in order:
         if k == count:
             break
-        v = resid[:, idx] - out[:k].T @ (out[:k] @ resid[:, idx])
+        r = -(q @ q[idx])
+        r[idx] += 1.0
+        v = r - out[:k].T @ (out[:k] @ r)
         norm = np.linalg.norm(v)
         if norm > 1e-8:
             out[k] = v / norm
@@ -246,8 +247,9 @@ def construct_balanced(S, Y, d: int) -> CounterexampleBundle:
         GroundTruth(theta_star=theta, beta_stars=(beta,)), Projection(basis=np.eye(d, 2)), z_train, z_prime, z_second
     )
     for z in (z_train, z_prime, z_second):
-        if not np.allclose(z @ theta, y, rtol=1e-9, atol=1e-9):
+        abs_z = np.abs(z)
+        if not _reproduces(z, abs_z, theta, y):
             raise VerificationError("constructed design does not reproduce the targets")
-        if not np.allclose(z @ beta, s, rtol=1e-9, atol=1e-9):
+        if not _reproduces(z, abs_z, beta, s):
             raise VerificationError("constructed design does not reproduce the spurious values")
     return bundle

@@ -50,6 +50,17 @@ MODEL_KINDS = ("core", "full", "multi", "rst")
 _PAIRING_TOL = 1e-9
 
 
+def _reproduces(z: np.ndarray, abs_z: np.ndarray, v: np.ndarray, t: np.ndarray) -> bool:
+    """Whether |Z v - t| <= _PAIRING_TOL |Z| |v| row by row, with a finite gap.
+
+    The bound is a multiple of fl(Z v)'s rounding bound (Higham, §3.1) with no
+    absolute term, so the decision does not depend on scale. abs_z is |Z|.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.abs(z @ v - t)
+    return bool(np.isfinite(gap).all() and (gap <= abs_z @ (_PAIRING_TOL * np.abs(v))).all())
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """True target parameters theta* and spurious parameters beta*_1..beta*_k."""
@@ -108,10 +119,11 @@ class LabeledData:
             raise DimensionMismatchError(
                 f"truth provides {t.n_spurious} spurious vectors but S has {self.n_spurious} columns"
             )
-        if not np.allclose(z @ t.theta_star, self.Y, rtol=_PAIRING_TOL, atol=_PAIRING_TOL):
+        abs_z = np.abs(z)
+        if not _reproduces(z, abs_z, t.theta_star, self.Y):
             raise InconsistentSystemError("Y does not equal Z theta_star for the attached truth")
         for j, b in enumerate(t.beta_stars):
-            if not np.allclose(z @ b, self.S[:, j], rtol=_PAIRING_TOL, atol=_PAIRING_TOL):
+            if not _reproduces(z, abs_z, b, self.S[:, j]):
                 raise InconsistentSystemError(
                     f"S column {j} does not equal Z beta_star[{j}] for the attached truth"
                 )
@@ -184,7 +196,10 @@ def _check_interpolation(Z: DesignMatrix, cols: np.ndarray, Y: np.ndarray, theta
     """Raise unless Z theta + cols w = Y holds to INTERP_RTOL for every fit.
 
     theta, w and cols carry the same leading (stack) dimensions, or none; the
-    worst relative residual decides, and a non-finite one fails.
+    worst relative residual decides, and a non-finite one fails. On
+    fit_min_norm_stack's result it cannot see a wrong w: theta = V(b - A w)
+    interpolates for every w up to rounding, so there it catches non-finite
+    results only.
     """
     pred = theta @ Z.entries.T + (cols @ w[..., None])[..., 0]
     rel = _relative_residual(pred - Y, Y)

@@ -5,8 +5,8 @@ the design. Its orthonormal row basis V backs the row-space projector
 P = V V', which is applied as V(V'x) and formed densely only on request;
 the same factors give every minimum-norm fit. Also here: the least-norm
 solver by pseudoinverse (the oracle everything else is checked against),
-and complement and intersection projectors taken from orthonormal bases by
-a complete QR and by principal angles. One rule, _rank, decides every rank.
+and the intersection projector of two orthonormal bases, taken from their
+principal angles. One rule, _rank, decides every rank.
 
 All functions are pure and operate on immutable inputs; tolerances are the
 module constants below.
@@ -29,9 +29,7 @@ INTERP_RTOL = 1e-8
 # Singular values below smax * PINV_RTOL are zeroed in pseudoinverses.
 PINV_RTOL = 1e-12
 
-_SYM_TOL = 1e-10
 _ORTHO_TOL = 1e-9
-_EIG_TOL = 1e-8
 
 
 def _rank(s: np.ndarray) -> int:
@@ -157,20 +155,6 @@ class Projection:
             raise ValueError("projection basis is not orthonormal")
         _freeze(self, basis=v)
 
-    @classmethod
-    def from_matrix(cls, m) -> "Projection":
-        """Projection given as a dense matrix, which must be symmetric with
-        eigenvalues in {0, 1} (and is then idempotent)."""
-        m = _as_matrix(m, "projection matrix")
-        if m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(f"projection matrix must be square, got {m.shape}")
-        if np.max(np.abs(m - m.T)) >= _SYM_TOL:
-            raise ValueError("projection matrix is not symmetric")
-        eig, vecs = np.linalg.eigh(m)
-        if np.max(np.minimum(np.abs(eig), np.abs(eig - 1.0))) >= _EIG_TOL:
-            raise ValueError("projection eigenvalues are not in {0, 1}")
-        return cls(basis=vecs[:, eig > 0.5])
-
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
@@ -265,11 +249,6 @@ def min_norm_solve(A, y) -> MinNormSolution:
         )
     # hypot scales its arguments, so neither norm overflows on a huge system
     return MinNormSolution(x=x, residual_norm=math.hypot(*res), solution_norm=math.hypot(*x))
-
-
-def null_projection(pi: Projection) -> Projection:
-    """Projector onto the orthogonal complement, I - pi, from a complete QR of pi's basis."""
-    return Projection(basis=np.linalg.qr(pi.basis, mode="complete")[0][:, pi.rank :])
 
 
 def intersection_projection(pi1: Projection, pi2: Projection) -> Projection:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -172,6 +174,19 @@ class TestConstructDisjoint:
         assert_allclose(_orthonormal_complement(vectors, d, d), np.array(reference), atol=1e-12)
         assert_allclose(_orthonormal_complement(vectors, d, 5), np.array(reference[:5]), atol=1e-12)
 
+    def test_no_dense_d_by_d_temporaries(self):
+        # One d x d double at d = 4000 is 128 MB; the complement is built from
+        # O(d) vectors, so the traced peak stays a few MB.
+        rng = np.random.default_rng(46)
+        theta, beta = rng.standard_normal(4000), rng.standard_normal(4000)
+        tracemalloc.start()
+        try:
+            assert_bundle_verified(construct_disjoint(theta, beta, n=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
     def test_random_invocations(self):
         rng = np.random.default_rng(41)
         for _ in range(30):
@@ -206,6 +221,14 @@ class TestConstructBalanced:
                 assert_allclose(design.entries @ theta, y, atol=1e-8)
                 assert_allclose(design.entries @ beta, s, atol=1e-8)
             assert_bundle_verified(bundle)
+
+    # The reproduction checks are relative to |Z| |theta*|, with no absolute
+    # term, so the construction verifies at every scale of S and Y.
+    @pytest.mark.parametrize("scale", [1e-200, 1e-10, 1.0, 1e100])
+    def test_reproduction_checks_are_scale_free(self, scale):
+        rng = np.random.default_rng(45)
+        bundle = construct_balanced(scale * rng.standard_normal(5), scale * rng.standard_normal(5), d=7)
+        assert_bundle_verified(bundle)
 
     def test_identical_observables_yet_core_wins_somewhere(self):
         # Same (S, Y) at train and test, yet the core model is strictly better

@@ -472,6 +472,21 @@ class TestDataValidation:
         with pytest.raises(InconsistentSystemError):
             LabeledData(Z=DesignMatrix(np.eye(2)), S=np.zeros((2, 0)), Y=[1.0, 2.0], truth=truth)
 
+    # The pairing rule is relative to |Z| |theta*|, so a doubled Y or S is
+    # refused at every scale; an absolute term accepted both below about 1e-9.
+    @pytest.mark.parametrize("scale", [1e-200, 1e-10, 1.0, 1e150])
+    def test_truth_pairing_is_scale_free(self, scale):
+        rng = np.random.default_rng(19)
+        z = DesignMatrix(rng.standard_normal((4, 7)))
+        theta, beta = scale * rng.standard_normal(7), scale * rng.standard_normal(7)
+        truth = GroundTruth(theta, (beta,))
+        y, s = z.entries @ theta, z.entries @ beta
+        assert LabeledData(Z=z, S=s, Y=y, truth=truth).truth is truth
+        with pytest.raises(InconsistentSystemError, match="Y does not equal"):
+            LabeledData(Z=z, S=s, Y=2.0 * y, truth=truth)
+        with pytest.raises(InconsistentSystemError, match="S column 0"):
+            LabeledData(Z=z, S=2.0 * s, Y=y, truth=truth)
+
     def test_row_count_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             LabeledData(Z=DesignMatrix(np.eye(2)), S=np.zeros((3, 1)), Y=[1.0, 2.0])

@@ -10,7 +10,6 @@ from spurious_lens import (
     Projection,
     intersection_projection,
     min_norm_solve,
-    null_projection,
     projection,
     row_space_projection,
 )
@@ -23,8 +22,12 @@ from spurious_lens.exceptions import (
 
 def random_projection(rng, d, r):
     q, _ = np.linalg.qr(rng.standard_normal((d, r)))
-    p = q @ q.T
-    return Projection.from_matrix((p + p.T) / 2.0)
+    return Projection(basis=q)
+
+
+def axes_projection(d, axes):
+    """Projector onto the coordinate axes listed."""
+    return Projection(basis=np.eye(d)[:, axes])
 
 
 def intersection_by_basis(p1, p2):
@@ -177,65 +180,19 @@ class TestMinNormSolve:
             assert np.linalg.norm((np.eye(9) - pi.matrix) @ sol.x) < 1e-9
 
 
-class TestNullProjection:
-    def test_diagonal(self):
-        pi = Projection.from_matrix(np.diag([1.0, 0.0, 0.0]))
-        assert_allclose(null_projection(pi).matrix, np.diag([0.0, 1.0, 1.0]))
-
-    def test_table_column_space_complement(self):
-        pi = Projection.from_matrix(np.diag([1.0, 1.0, 0.0, 0.0]))
-        out = null_projection(pi)
-        assert_allclose(out.matrix, np.diag([0.0, 0.0, 1.0, 1.0]))
-        assert out.rank == 2
-
-    def test_elementwise(self):
-        pi = Projection.from_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        assert_allclose(null_projection(pi).matrix, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
-
-    def test_rank_is_derived_from_the_matrix(self):
-        pi = Projection.from_matrix(np.diag([1.0, 0.0, 0.0]))
-        assert pi.rank == 1
-        out = null_projection(pi)
-        assert out.rank == 2
-        assert out.rank == round(float(np.trace(out.matrix)))
-
-    def test_involution_exact(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            pi = random_projection(rng, int(rng.integers(2, 20)), 2)
-            back = null_projection(null_projection(pi))
-            assert np.max(np.abs(back.matrix - pi.matrix)) < 1e-12
-            assert back.rank == pi.rank
-        # rank-0 and full-rank inputs
-        for pi in (Projection(basis=np.zeros((5, 0))), random_projection(rng, 5, 5)):
-            out = null_projection(pi)
-            assert out.rank == 5 - pi.rank
-            assert_allclose(out.matrix, np.eye(5) - pi.matrix, atol=1e-12)
-            back = null_projection(out)
-            assert np.max(np.abs(back.matrix - pi.matrix)) < 1e-12
-            assert back.rank == pi.rank
-
-    def test_no_pinv_or_eigh(self, monkeypatch):
-        pi = random_projection(np.random.default_rng(8), 7, 3)
-        refuse_dense_algebra(monkeypatch)
-        out = null_projection(pi)
-        assert out.rank == 4
-        assert_allclose(out.matrix, np.eye(7) - pi.matrix, atol=1e-12)
-
-
 class TestIntersectionProjection:
     def test_identical_subspaces(self):
-        pi = Projection.from_matrix(np.diag([1.0, 0.0]))
+        pi = axes_projection(2, [0])
         assert_allclose(intersection_projection(pi, pi).matrix, np.diag([1.0, 0.0]), atol=1e-10)
 
     def test_orthogonal_subspaces(self):
-        p1 = Projection.from_matrix(np.diag([1.0, 0.0]))
-        p2 = Projection.from_matrix(np.diag([0.0, 1.0]))
+        p1 = axes_projection(2, [0])
+        p2 = axes_projection(2, [1])
         assert_allclose(intersection_projection(p1, p2).matrix, np.zeros((2, 2)), atol=1e-10)
 
     def test_one_dimensional_overlap(self):
-        p1 = Projection.from_matrix(np.diag([1.0, 1.0, 0.0]))
-        p2 = Projection.from_matrix(np.diag([0.0, 1.0, 1.0]))
+        p1 = axes_projection(3, [0, 1])
+        p2 = axes_projection(3, [1, 2])
         out = intersection_projection(p1, p2)
         assert_allclose(out.matrix, np.diag([0.0, 1.0, 0.0]), atol=1e-9)
         assert out.rank == 1
@@ -335,7 +292,9 @@ class TestDesignMatrixInvariants:
             z.entries[0, 0] = 5.0
 
     def test_projection_invariant_validation(self):
-        with pytest.raises(ValueError):
-            Projection.from_matrix(np.array([[0.5, 0.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            Projection.from_matrix(np.array([[1.0, 0.1], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Projection(basis=np.array([[1.0, 0.1], [0.0, 1.0]]))
+        with pytest.raises(DimensionMismatchError):
+            Projection(basis=np.eye(3)[:2])
+        with pytest.raises(ValueError, match="non-finite"):
+            Projection(basis=np.array([[1.0], [np.nan]]))
