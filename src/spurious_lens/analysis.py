@@ -28,15 +28,14 @@ and anything else as a d x d matrix. TestDistribution.quad and apply carry
 the arithmetic of all three, so outside the robust sampler a d x d array
 exists only where one was given.
 
-The robust sampler draws a seed's standard normals once per robust_errors
-call and replays them to every group, each mapping them through its own
-Sigma factor, so each group keeps the rows it would keep if sampled alone.
+The robust sampler draws each batch of a seed's standard normals once per
+robust_errors call for every group still short of samples. A group accepts
+rows by its own Sigma factor and keeps only their values on theta* and each
+model's weights, so it keeps the rows it would keep if sampled alone.
 """
 
 from __future__ import annotations
 
-import copy
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -196,11 +195,13 @@ class RobustSpec:
         if self.norm_kind not in NORM_KINDS:
             raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {self.norm_kind!r}")
 
-    def row_norms(self, z: np.ndarray) -> np.ndarray:
-        """Norm of each row of z in this budget's norm."""
+    def row_norms(self, x: np.ndarray, eigval: np.ndarray, factor: np.ndarray) -> np.ndarray:
+        """Norm of each row of z = x F' in this budget's norm, for the factor
+        F = Q sqrt(diag(eigval)) of an eigendecomposition. Q is orthonormal,
+        so ||F x||_2^2 = sum_j eigval_j x_j^2 needs no product by F."""
         if self.norm_kind == "l2":
-            return np.linalg.norm(z, axis=1)
-        return np.max(np.abs(z), axis=1)
+            return np.sqrt((x * x) @ eigval)
+        return np.max(np.abs(x @ factor.T), axis=1)
 
     def spurious_halfwidth(self, beta_star: np.ndarray) -> float:
         """Half-width of the spurious perturbation interval (dual norm of beta*)."""
@@ -285,58 +286,6 @@ def removal_verdict(
     )
 
 
-# A shared normal stream keeps at most this many batches for replay. That is
-# about what one group's sampler holds at its peak (the rows kept so far, a
-# batch and its image), and more than the 2 or 3 batches a group needs when
-# about half of the draws are kept. A group that needs more continues from a
-# copy of the generator taken after them, so memory does not grow with the
-# rejection rate.
-SHARED_BATCHES = 4
-
-
-def _normal_batches(seed: int, samples: int, dim: int):
-    """default_rng(seed)'s max(samples, 512) x dim standard-normal batches, as
-    a function returning a new iterator over them on each call; the first
-    SHARED_BATCHES are drawn once and replayed to every iterator."""
-    rng = np.random.default_rng(seed)
-    shape = (max(samples, 512), dim)
-    kept = []
-
-    def replay():
-        for i in range(SHARED_BATCHES):
-            if i == len(kept):
-                kept.append(rng.standard_normal(shape))
-            yield kept[i]
-        rest = copy.deepcopy(rng)
-        while True:
-            yield rest.standard_normal(shape)
-
-    return replay
-
-
-def _sample_bounded_gaussian(
-    dist: TestDistribution, spec: RobustSpec, samples: int, batches
-) -> np.ndarray:
-    """Map standard-normal batches to z ~ N(0, Sigma) rejected to ||z|| <= gamma,
-    as a samples x d array; at most 1000 batches are drawn."""
-    # eigh of diag(v), not sqrt(v), so a diagonal's draws are its matrix's
-    eigval, eigvec = np.linalg.eigh(dist.matrix)
-    factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-    kept, need = [], samples
-    for normals in itertools.islice(batches, 1000):
-        z = normals @ factor.T
-        # cut by index: a slice of the masked rows would keep all of them alive
-        z = z[np.flatnonzero(spec.row_norms(z) <= spec.gamma)[:need]]
-        kept.append(z)
-        need -= z.shape[0]
-        if not need:
-            return np.concatenate(kept)
-    raise SamplerExhaustedError(
-        f"rejection sampling kept exceeding ||z|| <= {spec.gamma}; "
-        "gamma is too small for this second moment"
-    )
-
-
 def robust_errors(
     models: list[LinearModel],
     truth: GroundTruth,
@@ -352,41 +301,71 @@ def robust_errors(
     in [-gamma ||beta*||_dual, +gamma ||beta*||_dual]; the maximum of the
     resulting convex parabola sits at an interval endpoint, so the loss is
     (|theta*'z - theta_hat'z| + sum_i |w_i| gamma ||beta*||_dual)^2. Models
-    without spurious weights get their plain squared error. The seed's
-    standard normals are drawn once and replayed to every group, which maps
-    them through its own Sigma factor, so each group gets the draw that
-    robust_error makes for it alone at this seed. Every model is evaluated
-    on its group's one draw, so the errors are paired. A loss that overflows
-    raises NonFiniteResultError.
+    without spurious weights get their plain squared error.
+
+    A group's z ~ N(0, Sigma) is x F' for standard-normal rows x and
+    F = Q sqrt(Lambda) from eigh of Sigma, kept while ||z|| <= gamma. Each
+    max(samples, 512) x d batch of the seed's normals is drawn once for every
+    group still short of samples, and a group keeps only z'v = x F'v for
+    v = theta* and each theta_hat, each from its own matrix-vector product.
+    So each group's errors equal robust_error's for it alone at this seed,
+    bit for bit, and all models are evaluated on one draw per group. After
+    1000 batches a group still short raises SamplerExhaustedError; a loss
+    that overflows raises NonFiniteResultError.
     """
     if truth.n_spurious != 1:
         raise DimensionMismatchError(
             f"robust error needs exactly one spurious vector, got {truth.n_spurious}"
         )
+    if any(g.dim != truth.dim for g in groups):
+        raise DimensionMismatchError("truth and sigma dimensions disagree")
     for model in models:
         if model.kind not in ("core", "full", "rst"):
             raise ValueError(
                 f"robust error is defined for core/full/rst models, got {model.kind!r}"
             )
-        if model.theta_hat.shape[0] != truth.dim or any(g.dim != truth.dim for g in groups):
-            raise DimensionMismatchError("model, truth and sigma dimensions disagree")
+        if model.theta_hat.shape[0] != truth.dim:
+            raise DimensionMismatchError("model and truth dimensions disagree")
         if model.kind == "full" and model.w_hat.shape[0] != 1:
             raise DimensionMismatchError(
                 f"full model must carry one spurious weight, got {model.w_hat.shape[0]}"
             )
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    replay = _normal_batches(seed, samples, truth.dim)
+    vectors = [truth.theta_star] + [m.theta_hat for m in models]
+    samplers = []
+    for dist in groups:
+        # eigh of diag(v), not sqrt(v), so a diagonal's draws are its matrix's
+        eigval, eigvec = np.linalg.eigh(dist.matrix)
+        eigval = np.clip(eigval, 0.0, None)
+        factor = eigvec * np.sqrt(eigval)
+        samplers.append((eigval, factor, [factor.T @ v for v in vectors], [[] for _ in vectors]))
+    need = [samples] * len(groups)
+    rng = np.random.default_rng(seed)
+    for _ in range(1000):
+        if not any(need):
+            break
+        x = rng.standard_normal((max(samples, 512), truth.dim))
+        for i, (eigval, factor, directions, kept) in enumerate(samplers):
+            if need[i]:
+                idx = np.flatnonzero(spec.row_norms(x, eigval, factor) <= spec.gamma)[: need[i]]
+                for u, values in zip(directions, kept):
+                    values.append((x @ u)[idx])
+                need[i] -= idx.size
+    if any(need):
+        raise SamplerExhaustedError(
+            f"rejection sampling kept exceeding ||z|| <= {spec.gamma}; "
+            "gamma is too small for this second moment"
+        )
     half = spec.spurious_halfwidth(truth.beta_stars[0])
     errors = []
-    for dist in groups:
-        z = _sample_bounded_gaussian(dist, spec, samples, replay())
-        y = z @ truth.theta_star
+    for *_, kept in samplers:
+        y, *predictions = (np.concatenate(values) for values in kept)
         row = []
-        for model in models:
+        for model, p in zip(models, predictions):
             with np.errstate(over="ignore", invalid="ignore"):
                 slack = sum(abs(w) * half for w in model.w_hat)
-                err = float(np.mean((np.abs(y - z @ model.theta_hat) + slack) ** 2))
+                err = float(np.mean((np.abs(y - p) + slack) ** 2))
             if not np.isfinite(err):
                 raise NonFiniteResultError(
                     f"robust {model.kind} error is not finite at gamma {spec.gamma}"

@@ -205,8 +205,8 @@ def construct_balanced(S, Y, d: int) -> CounterexampleBundle:
     reproduced exactly on both test designs while the verdicts flip. The
     stored columns S and Y - S must not be parallel (ParallelTargetsError),
     so the training rows span e1 and e2, which are the projector's basis,
-    and fl(Y - S) + S must reproduce Y as the designs must
-    (AbsorbedTargetsError).
+    and fl(Y - S) + S must reproduce each entry of Y to 1e-9 relative, at
+    any scale, as the designs must (AbsorbedTargetsError).
     """
     s = _as_vector(S, "S")
     y = _as_vector(Y, "Y")
@@ -223,7 +223,7 @@ def construct_balanced(S, Y, d: int) -> CounterexampleBundle:
         raise NonFiniteResultError("the training column Y - S overflows")
     if not y_minus_s.any() or _parallel(_unit(s), _unit(y_minus_s)):
         raise ParallelTargetsError("Y is a scalar multiple of S")
-    if not np.allclose(y_minus_s + s, y, rtol=1e-9, atol=1e-9):
+    if np.any(np.abs(y_minus_s + s - y) > 1e-9 * np.abs(y)):
         raise AbsorbedTargetsError("Y - S rounds off an entry of Y, so the design cannot reproduce Y")
 
     theta, beta = np.zeros(d), np.zeros(d)

@@ -50,12 +50,12 @@ from .exceptions import SpuriousLensError
 from .minnorm import DesignMatrix, _as_matrix, _as_vector
 
 
-# Largest robust.samples an instance may ask for. The robust sampler holds
-# about seven samples x d float arrays at once (the rows kept so far, a batch
-# of normals and their image under the factor, and the analysis.SHARED_BATCHES
-# = 4 batches of normals it replays to every group): 224 MB at d = 40 and
-# this bound. An unbounded count ends in numpy's "Maximum allowed dimension
-# exceeded" or a MemoryError instead of an input error.
+# Largest robust.samples an instance may ask for. The robust sampler holds a
+# samples x d batch of normals and its squares (l2) or its image under the
+# factor (linf), plus the values z'v each group keeps: a traced peak of 88 MB
+# (l2) and 120 MB (linf) at d = 40, 10 groups and this bound. An unbounded
+# count ends in numpy's "Maximum allowed dimension exceeded" or a MemoryError
+# instead of an input error.
 MAX_ROBUST_SAMPLES = 100_000
 
 # Largest dimension `construct --mode balanced` may ask for (--d or

@@ -28,7 +28,7 @@ from spurious_lens import (
     robust_error,
     robust_errors,
 )
-from spurious_lens.analysis import SHARED_BATCHES, TIE_TOL
+from spurious_lens.analysis import TIE_TOL
 from spurious_lens.exceptions import (
     DimensionMismatchError,
     NonFiniteResultError,
@@ -52,6 +52,26 @@ def random_verdict_instance(rng, d_max=12):
     a = rng.standard_normal((d, d))
     dist = TestDistribution(sigma=a @ a.T, label="g")
     return truth, projection(DesignMatrix(z)), dist
+
+
+def documented_draw(dist, spec, samples, seed):
+    """The robust sampler's draw, rebuilt as robust_errors documents it.
+
+    F = Q sqrt(Lambda) comes from eigh of Sigma. Each max(samples, 512) x d
+    batch x of default_rng(seed) is paired with the indices of the rows it
+    gives: those RobustSpec.row_norms accepts, up to the samples still
+    needed. Returns F and the (x, indices) pairs."""
+    eigval, eigvec = np.linalg.eigh(dist.matrix)
+    eigval = np.clip(eigval, 0.0, None)
+    factor = eigvec * np.sqrt(eigval)
+    rng = np.random.default_rng(seed)
+    draws, need = [], samples
+    while need:
+        x = rng.standard_normal((max(samples, 512), dist.dim))
+        idx = np.flatnonzero(spec.row_norms(x, eigval, factor) <= spec.gamma)[:need]
+        draws.append((x, idx))
+        need -= idx.size
+    return factor, draws
 
 
 class TestPopulationError:
@@ -268,13 +288,53 @@ class TestRobustError:
         self.spec = RobustSpec(gamma=4.0, norm_kind="l2")
 
     def test_core_equals_standard_error_on_shared_sample(self):
-        from spurious_lens.analysis import _normal_batches, _sample_bounded_gaussian
-
         core = fit_core(self.data)
         r = robust_error(core, self.truth, self.dist, self.spec, samples=2000, seed=5)
-        zs = _sample_bounded_gaussian(self.dist, self.spec, 2000, _normal_batches(5, 2000, 3)())
-        plain = np.mean((zs @ self.truth.theta_star - zs @ core.theta_hat) ** 2)
+        factor, draws = documented_draw(self.dist, self.spec, 2000, 5)
+
+        def values(v):
+            u = factor.T @ v
+            return np.concatenate([(x @ u)[idx] for x, idx in draws])
+
+        plain = np.mean((values(self.truth.theta_star) - values(core.theta_hat)) ** 2)
         assert r == pytest.approx(plain, rel=0, abs=0)
+
+    @pytest.mark.parametrize("norm_kind", ["l2", "linf"])
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_matches_explicit_z_reference(self, norm_kind, diagonal):
+        # The sampler never forms z = x F' for l2, and keeps only z'v for
+        # linf; a reference that forms z and takes its norms directly must
+        # accept the same rows of each batch and give the same errors to
+        # rounding.
+        rng = np.random.default_rng(17)
+        d = 6
+        truth = GroundTruth(rng.standard_normal(d), (rng.standard_normal(d),))
+        data = LabeledData.from_truth(DesignMatrix(rng.standard_normal((3, d))), truth)
+        if diagonal:
+            dist = TestDistribution(rng.uniform(0.2, 2.0, d))
+        else:
+            a = rng.standard_normal((d, d))
+            dist = TestDistribution(a @ a.T / d)
+        spec = RobustSpec(1.5 if norm_kind == "l2" else 0.8, norm_kind)
+        models = [fit_core(data), fit_full(data)]
+        errors = robust_errors(models, truth, [dist], spec, samples=900, seed=4)[0]
+
+        factor, draws = documented_draw(dist, spec, 900, 4)
+        zs, need = [], 900
+        for x, idx in draws:
+            z = x @ factor.T
+            norms = np.linalg.norm(z, axis=1) if norm_kind == "l2" else np.max(np.abs(z), axis=1)
+            ok = np.flatnonzero(norms <= spec.gamma)[:need]
+            assert np.array_equal(ok, idx)
+            zs.append(z[ok])
+            need -= ok.size
+        z = np.concatenate(zs)
+        assert z.shape[0] == 900
+        half = spec.spurious_halfwidth(truth.beta_stars[0])
+        for model, err in zip(models, errors):
+            slack = sum(abs(w) * half for w in model.w_hat)
+            ref = np.mean((np.abs(z @ truth.theta_star - z @ model.theta_hat) + slack) ** 2)
+            assert err == pytest.approx(ref, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("gamma", [1.0, 4.0])
     def test_full_dominates_core(self, gamma):
@@ -328,11 +388,17 @@ class TestRobustError:
         alone = [robust_error(m, self.truth, dist, self.spec, samples=700, seed=9) for m in models]
         assert together == [alone]
 
-    def test_one_draw_gives_each_groups_robust_error(self):
-        from spurious_lens.analysis import _normal_batches, _sample_bounded_gaussian
+    def test_one_draw_gives_each_groups_robust_error(self, monkeypatch):
+        batches = []
 
+        class CountingGenerator(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                batches.append(args)
+                return super().standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: CountingGenerator(np.random.PCG64(seed)))
         # At gamma 1 the groups keep from about 98% to 8% of their draws, so
-        # they need from 2 to 12 batches of 600, past the SHARED_BATCHES kept.
+        # alone they need from 2 to 12 batches of 600.
         spec = RobustSpec(gamma=1.0)
         groups = [
             TestDistribution(np.full(3, 0.5)),
@@ -340,22 +406,32 @@ class TestRobustError:
             TestDistribution(np.full(3, 0.1)),
             TestDistribution(np.array([[0.3, 0.1, 0.0], [0.1, 0.2, 0.0], [0.0, 0.0, 0.1]])),
         ]
-        drawn = []
-        batches = _normal_batches(11, 600, 3)()
-        _sample_bounded_gaussian(groups[1], spec, 600, (drawn.append(b) or b for b in batches))
-        assert len(drawn) > SHARED_BATCHES
         models = [fit_core(self.data), fit_full(self.data)]
+        alone, drawn = [], []
+        for g in groups:
+            batches.clear()
+            alone.append([robust_error(m, self.truth, g, spec, samples=600, seed=11) for m in models])
+            drawn.append(len(batches) // len(models))
+        assert min(drawn) == 2 and max(drawn) == 12
+        batches.clear()
         together = robust_errors(models, self.truth, groups, spec, samples=600, seed=11)
-        alone = [[robust_error(m, self.truth, g, spec, samples=600, seed=11) for m in models] for g in groups]
         assert together == alone
+        assert len(batches) == max(drawn)  # each batch is drawn once for every group
         hopeless = TestDistribution(np.eye(3) * 1e6)
         with pytest.raises(SamplerExhaustedError):
             robust_errors(models, self.truth, [groups[0], hopeless, groups[1]], spec, samples=600, seed=11)
 
+    def test_group_dimensions_are_checked_before_sampling(self):
+        with pytest.raises(DimensionMismatchError):
+            robust_errors([], self.truth, [self.dist, TestDistribution(np.ones(5))], self.spec, samples=10)
+
     def test_replayed_batches_bound_the_memory(self):
         # Six groups need 3, 5, 11, 27, 64 and 201 batches of 4096 x 40. The
-        # sampler holds a few batches' worth and the stream SHARED_BATCHES
-        # more; a stream keeping every batch would hold 201 (263 MB).
+        # sampler holds one batch of normals, its squares and each group's
+        # kept values of z'theta* and z'theta_hat: a peak of 2.7 batches
+        # (3.6 MB), bounded at 4 for allocator and numpy temporaries. Keeping
+        # each group's accepted rows would add 6 batches, and keeping every
+        # batch drawn 201 (263 MB).
         rng = np.random.default_rng(0)
         d = 40
         truth = GroundTruth(rng.standard_normal(d), (rng.standard_normal(d),))
@@ -368,7 +444,7 @@ class TestRobustError:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * batch, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 4 * batch, f"peak {peak / 1e6:.1f} MB"
 
     def test_overflowing_loss_raises_typed_error(self):
         full = fit_full(self.data)

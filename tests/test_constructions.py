@@ -250,9 +250,10 @@ class TestConstructBalanced:
             construct_balanced(s, np.array([3e-17, -1e-17]), d=4)
 
     def test_absorbed_target_rejected(self):
-        # fl(1 - 1e20) = -1e20, so row 0 of [S, Y - S] gives Y = 0, not 1
-        with pytest.raises(AbsorbedTargetsError):
-            construct_balanced(np.array([1e20, 0.0]), np.array([1.0, 1e20]), d=6)
+        # fl(Y0 - S0) = -S0, so row 0 of [S, Y - S] gives Y0 = 0, at any scale
+        for s, y in ([1e20, 0.0], [1.0, 1e20]), ([1e-3, 0.0], [1e-20, 1e-3]), ([1.0, 0.0], [1e-17, 1.0]):
+            with pytest.raises(AbsorbedTargetsError):
+                construct_balanced(np.array(s), np.array(y), d=6)
 
     def test_nearly_parallel_targets_verify(self):
         # sin(S, Y) = 1e-5: the stored S and Y - S still span e1 and e2, though
