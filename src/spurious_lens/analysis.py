@@ -195,13 +195,15 @@ class RobustSpec:
         if self.norm_kind not in NORM_KINDS:
             raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {self.norm_kind!r}")
 
-    def row_norms(self, x: np.ndarray, eigval: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    def row_norms(self, x: np.ndarray, eigval: np.ndarray, factor: np.ndarray, squares=None) -> np.ndarray:
         """Norm of each row of z = x F' in this budget's norm, for the factor
         F = Q sqrt(diag(eigval)) of an eigendecomposition. Q is orthonormal,
-        so ||F x||_2^2 = sum_j eigval_j x_j^2 needs no product by F."""
+        so ||F x||_2^2 = sum_j eigval_j x_j^2 needs no product by F. A caller
+        that measures one batch for several factors passes its squares x * x."""
         if self.norm_kind == "l2":
-            return np.sqrt((x * x) @ eigval)
-        return np.max(np.abs(x @ factor.T), axis=1)
+            return np.sqrt((x * x if squares is None else squares) @ eigval)
+        z = x @ factor.T
+        return np.max(np.abs(z, out=z), axis=1)
 
     def spurious_halfwidth(self, beta_star: np.ndarray) -> float:
         """Half-width of the spurious perturbation interval (dual norm of beta*)."""
@@ -305,9 +307,10 @@ def robust_errors(
 
     A group's z ~ N(0, Sigma) is x F' for standard-normal rows x and
     F = Q sqrt(Lambda) from eigh of Sigma, kept while ||z|| <= gamma. Each
-    max(samples, 512) x d batch of the seed's normals is drawn once for every
-    group still short of samples, and a group keeps only z'v = x F'v for
-    v = theta* and each theta_hat, each from its own matrix-vector product.
+    max(samples, 512) x d batch of the seed's normals is drawn once, into one
+    buffer, and for l2 squared once, for every group still short of samples;
+    a group keeps only z'v = x F'v for v = theta* and each theta_hat, each
+    from its own matrix-vector product.
     So each group's errors equal robust_error's for it alone at this seed,
     bit for bit, and all models are evaluated on one draw per group. After
     1000 batches a group still short raises SamplerExhaustedError; a loss
@@ -342,13 +345,17 @@ def robust_errors(
         samplers.append((eigval, factor, [factor.T @ v for v in vectors], [[] for _ in vectors]))
     need = [samples] * len(groups)
     rng = np.random.default_rng(seed)
+    x = np.empty((max(samples, 512), truth.dim))
+    squares = np.empty_like(x) if spec.norm_kind == "l2" else None
     for _ in range(1000):
         if not any(need):
             break
-        x = rng.standard_normal((max(samples, 512), truth.dim))
+        rng.standard_normal(out=x)
+        if squares is not None:
+            np.multiply(x, x, out=squares)
         for i, (eigval, factor, directions, kept) in enumerate(samplers):
             if need[i]:
-                idx = np.flatnonzero(spec.row_norms(x, eigval, factor) <= spec.gamma)[: need[i]]
+                idx = np.flatnonzero(spec.row_norms(x, eigval, factor, squares) <= spec.gamma)[: need[i]]
                 for u, values in zip(directions, kept):
                     values.append((x @ u)[idx])
                 need[i] -= idx.size

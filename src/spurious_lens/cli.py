@@ -14,6 +14,7 @@ JSON output is byte-deterministic for a fixed command line and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict
@@ -67,7 +68,9 @@ _SCENARIOS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spurious-lens",
         description="Minimum-norm linear regression with spurious features: "

@@ -31,6 +31,7 @@ from .exceptions import (
     InconsistentConstraintsError,
     InconsistentSystemError,
     RankDeficientError,
+    VerificationError,
 )
 from .minnorm import (
     INTERP_RTOL,
@@ -48,6 +49,9 @@ from .minnorm import (
 MODEL_KINDS = ("core", "full", "multi", "rst")
 
 _PAIRING_TOL = 1e-9
+# Largest normwise backward error of a stacked fit's k x k solve, in k * eps:
+# about 9 times the worst over the test suite (0.45, at k = 1).
+_STATIONARITY_TOL = 4.0
 
 
 def _reproduces(z: np.ndarray, abs_z: np.ndarray, v: np.ndarray, t: np.ndarray) -> bool:
@@ -199,14 +203,27 @@ def _check_interpolation(Z: DesignMatrix, cols: np.ndarray, Y: np.ndarray, theta
     worst relative residual decides, and a non-finite one fails. On
     fit_min_norm_stack's result it cannot see a wrong w: theta = V(b - A w)
     interpolates for every w up to rounding, so there it catches non-finite
-    results only.
+    results only, and _check_stationarity checks w.
     """
-    pred = theta @ Z.entries.T + (cols @ w[..., None])[..., 0]
+    pred = theta @ Z.entries.T + np.einsum("...nk,...k->...n", cols, w)
     rel = _relative_residual(pred - Y, Y)
     if not rel <= INTERP_RTOL:
         raise InconsistentSystemError(
             f"fitted model does not interpolate its training targets (relative residual {rel:.3e})"
         )
+
+
+def _check_stationarity(m: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> None:
+    """Raise unless every block's x solves its k x k system m x = rhs to a normwise
+    backward error ||m x - rhs|| / (||m|| ||x|| + ||rhs||) of at most
+    _STATIONARITY_TOL * k * eps, in the infinity norm (Rigal & Gaches; Higham, §7.1)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.abs(np.einsum("tij,tj->ti", m, x) - rhs).max(axis=1, initial=0.0)
+        bound = np.abs(m).sum(axis=2).max(axis=1, initial=0.0) * np.abs(x).max(axis=1, initial=0.0)
+        bound += np.abs(rhs).max(axis=1, initial=0.0)
+    ok = r <= _STATIONARITY_TOL * x.shape[1] * np.finfo(float).eps * bound
+    if not ok.all():
+        raise VerificationError(f"block {int(np.argmin(ok))}'s spurious weights do not solve (I + A'A) w = A'b")
 
 
 def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray]:
@@ -217,13 +234,15 @@ def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray
     SVD Z = U S V', theta_i = V c_i where c_i = b - A_i w_i,
     A_i = S^{-1} U' cols_i and b = S^{-1} U' Y; minimizing
     ||c_i||^2 + ||w_i||^2 gives (I + A_i'A_i) w_i = A_i'b, solved for all
-    blocks by one broadcast solve. Nothing here squares cond(Z). Only when
-    A'A or A'b overflows is each column of A with max|a_j| >= 0.5 scaled
+    blocks by one stacked solve. All A_i', all A_i'b and all theta_i each come
+    from one 2-D product over the T blocks. Nothing here squares cond(Z). Only
+    when A'A or A'b overflows is each column of A with max|a_j| >= 0.5 scaled
     by the power of two that brings it into [0.5, 1): with A~ = A 2^-E,
     (2^-2E + A~'A~) x = A~'b and w = 2^-E x. Raises RankDeficientError
     when that k x k system is singular in floating point (collinear columns
-    so large that the identity is lost next to A'A), and
-    InconsistentSystemError when the worst block fails to interpolate Y.
+    so large that the identity is lost next to A'A), InconsistentSystemError
+    when the worst block fails to interpolate Y, and VerificationError when
+    a block's x fails _check_stationarity on the system it solved.
     """
     cols = np.asarray(cols, dtype=float)
     y = _as_vector(Y, "Y")
@@ -233,26 +252,27 @@ def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray
             f"got shapes {cols.shape} and {y.shape}"
         )
     u, s, v = Z.svd
+    t, n, k = cols.shape
     b = (u.T @ y) / s
-    k = cols.shape[2]
-    a = (u.T @ cols) / s[:, None]
-    at = a.transpose(0, 2, 1)
+    # row j of at[i] is (S^-1 U' cols_i[:, j])', so at[i] = A_i'
+    at = ((cols.transpose(0, 2, 1).reshape(t * k, n) @ u) / s).reshape(t, k, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        gram, atb = at @ a, at @ b
+        gram, atb = at @ at.transpose(0, 2, 1), (at.reshape(t * k, n) @ b).reshape(t, k)
     try:
         if np.isfinite(gram).all() and np.isfinite(atb).all():
-            w = np.linalg.solve(np.eye(k) + gram, atb[..., None])[..., 0]
+            m, rhs, e = np.eye(k) + gram, atb, 0
         else:
-            e = np.maximum(np.frexp(np.max(np.abs(a), axis=1))[1], 0)[:, None, :]
-            a_s = np.ldexp(a, -e)
-            at_s = a_s.transpose(0, 2, 1)
-            x = np.linalg.solve(np.ldexp(np.eye(k), -2 * e) + at_s @ a_s, (at_s @ b)[..., None])
-            w = np.ldexp(x[..., 0], -e[:, 0])
+            e = np.maximum(np.frexp(np.max(np.abs(at), axis=2))[1], 0)
+            at_s = np.ldexp(at, -e[..., None])
+            m = np.ldexp(np.eye(k), -2 * e[:, None, :]) + at_s @ at_s.transpose(0, 2, 1)
+            rhs = (at_s.reshape(t * k, n) @ b).reshape(t, k)
+        x = np.linalg.solve(m, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError(f"the spurious-weight system is singular: {exc}") from exc
-    c = b - (a @ w[..., None])[..., 0]
-    theta = (v @ c[..., None])[..., 0]
+    w = np.ldexp(x, -e)
+    theta = (b - np.einsum("tkn,tk->tn", at, w)) @ v.T
     _check_interpolation(Z, cols, y, theta, w)
+    _check_stationarity(m, x, rhs)
     return theta, w
 
 

@@ -103,7 +103,7 @@ class DesignMatrix:
         """n <= d and every singular value counts toward the rank (_rank)."""
         if self.rows > self.cols:
             return False
-        return _rank(np.linalg.svd(self.entries, compute_uv=False)) == self.rows
+        return _rank(np.linalg.svd(self.entries.T, compute_uv=False)) == self.rows
 
     @property
     def rows(self) -> int:

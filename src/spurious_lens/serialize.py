@@ -52,8 +52,8 @@ from .minnorm import DesignMatrix, _as_matrix, _as_vector
 
 # Largest robust.samples an instance may ask for. The robust sampler holds a
 # samples x d batch of normals and its squares (l2) or its image under the
-# factor (linf), plus the values z'v each group keeps: a traced peak of 88 MB
-# (l2) and 120 MB (linf) at d = 40, 10 groups and this bound. An unbounded
+# factor (linf), plus the values z'v each group keeps: a traced peak of 89 MB
+# (l2) and 85 MB (linf) at d = 40, 10 groups and this bound. An unbounded
 # count ends in numpy's "Maximum allowed dimension exceeded" or a MemoryError
 # instead of an input error.
 MAX_ROBUST_SAMPLES = 100_000

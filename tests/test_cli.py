@@ -1067,3 +1067,24 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["w_hat"] == pytest.approx([1.0])
+
+    def test_calls_in_turn_write_what_fresh_processes_write(self, capsys, monkeypatch):
+        # main builds its parser once per process, so no call may see an
+        # earlier one; argparse wraps its usage line to COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        instance = str(GOLDEN / "one_beta.instance.json")
+        argvs = [
+            ["fit", "--instance", instance],
+            ["fit", "--instance", instance, "--model", "nope"],
+            ["analyze", "--instance", instance],
+            ["simulate", "--scenario", "example1", "--trials", "500"],
+        ]
+        in_turn = [run(capsys, argv) for argv in argvs]
+        assert [status for status, _, _ in in_turn] == [0, 2, 0, 0]
+        src = str(Path(spurious_lens.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for argv, got in zip(argvs, in_turn):
+            proc = subprocess.run(
+                [sys.executable, "-m", "spurious_lens", *argv], capture_output=True, text=True, env=env
+            )
+            assert got == (proc.returncode, proc.stdout, proc.stderr)

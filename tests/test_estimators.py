@@ -28,6 +28,7 @@ from spurious_lens.exceptions import (
     RankDeficientError,
     SingularGramError,
     SpuriousLensError,
+    VerificationError,
 )
 
 
@@ -271,6 +272,45 @@ class TestFitMinNormStack:
                 assert np.linalg.norm(got - single) <= 1e-12 * np.linalg.norm(single)
                 oracle = min_norm_solve(np.hstack([z.entries, cols[i]]), y).x
                 assert_allclose(got, oracle, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_folded_blocks_match_single_fits(self, monkeypatch, k):
+        # T = 2048 blocks go through one 2-D product each for A' and theta.
+        # For k >= 1 one block's columns are so large that A'A overflows, so
+        # the whole stack takes the power-of-two scaled route (the only
+        # caller of np.frexp here), and each block still matches its own fit.
+        rng = np.random.default_rng(31 + k)
+        z = DesignMatrix(rng.standard_normal((6, 15)))
+        y = rng.standard_normal(6)
+        cols = rng.standard_normal((2048, 6, k))
+        cols[1000] *= 1e200
+        frexp, scaled = np.frexp, []
+        monkeypatch.setattr(np, "frexp", lambda *a: scaled.append(1) or frexp(*a))
+        theta, w = fit_min_norm_stack(z, cols, y)
+        monkeypatch.undo()
+        assert theta.shape == (2048, 15) and w.shape == (2048, k)
+        assert len(scaled) == (k > 0)
+        fit = {0: fit_core, 1: fit_full, 3: fit_multi}[k]
+        for i in range(2048):
+            model = fit(LabeledData(Z=z, S=cols[i], Y=y))
+            got = np.concatenate([theta[i], w[i]])
+            single = np.concatenate([model.theta_hat, model.w_hat])
+            assert np.linalg.norm(got - single) <= 1e-12 * np.linalg.norm(single)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_stationarity_check_sees_a_zeroed_weight(self, monkeypatch, scale):
+        # theta = V(b - A w) interpolates for any w, so w = 0 passes the
+        # interpolation check; the k x k system's residual does not
+        # (scale 1e200 checks the scaled route's system)
+        rng = np.random.default_rng(27)
+        z = DesignMatrix(rng.standard_normal((5, 12)))
+        cols = scale * rng.standard_normal((4, 5, 2))
+        y = rng.standard_normal(5)
+        fit_min_norm_stack(z, cols, y)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: np.zeros_like(solve(*a)))
+        with pytest.raises(VerificationError, match="do not solve"):
+            fit_min_norm_stack(z, cols, y)
 
     def test_worst_block_decides_interpolation(self):
         # a rank-deficient design never reaches the solve; an inconsistent
