@@ -43,8 +43,6 @@ from .serialize import (
     rows_to_csv,
 )
 
-TABLES_TOL = 1e-9
-
 _CONSTRUCTION_ERRORS = (ParallelParametersError, ParallelTargetsError, AbsorbedTargetsError, DimensionTooSmallError)
 
 # Each scenario's runner (seed, **parameters) and its (key, type, default)
@@ -305,8 +303,7 @@ def cmd_simulate(args) -> int:
     params = _load_instance(args).scenario if args.instance else {}
     if args.trials is not None:
         params = dict(params, trials=args.trials)
-    name = args.scenario
-    runner, spec = _SCENARIOS[name]
+    runner, spec = _SCENARIOS[args.scenario]
     kwargs = {
         key: _number(default if params.get(key) is None else params[key], kind, f"scenario.{key}")
         for key, kind, default in spec
@@ -336,11 +333,6 @@ def cmd_simulate(args) -> int:
     _emit(args, doc, ["label", "closed_form", "monte_carlo", "stderr"], lambda: [
         dict({"label": label}, **q) for label, q in doc["quantities"].items()
     ])
-    if name == "tables" and report.max_closed_form_gap() > TABLES_TOL:
-        raise VerificationError(
-            f"table reproduction exceeded tolerance {TABLES_TOL}: "
-            f"max gap {report.max_closed_form_gap():.3e}"
-        )
     return 0
 
 

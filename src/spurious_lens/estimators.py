@@ -91,6 +91,11 @@ class GroundTruth:
         return len(self.beta_stars)
 
 
+def _check_truth_dim(Z: DesignMatrix, truth: GroundTruth) -> None:
+    if truth.dim != Z.cols:
+        raise DimensionMismatchError(f"truth dimension {truth.dim} does not match design with {Z.cols} columns")
+
+
 @dataclass(frozen=True)
 class LabeledData:
     """Training triple (Z, S, Y), optionally paired with its generating truth."""
@@ -115,10 +120,7 @@ class LabeledData:
     def _check_truth_pairing(self):
         t = self.truth
         z = self.Z.entries
-        if t.dim != self.Z.cols:
-            raise DimensionMismatchError(
-                f"truth dimension {t.dim} does not match design with {self.Z.cols} columns"
-            )
+        _check_truth_dim(self.Z, t)
         if t.n_spurious != self.n_spurious:
             raise DimensionMismatchError(
                 f"truth provides {t.n_spurious} spurious vectors but S has {self.n_spurious} columns"
@@ -135,6 +137,7 @@ class LabeledData:
     @classmethod
     def from_truth(cls, Z: DesignMatrix, truth: GroundTruth) -> "LabeledData":
         """Generate S and Y from the truth on the given design."""
+        _check_truth_dim(Z, truth)
         z = Z.entries
         with np.errstate(over="ignore", invalid="ignore"):
             s = np.column_stack([z @ b for b in truth.beta_stars]) if truth.beta_stars else np.zeros((Z.rows, 0))

@@ -161,9 +161,10 @@ def estimate_group_losses(
 ) -> GroupLossEstimate:
     """Monte-Carlo in-group losses of the two population predictors.
 
-    generator(rng, m) must return raw draws (x, s, z, y) with z of shape
-    (m, q); group_predicate(x, s, z, y) selects the group members. Losses
-    are evaluated on the population-centered variables:
+    generator(rng, m) must return raw draws (x, s, z, y) with s of length m
+    and z of shape (m, q), else DimensionMismatchError is raised;
+    group_predicate(x, s, z, y) selects the group members. Losses are
+    evaluated on the population-centered variables:
         with s:    (gamma' z - gamma' lambda s)^2
         without s: (gamma' z + beta s)^2
     A draw, loss or standard error that overflows raises
@@ -178,6 +179,10 @@ def estimate_group_losses(
     z = np.asarray(z, dtype=float)
     if z.ndim == 1:
         z = z[:, None]
+    if s.shape != (trials,) or z.shape != (trials, pop.gamma.shape[0]):
+        raise DimensionMismatchError(
+            f"draws have s {s.shape} and z {z.shape}, expected ({trials},) and ({trials}, {pop.gamma.shape[0]})"
+        )
     mask = np.asarray(group_predicate(x, s, z, y), dtype=bool)
     m = int(np.count_nonzero(mask))
     if m == 0:

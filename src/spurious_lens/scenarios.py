@@ -51,6 +51,8 @@ _THREE_SIGMA_ABS = 1e-12
 # Trials per stacked fit when example1 verifies its closed-form weights: the
 # stack's temporaries stay a few MB however many trials are drawn.
 _VERIFY_BLOCK = 2048
+# Largest gap between a recomputed table entry and its printed value.
+TABLES_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -239,87 +241,73 @@ def example2_simulate(
     )
 
 
-def _table_entries(label: str, computed: np.ndarray, expected: list[float]) -> dict[str, Quantity]:
+def _table_entries(label: str, computed, expected: list[float]) -> dict[str, Quantity]:
+    """One quantity per entry of `computed`; VerificationError unless each is within TABLES_TOL of `expected`."""
     comp = np.atleast_1d(np.asarray(computed, dtype=float))
     exp = np.asarray(expected, dtype=float)
     if comp.shape != exp.shape:
-        raise VerificationError(f"{label}: shape mismatch {comp.shape} vs {exp.shape}")
+        raise VerificationError(f"table reproduction failed: {label} has shape {comp.shape}, expected {exp.shape}")
+    gap = float(np.max(np.abs(comp - exp)))
+    if not gap <= TABLES_TOL:
+        raise VerificationError(f"table reproduction failed: {label} is off by {gap:.3e} (tolerance {TABLES_TOL})")
     if comp.shape == (1,):
         return {label: Quantity(float(exp[0]), float(comp[0]), 0.0)}
-    return {
-        f"{label}[{i}]": Quantity(float(exp[i]), float(comp[i]), 0.0)
-        for i in range(comp.shape[0])
-    }
+    return {f"{label}[{i}]": Quantity(float(e), float(c), 0.0) for i, (e, c) in enumerate(zip(exp, comp))}
+
+
+def _table_data(rows, theta, *betas) -> LabeledData:
+    """Training data on the design `rows`, generated from theta* and beta*_1..beta*_k."""
+    return LabeledData.from_truth(DesignMatrix(rows), GroundTruth(theta_star=theta, beta_stars=betas))
+
+
+def _model_entries(tag, model, truth, theta, w=None, implicit=None) -> dict[str, Quantity]:
+    """A fitted model's theta entries, then its w and implicit-weight entries where given."""
+    q = _table_entries(f"{tag}.theta", model.theta_hat, theta)
+    if w is not None:
+        q.update(_table_entries(f"{tag}.w", model.w_hat, w))
+    if implicit is not None:
+        q.update(_table_entries(f"{tag}.implicit", implicit_weights(model, truth), implicit))
+    return q
 
 
 def reference_tables() -> ScenarioReport:
     """Recompute every printed value of the four worked regression tables.
 
     Each quantity stores the reference value as closed_form and the
-    recomputed value as monte_carlo (stderr 0), so the maximum absolute
-    difference doubles as the reproduction check.
+    recomputed value as monte_carlo (stderr 0). Raises VerificationError
+    ("table reproduction failed: ...") when an entry's shape differs from its
+    reference or its value is not within TABLES_TOL of it, so a returned
+    report reproduces every table.
     """
     q: dict[str, Quantity] = {}
 
     # Table 1: one training row [1, 0]; implicit second weight is alpha.
     for alpha in (0.0, 1.0, 2.0):
-        truth = GroundTruth(theta_star=np.array([2.0, 2.0]), beta_stars=(np.array([1.0, alpha]),))
-        data = LabeledData.from_truth(DesignMatrix(np.array([[1.0, 0.0]])), truth)
-        core = fit_core(data)
-        full = fit_full(data)
+        data = _table_data([[1.0, 0.0]], [2.0, 2.0], [1.0, alpha])
         tag = f"table1[alpha={alpha:g}]"
-        q.update(_table_entries(f"{tag}.core.theta", core.theta_hat, [2.0, 0.0]))
-        q.update(_table_entries(f"{tag}.full.theta", full.theta_hat, [1.0, 0.0]))
-        q.update(_table_entries(f"{tag}.full.w", full.w_hat, [1.0]))
-        q.update(_table_entries(f"{tag}.full.implicit", implicit_weights(full, truth), [2.0, alpha]))
+        q.update(_model_entries(f"{tag}.core", fit_core(data), data.truth, [2.0, 0.0]))
+        q.update(_model_entries(f"{tag}.full", fit_full(data), data.truth, [1.0, 0.0], [1.0], [2.0, alpha]))
 
     # Table 2: one training row in three dimensions.
-    truth2 = GroundTruth(theta_star=np.array([2.0, 2.0, 2.0]), beta_stars=(np.array([1.0, 2.0, -2.0]),))
-    data2 = LabeledData.from_truth(DesignMatrix(np.array([[1.0, 0.0, 0.0]])), truth2)
-    core2 = fit_core(data2)
-    full2 = fit_full(data2)
-    q.update(_table_entries("table2.core.theta", core2.theta_hat, [2.0, 0.0, 0.0]))
-    q.update(_table_entries("table2.full.theta", full2.theta_hat, [1.0, 0.0, 0.0]))
-    q.update(_table_entries("table2.full.w", full2.w_hat, [1.0]))
-    q.update(_table_entries("table2.full.implicit", implicit_weights(full2, truth2), [2.0, 2.0, -2.0]))
+    data = _table_data([[1.0, 0.0, 0.0]], [2.0, 2.0, 2.0], [1.0, 2.0, -2.0])
+    q.update(_model_entries("table2.core", fit_core(data), data.truth, [2.0, 0.0, 0.0]))
+    q.update(_model_entries("table2.full", fit_full(data), data.truth, [1.0, 0.0, 0.0], [1.0], [2.0, 2.0, -2.0]))
 
     # Table 3: identical (s, y) at train and test, predictions on two test points.
-    truth3 = GroundTruth(
-        theta_star=np.array([1.0, 0.0, 1.0, 0.0]),
-        beta_stars=(np.array([1.0, 1.0, -1.0, -1.0]),),
-    )
-    data3 = LabeledData.from_truth(
-        DesignMatrix(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])), truth3
-    )
-    core3 = fit_core(data3)
-    full3 = fit_full(data3)
-    q.update(_table_entries("table3.core.theta", core3.theta_hat, [1.0, 0.0, 0.0, 0.0]))
-    q.update(_table_entries("table3.full.theta", full3.theta_hat, [2 / 3, -1 / 3, 0.0, 0.0]))
-    q.update(_table_entries("table3.full.w", full3.w_hat, [1 / 3]))
-    for j, z in enumerate((np.array([0.0, 2.0, 1.0, 0.0]), np.array([0.0, 2.0, 0.0, 1.0]))):
-        q.update(_table_entries(f"table3.pred{j}.core", np.array([predict(core3, z)]), [0.0]))
-        q.update(
-            _table_entries(f"table3.pred{j}.full", np.array([predict(full3, z, [1.0])]), [-1 / 3])
-        )
+    data = _table_data([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]], [1.0, 0.0, 1.0, 0.0], [1.0, 1.0, -1.0, -1.0])
+    core, full = fit_core(data), fit_full(data)
+    q.update(_model_entries("table3.core", core, data.truth, [1.0, 0.0, 0.0, 0.0]))
+    q.update(_model_entries("table3.full", full, data.truth, [2 / 3, -1 / 3, 0.0, 0.0], [1 / 3]))
+    for j, z in enumerate(([0.0, 2.0, 1.0, 0.0], [0.0, 2.0, 0.0, 1.0])):
+        q.update(_table_entries(f"table3.pred{j}.core", predict(core, z), [0.0]))
+        q.update(_table_entries(f"table3.pred{j}.full", predict(full, z, [1.0]), [-1 / 3]))
 
     # Table 4: two extra features; dropping one raises the weight on the other.
-    truth4 = GroundTruth(
-        theta_star=np.array([2.0, 2.0, 2.0]),
-        beta_stars=(np.array([1.0, -3.0, 0.0]), np.array([1.0, 0.0, -3.0])),
-    )
-    data4 = LabeledData.from_truth(DesignMatrix(np.array([[1.0, 0.0, 0.0]])), truth4)
-    both = fit_multi(data4)
-    q.update(_table_entries("table4.both.theta", both.theta_hat, [2 / 3, 0.0, 0.0]))
-    q.update(_table_entries("table4.both.w", both.w_hat, [2 / 3, 2 / 3]))
-    q.update(_table_entries("table4.both.implicit", implicit_weights(both, truth4), [2.0, -2.0, -2.0]))
-    truth4a = GroundTruth(theta_star=truth4.theta_star, beta_stars=(truth4.beta_stars[0],))
-    data4a = LabeledData.from_truth(DesignMatrix(np.array([[1.0, 0.0, 0.0]])), truth4a)
-    only1 = fit_full(data4a)
-    q.update(_table_entries("table4.only_s1.theta", only1.theta_hat, [1.0, 0.0, 0.0]))
-    q.update(_table_entries("table4.only_s1.w", only1.w_hat, [1.0]))
-    q.update(
-        _table_entries("table4.only_s1.implicit", implicit_weights(only1, truth4a), [2.0, -3.0, 0.0])
-    )
+    data = _table_data([[1.0, 0.0, 0.0]], [2.0, 2.0, 2.0], [1.0, -3.0, 0.0], [1.0, 0.0, -3.0])
+    both = fit_multi(data)
+    q.update(_model_entries("table4.both", both, data.truth, [2 / 3, 0.0, 0.0], [2 / 3, 2 / 3], [2.0, -2.0, -2.0]))
+    data = _table_data([[1.0, 0.0, 0.0]], [2.0, 2.0, 2.0], [1.0, -3.0, 0.0])
+    q.update(_model_entries("table4.only_s1", fit_full(data), data.truth, [1.0, 0.0, 0.0], [1.0], [2.0, -3.0, 0.0]))
     return ScenarioReport(name="tables", quantities=q)
 
 

@@ -11,6 +11,7 @@ from spurious_lens import (
     GroundTruth,
     LabeledData,
     LinearModel,
+    RemovalVerdict,
     RobustSpec,
     TestDistribution,
     fit_core,
@@ -175,6 +176,14 @@ class TestRemovalVerdict:
         assert v.lhs_seen_corr == pytest.approx(2.0)
         assert v.rhs_unseen_corr == pytest.approx(4.0)
         assert v.w_hat == pytest.approx(1.0)
+
+    # full_better must be sign_match AND magnitude_holds, whatever the errors say
+    @pytest.mark.parametrize("sign_match,magnitude_holds,full_better", [
+        (True, False, True), (False, True, True), (False, False, True), (True, True, False),
+    ])
+    def test_inconsistent_outcome_rejected(self, sign_match, magnitude_holds, full_better):
+        with pytest.raises(ValueError, match="full_better must equal"):
+            RemovalVerdict(sign_match, magnitude_holds, full_better, False, 0.0, 0.0, 0.0, 1.0, 1.0)
 
     def test_table2_third_feature_sign_mismatch(self):
         truth, _, pi = table2_setup()

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -552,6 +553,19 @@ class TestFitCommand:
         status, _, err = run(capsys, ["fit", "--instance", path])
         assert status == 2
 
+    def test_truth_dimension_mismatch_exit_2(self, capsys, tmp_path):
+        # S and Y come from a truth in 3 dimensions on a design with 2 columns
+        path = write_instance(
+            tmp_path,
+            {
+                "ground_truth": {"theta_star": [2.0, 2.0, 2.0], "beta_stars": [[1.0, 0.0, 0.0]]},
+                "train": {"Z": [[1.0, 0.0]]},
+            },
+        )
+        status, out, err = run(capsys, ["fit", "--instance", path])
+        assert (status, out) == (2, "")
+        assert "truth dimension 3 does not match design with 2 columns" in err
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -935,15 +949,24 @@ class TestSimulateCommand:
         assert doc["three_sigma_ok"] is True
         assert doc["quantities"]["table2.full.w"]["monte_carlo"] == 1.0
 
-    def test_tables_gap_above_tolerance_exit_1(self, capsys, monkeypatch):
-        report = scenarios.ScenarioReport(name="tables", quantities={"t": scenarios.Quantity(1.0, 1.0 + 1e-6, 0.0)})
-        monkeypatch.setattr(scenarios, "reference_tables", lambda: report)
-        status, _, err = run(capsys, ["simulate", "--scenario", "tables"])
-        assert status == 1
-        assert err.startswith("verification failed: table reproduction exceeded tolerance")
+    # a full fit off by 1e-6 misses the tables: exit 1 with nothing written
+    def test_tables_gap_above_tolerance_exit_1(self, capsys, monkeypatch, tmp_path):
+        fit_full = scenarios.fit_full
 
-    # a closed form within TABLES_TOL of its Monte-Carlo mean but more than
-    # 3 stderr from it
+        def off_by_1e6(data):
+            model = fit_full(data)
+            return dataclasses.replace(model, theta_hat=model.theta_hat + 1e-6)
+
+        monkeypatch.setattr(scenarios, "fit_full", off_by_1e6)
+        status, out, err = run(capsys, ["simulate", "--scenario", "tables"])
+        assert (status, out) == (1, "")
+        assert err.startswith("verification failed: table reproduction failed: table1[alpha=0].full.theta")
+        path = tmp_path / "tables.csv"
+        assert main(["simulate", "--scenario", "tables", "--format", "csv", "--output", str(path)]) == 1
+        assert not path.exists()
+
+    # a closed form more than 3 stderr from its Monte-Carlo mean is reported,
+    # not refused
     def test_three_sigma_violation_reported(self, capsys, monkeypatch):
         report = scenarios.ScenarioReport(name="tables", quantities={"t": scenarios.Quantity(1.0, 1.0 + 5e-10, 1e-13)})
         monkeypatch.setattr(scenarios, "reference_tables", lambda: report)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spurious_lens import (
+    CounterexampleBundle,
     DesignMatrix,
     GroundTruth,
+    RemovalVerdict,
     TestDistribution,
     construct_balanced,
     construct_disjoint,
@@ -309,3 +312,45 @@ class TestParallelCaseGuarantees:
             err_full = population_error(fit_full(data), truth, dist, pi)
             err_core = population_error(fit_core(data), truth, dist, pi)
             assert err_full <= err_core + 1e-9
+
+
+def verdict(full_better, error_core, error_full):
+    """A consistent RemovalVerdict with the given outcome and errors."""
+    return RemovalVerdict(
+        sign_match=full_better, magnitude_holds=True, full_better=full_better, tie=False,
+        lhs_seen_corr=0.0, rhs_unseen_corr=0.0, w_hat=0.0, error_core=error_core, error_full=error_full,
+    )
+
+
+class TestEmbeddedChecks:
+    """Each check a construction embeds refuses a bundle that breaks it, and
+    no later check catches the break in its place."""
+
+    @pytest.fixture
+    def bundle(self):
+        return construct_balanced(np.array([1.0, 1.0]), np.array([1.0, 0.0]), d=4)
+
+    @pytest.mark.parametrize("which,bad,message", [
+        ("verdict_core_wins", verdict(True, 2.0, 1.0), "core model does not win"),
+        ("verdict_core_wins", verdict(False, 1.0, 1.0), "core model does not win"),
+        ("verdict_full_wins", verdict(True, 1.0 + 1e-12, 1.0), "error gaps are not strictly positive"),
+        ("verdict_core_wins", verdict(False, 1.0, 1.0 + 1e-12), "error gaps are not strictly positive"),
+    ], ids=["full_wins_both", "core_ties", "full_gap", "core_gap"])
+    def test_bundle_refuses_verdicts(self, bundle, which, bad, message):
+        with pytest.raises(VerificationError, match=message):
+            dataclasses.replace(bundle, **{which: bad})
+
+    # theta* alone reads column d-2 and beta* alone column d-1, so nudging
+    # one of them in the full-wins test design breaks one reproduction only
+    @pytest.mark.parametrize("column,message", [(-2, "the targets"), (-1, "the spurious values")], ids=["y", "s"])
+    def test_balanced_refuses_a_design_that_misses_the_data(self, monkeypatch, column, message):
+        verified = CounterexampleBundle.verified
+
+        def nudged(truth, pi, z_train, z_full, z_core, **construction):
+            bundle = verified(truth, pi, z_train, z_full, z_core, **construction)
+            z_full[:, column] += 1e-3
+            return bundle
+
+        monkeypatch.setattr(CounterexampleBundle, "verified", nudged)
+        with pytest.raises(VerificationError, match=f"does not reproduce {message}"):
+            construct_balanced(np.array([1.0, 1.0]), np.array([1.0, 0.0]), d=4)

@@ -93,6 +93,12 @@ class TestFitCore:
             fit_core(data)
 
 
+    def test_truth_dimension_mismatch_raises(self):
+        truth = GroundTruth(theta_star=np.ones(3), beta_stars=(np.ones(3),))
+        with pytest.raises(DimensionMismatchError, match="truth dimension 3 does not match design with 2 columns"):
+            LabeledData.from_truth(DesignMatrix(np.eye(2)), truth)
+
+
 class TestFitFull:
     def test_table2(self):
         model = fit_full(table2())

@@ -1,7 +1,8 @@
 """Golden CLI outputs on small fixed instances (d=12, n=5).
 
 The files under tests/golden/ hold each command's output as the CLI wrote
-it. `simulate` reports must match byte for byte. Elsewhere numbers must
+it (JSON, or CSV for the cases run with `--format csv`). `simulate`
+reports must match byte for byte. Elsewhere numbers must
 agree to 1e-12 relative (arrays by norm), booleans, strings and exit codes
 exactly, and `train_residual`, which is round-off, to 1e-12 * ||Y||.
 
@@ -43,6 +44,7 @@ CASES = [
     ("construct_disjoint", ["construct", "--mode", "disjoint", "--n", "4"], "one_beta", 0),
     ("construct_balanced", ["construct", "--mode", "balanced", "--d", "12"], "one_beta", 0),
     ("simulate_tables", ["simulate", "--scenario", "tables"], None, 0),
+    ("simulate_tables_csv", ["simulate", "--scenario", "tables", "--format", "csv"], None, 0),
     ("simulate_example1", ["simulate", "--scenario", "example1", "--trials", "2000"], None, 0),
     ("simulate_example2", ["simulate", "--scenario", "example2", "--trials", "300"], None, 0),
     ("simulate_ovb_simple", ["simulate", "--scenario", "ovb-simple", "--trials", "20000"], None, 0),
@@ -64,6 +66,10 @@ def force_t_zero_text() -> str:
         },
         "verdicts": report.verdicts,
     })
+
+
+def golden_path(name, argv) -> Path:
+    return GOLDEN / f"{name}.out.{'csv' if 'csv' in argv else 'json'}"
 
 
 def run_case(argv, instance, out_path) -> int:
@@ -112,7 +118,7 @@ def differences(got, want, path: str, y_norm: float) -> list[str]:
 def test_matches_golden_output(tmp_path, name, argv, instance, exit_code):
     out = tmp_path / "out.json"
     assert run_case(argv, instance, out) == exit_code
-    golden = GOLDEN / f"{name}.out.json"
+    golden = golden_path(name, argv)
     if exit_code != 0:
         assert not out.exists() and not golden.exists()
         return
@@ -138,7 +144,7 @@ def test_comparison_flags_departures():
 
 def regenerate() -> None:
     for name, argv, instance, exit_code in CASES:
-        out = GOLDEN / f"{name}.out.json"
+        out = golden_path(name, argv)
         out.unlink(missing_ok=True)
         code = run_case(argv, instance, out)
         if code != exit_code:

@@ -12,6 +12,7 @@ from spurious_lens import (
     ovb_bias,
 )
 from spurious_lens.exceptions import (
+    DimensionMismatchError,
     EmptyGroupError,
     SignAssumptionError,
     SingularGramError,
@@ -241,6 +242,24 @@ class TestEstimateGroupLosses:
 
         with pytest.raises(EmptyGroupError):
             estimate_group_losses(pop, generate, nobody, trials=100, seed=11)
+
+    # z with the wrong column count, z with too few rows, s with too many rows
+    @pytest.mark.parametrize(
+        "shape_s,shape_z", [((10,), (10, 2)), ((10,), (9, 1)), ((11,), (10, 1))], ids=["z_cols", "z_rows", "s_rows"]
+    )
+    def test_misshapen_draws_raise(self, shape_s, shape_z):
+        pop = OvbPopulation(
+            gamma=np.array([1.0]), beta_s=1.0, sigma_ss=1.0, sigma_sz=np.array([0.0])
+        )
+
+        def generate(rng, m):
+            return None, rng.standard_normal(shape_s), rng.standard_normal(shape_z), None
+
+        def everything(_x, s, _z, _y):
+            return np.ones(10, dtype=bool)
+
+        with pytest.raises(DimensionMismatchError, match=r"draws have s"):
+            estimate_group_losses(pop, generate, everything, trials=10, seed=11)
 
     def test_deterministic_given_seed(self):
         pop = OvbPopulation(

@@ -171,6 +171,14 @@ class TestReferenceTables:
         assert rep.max_closed_form_gap() < 1e-9
         assert rep.three_sigma_violations() == []
 
+    # a shape mismatch, a NaN and a gap of 2e-9 each refuse the entry
+    @pytest.mark.parametrize("computed,expected,message", [
+        ([1.0, 2.0], [1.0], "has shape"), ([math.nan], [0.0], "is off by nan"), ([1.0 + 2e-9], [1.0], "is off by"),
+    ], ids=["shape", "nan", "gap"])
+    def test_entry_mismatch_raises(self, computed, expected, message):
+        with pytest.raises(VerificationError, match=f"table reproduction failed: t {message}"):
+            scenarios._table_entries("t", computed, expected)
+
     def test_key_entries_present(self):
         rep = reference_tables()
         q = rep.quantities
