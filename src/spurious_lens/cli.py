@@ -8,7 +8,8 @@
 Common flags: --output PATH (default stdout), --format json|csv, --trials N,
 --seed N. Exit codes: 0 success, 1 verification failure, 2 input error,
 3 numerical precondition failure, 4 construction precondition failure.
-JSON output is byte-deterministic for a fixed command line and seed.
+JSON output is byte-deterministic for a fixed command line, seed, BLAS build
+and BLAS thread count; other thread counts can change a fit's last digits.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .serialize import (
 _CONSTRUCTION_ERRORS = (ParallelParametersError, ParallelTargetsError, AbsorbedTargetsError, DimensionTooSmallError)
 
 # Each scenario's runner (seed, **parameters) and its (key, type, default)
-# parameters, read from the scenario block or --trials and checked in order.
+# parameters, each read by _param in order.
 # The runners look the scenario functions up when called, so a wrapper set
 # on the scenarios module (perfbench's tracer) is the one that runs.
 _SCENARIOS = {
@@ -233,8 +234,15 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _number(value, kind, name: str):
-    return _build(name, lambda: kind(value))
+def _param(args, scenario: dict, key: str, kind, default=None):
+    """The --key flag, else scenario.key, else default (null counts as absent), as kind.
+
+    A value kind cannot convert, and a missing key with no default, are input errors.
+    """
+    value = next((v for v in (getattr(args, key, None), scenario.get(key), default) if v is not None), None)
+    if value is None:
+        raise InstanceError(f"{args.command} needs --{key} (or scenario.{key})")
+    return _build(f"scenario.{key}", lambda: kind(value))
 
 
 def cmd_construct(args) -> int:
@@ -249,15 +257,11 @@ def cmd_construct(args) -> int:
     if args.mode == "disjoint":
         if truth is None or truth.n_spurious < 1:
             raise InstanceError("construct --mode disjoint needs ground_truth with one beta vector")
-        n = args.n if args.n is not None else scenario.get("n")
-        if n is None:
-            raise InstanceError("construct --mode disjoint needs --n (or scenario.n)")
-        x = _number(args.x if args.x is not None else scenario.get("x", 0.1), float, "x")
+        n = _param(args, scenario, "n", _integer)
+        x = _param(args, scenario, "x", float, 0.1)
         if not (np.isfinite(x) and x > 0):
             raise InstanceError(f"x must be positive and finite, got {x}")
-        bundle = constructions.construct_disjoint(
-            truth.theta_star, truth.beta_stars[0], _number(n, _integer, "n"), x
-        )
+        bundle = constructions.construct_disjoint(truth.theta_star, truth.beta_stars[0], n, x)
     else:
         if data is not None and data.n_spurious == 1:
             s_vec, y_vec = data.S[:, 0], data.Y
@@ -266,10 +270,7 @@ def cmd_construct(args) -> int:
             y_vec = _build("scenario.Y", lambda: _as_vector(scenario["Y"], "Y"))
         else:
             raise InstanceError("construct --mode balanced needs train.S/train.Y or scenario.S/Y")
-        d = args.d if args.d is not None else scenario.get("d")
-        if d is None:
-            raise InstanceError("construct --mode balanced needs --d (or scenario.d)")
-        d = _number(d, _integer, "d")
+        d = _param(args, scenario, "d", _integer)
         if d > MAX_BALANCED_DIM:
             raise InstanceError(f"d must be at most {MAX_BALANCED_DIM}")
         bundle = constructions.construct_balanced(s_vec, y_vec, d)
@@ -300,14 +301,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    params = _load_instance(args).scenario if args.instance else {}
-    if args.trials is not None:
-        params = dict(params, trials=args.trials)
+    scenario = _load_instance(args).scenario if args.instance else {}
     runner, spec = _SCENARIOS[args.scenario]
-    kwargs = {
-        key: _number(default if params.get(key) is None else params[key], kind, f"scenario.{key}")
-        for key, kind, default in spec
-    }
+    kwargs = {key: _param(args, scenario, key, kind, default) for key, kind, default in spec}
     try:
         report = runner(args.seed, **kwargs)
     except ValueError as exc:

@@ -12,14 +12,14 @@ round-trip repr and parse back into the same row structure.
 
 An instance document is UTF-8 bytes (the CLI reads the file as bytes, with
 no newline translation) or text. Each interior row of a matrix, a flat row
-between two row separators, is read by one orjson call on its own bytes;
-the rest of the document, with each run of such rows replaced by a
-placeholder row, is read by json.loads, and the rows are spliced back in.
-The result is json.loads's for every document, with one exception: an
-integer outside the 64-bit range in an interior row reads as the nearest
-float, which every consumer turns into a float64 anyway. A document the
-fast path cannot take goes through json.loads whole, so a malformed one
-fails with json's own error.
+between two row separators, is read by its own orjson call; json.loads reads
+the rest, each run of rows standing in as a placeholder row, and the rows are
+spliced back in. One whole-document orjson call would be simpler, but orjson
+3.8.3 builds nested values recursively and crashes the process on a deep
+document, and its buffer would hold about 1.7x the document, not one row.
+The result is json.loads's, except that an integer beyond 64 bits in an
+interior row reads as the nearest float, as every consumer makes it anyway.
+A document the splicer cannot take goes through json.loads whole.
 
 Instance parsing checks only the document's layout (which blocks and keys
 are present) and passes the raw JSON values to the library's value classes,
@@ -309,26 +309,21 @@ def _loads_rows(data: bytes):
 
 
 def _loads(data: bytes | str):
-    """json.loads(data.decode("utf-8")), with the interior rows of matrices read by orjson.
+    """json.loads of the document, its interior matrix rows read by orjson.
 
-    A piece between two row separators with no bracket, brace or quote is
-    an interior row. Each is read by one orjson call on its own bytes, so
-    orjson's transient copy holds one row, and each run of them becomes a
-    placeholder row ["\\u0000<k>"] in the skeleton that json.loads reads,
-    under json's rules on NaN, depth, integer size and surrogates. A run
-    inside a string leaves a backslash outside any string, so that skeleton
-    does not parse. On any failure the whole document goes through
-    json.loads, which raises json's own error.
+    A piece between two row separators with no bracket, brace or quote is an
+    interior row, read by one orjson call on its own bytes: no nesting reaches
+    orjson 3.8.3's recursive builder, which crashes on a deep document, and
+    its buffer holds one row, not 1.7x the document. Each run of rows becomes
+    a placeholder row ["\\u0000<k>"] in the skeleton that json.loads reads,
+    under json's rules on NaN, depth, integer size and surrogates; a run in a
+    string leaves a backslash outside any string, so that skeleton does not
+    parse. On any failure, encoding a str included, json.loads reads it all.
     """
-    if isinstance(data, str):
-        try:
-            data = data.encode("utf-8")
-        except UnicodeEncodeError:
-            return json.loads(data)
     try:
-        return _loads_rows(data)
+        return _loads_rows(data.encode("utf-8") if isinstance(data, str) else data)
     except (ValueError, RecursionError):
-        return json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
 
 
 def parse_instance(data: bytes | str) -> Instance:

@@ -47,6 +47,16 @@ def run(capsys, argv):
     return status, out.out, out.err
 
 
+def run_process(argv, **env):
+    """python -m spurious_lens argv in a fresh process, with env added to this one's."""
+    # the child imports the same package as this process, installed or not
+    src = str(Path(spurious_lens.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "spurious_lens", *argv], capture_output=True, text=True, env=env
+    )
+
+
 def golden_instance():
     return json.loads((GOLDEN / "one_beta.instance.json").read_text())
 
@@ -829,6 +839,27 @@ class TestConstructCommand:
         assert status == 0, err
         assert json.loads(out)["verified"] is True
 
+    # each parameter is the --key flag, else scenario.key, else its default;
+    # null counts as absent, and a flag hides a malformed scenario value
+    @pytest.mark.parametrize(
+        "flags,scenario",
+        [(["--n", "4"], {"n": "abc"}), (["--x", "0.1"], {"n": 4, "x": "abc"}), ([], {"n": 4, "x": None})],
+        ids=["n_flag", "x_flag", "x_null"],
+    )
+    def test_disjoint_parameter_rule(self, capsys, tmp_path, flags, scenario):
+        path = write_instance(tmp_path, dict(golden_instance(), scenario=scenario))
+        got = run(capsys, ["construct", "--mode", "disjoint", "--instance", path, *flags])
+        golden = str(GOLDEN / "one_beta.instance.json")
+        assert got == run(capsys, ["construct", "--mode", "disjoint", "--instance", golden, "--n", "4", "--x", "0.1"])
+        assert got[0] == 0
+
+    @pytest.mark.parametrize("mode,key", [("disjoint", "n"), ("balanced", "d")])
+    def test_missing_parameter_exit_2(self, capsys, tmp_path, mode, key):
+        doc = dict(golden_instance(), scenario={key: None, "S": [1.0, 2.0], "Y": [2.0, 1.0]})
+        status, out, err = run(capsys, ["construct", "--mode", mode, "--instance", write_instance(tmp_path, doc)])
+        assert (status, out) == (2, "")
+        assert err == f"input error: construct needs --{key} (or scenario.{key})\n"
+
     def test_balanced_mode(self, capsys, tmp_path):
         path = write_instance(
             tmp_path, {"scenario": {"S": [1.0, 1.0], "Y": [1.0, 0.0], "d": 4}}
@@ -942,6 +973,14 @@ class TestConstructCommand:
 
 
 class TestSimulateCommand:
+    # the --trials flag, else scenario.trials, else the default, as for
+    # every scenario key; a null value counts as absent
+    def test_parameter_rule(self, capsys, tmp_path):
+        path = write_instance(tmp_path, {"scenario": {"trials": "abc", "p": None, "n": 6}})
+        status, out, err = run(capsys, ["simulate", "--scenario", "example1", "--instance", path, "--trials", "50"])
+        assert status == 0, err
+        assert json.loads(out)["params"] == {"n": 6, "p": 0.9, "trials": 50}
+
     def test_tables_reproduce(self, capsys):
         status, out, _ = run(capsys, ["simulate", "--scenario", "tables"])
         assert status == 0
@@ -1073,21 +1112,27 @@ class TestDeterminism:
         assert text == '{"flag": true, "n": 3, "none": null, "x": 0.10000000000000001}\n'
         assert json.loads(text)["x"] == 0.1
 
+    # Byte identity holds for one BLAS thread count: a wide fit's last
+    # digits may change with it, but no more than rounding does
+    def test_wide_fit_agrees_across_blas_thread_counts(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n, d = 600, 1500
+        truth = {"theta_star": rng.standard_normal(d).tolist(), "beta_stars": [rng.standard_normal(d).tolist()]}
+        path = write_instance(tmp_path, {"ground_truth": truth, "train": {"Z": rng.standard_normal((n, d)).tolist()}})
+        reports = []
+        for threads in ("1", "2"):
+            proc = run_process(["fit", "--model", "full", "--instance", path], OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            reports.append(json.loads(proc.stdout))
+        for key in ("theta_hat", "w_hat", "theta_norm_sq", "w_norm_sq", "total_norm_sq"):
+            one, two = (np.asarray(r[key]) for r in reports)
+            assert np.linalg.norm(one - two) <= 1e-12 * np.linalg.norm(two), key
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
         doc = {"train": {"Z": [[1.0, 0.0]], "S": [1.0], "Y": [2.0]}}
-        path = tmp_path / "inst.json"
-        path.write_text(json.dumps(doc))
-        # the child imports the same package as this process, installed or not
-        src = str(Path(spurious_lens.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "spurious_lens", "fit", "--instance", str(path)],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_process(["fit", "--instance", write_instance(tmp_path, doc)])
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["w_hat"] == pytest.approx([1.0])
 
@@ -1104,10 +1149,18 @@ class TestModuleEntryPoint:
         ]
         in_turn = [run(capsys, argv) for argv in argvs]
         assert [status for status, _, _ in in_turn] == [0, 2, 0, 0]
-        src = str(Path(spurious_lens.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         for argv, got in zip(argvs, in_turn):
-            proc = subprocess.run(
-                [sys.executable, "-m", "spurious_lens", *argv], capture_output=True, text=True, env=env
-            )
+            proc = run_process(argv)
             assert got == (proc.returncode, proc.stdout, proc.stderr)
+
+    # orjson 3.8.3 builds nested values recursively and kills the process
+    # (SIGSEGV) on either document; the reader gives orjson flat rows only,
+    # and json.loads refuses the depth with a RecursionError
+    @pytest.mark.parametrize("opening,closing", [("[", "]"), ('{"a": ', "}")], ids=["array", "object"])
+    def test_million_deep_document_exit_2(self, tmp_path, opening, closing):
+        depth = 1_000_000
+        path = tmp_path / "deep.json"
+        path.write_text('{"scenario": {"n": ' + opening * depth + "0" + closing * depth + "}}")
+        proc = run_process(["simulate", "--scenario", "tables", "--instance", str(path)])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("input error") and "Traceback" not in proc.stderr

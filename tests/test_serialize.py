@@ -4,20 +4,25 @@ A float64 array is written row by row with one %-format per row; the same
 array given as nested lists goes through `_fmt_float` one entry at a time.
 The two must give the same bytes. An instance document is read with its
 interior matrix rows parsed by orjson; the result, or the error, must be
-json.loads's.
+json.loads's, and orjson must see only flat rows.
 """
 
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spurious_lens.serialize import _loads, dumps_canonical
+from spurious_lens import serialize
+from spurious_lens.serialize import _loads, dumps_canonical, parse_instance
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 EDGE_VALUES = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -3.0, 0.5, 0.1,
@@ -122,6 +127,17 @@ def test_int_bool_and_zero_dim_arrays_keep_their_encoding():
         dumps_canonical(np.array(np.nan))
 
 
+def test_non_string_key_raises():
+    with pytest.raises(TypeError, match="JSON keys must be strings"):
+        dumps_canonical({"a": {1: 2.0}})
+
+
+@pytest.mark.parametrize("obj", [{1.0, 2.0}, b"bytes", 1j, object()], ids=["set", "bytes", "complex", "object"])
+def test_unsupported_type_raises(obj):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        dumps_canonical({"a": [obj]})
+
+
 # What joins two matrix rows: JSON whitespace only, so the last two must
 # make the document invalid for the fast path and json.loads alike.
 ROW_SEPS = [b"], [", b"],[", b"],\r\n[", b"],\x0c[", b"]\x0b,["]
@@ -215,3 +231,69 @@ def test_loads_reads_a_wide_integer_in_an_interior_row_as_a_float():
 def test_loads_takes_text_that_utf8_cannot_encode():
     text = "[\"\ud800\", [1], [2], [3]]"
     assert _loads(text) == json.loads(text)
+
+
+def interior_rows(node) -> int:
+    """The rows of node's numeric matrices other than each one's first and last."""
+    if isinstance(node, dict):
+        return sum(map(interior_rows, node.values()))
+    if not isinstance(node, list):
+        return 0
+    if node and all(isinstance(r, list) and all(type(x) in (int, float) for x in r) for r in node):
+        return max(len(node) - 2, 0)
+    return sum(map(interior_rows, node))
+
+
+def dense_sigma(rng, d):
+    a = rng.standard_normal((d, d))
+    sigma = a @ a.T / d
+    return ((sigma + sigma.T) / 2).tolist()
+
+
+def generated_instance(name: str) -> dict:
+    """A wide instance with diagonal groups, and two shaped like the benchmark's
+    simulate-mc (10 dense 40 x 40 groups) and construct-dump (450 unlabeled rows)."""
+    rng = np.random.default_rng(5)
+    n, d, unlabeled = {"wide": (60, 150, 0), "simulate-mc": (20, 40, 0), "construct-dump": (200, 400, 450)}[name]
+    doc = {
+        "ground_truth": {"theta_star": rng.standard_normal(d).tolist(), "beta_stars": [rng.standard_normal(d).tolist()]},
+        "train": {"Z": rng.standard_normal((n, d)).tolist()},
+    }
+    if name == "wide":
+        doc["groups"] = [{"label": f"g{i}", "sigma": {"diag": rng.uniform(0.1, 2.0, d).tolist()}} for i in range(8)]
+    elif name == "simulate-mc":
+        doc["groups"] = [{"label": f"g{i}", "sigma": dense_sigma(rng, d)} for i in range(10)]
+        doc["robust"] = {"gamma": 6.0, "samples": 4096}
+    else:
+        zu = rng.standard_normal((unlabeled, d))
+        doc["unlabeled"] = {"Zu": zu.tolist(), "Su": (zu @ doc["ground_truth"]["beta_stars"][0]).tolist()}
+    return doc
+
+
+# Why the reader splices rows instead of making one orjson call: orjson
+# 3.8.3 builds nested values recursively and crashes on a deep document,
+# and its buffer holds about 1.7x the document. A flat row has no nesting,
+# and its buffer holds one row. (A deep document through the CLI is in
+# test_cli.py.)
+@pytest.mark.parametrize(
+    "source",
+    [*(p.name for p in sorted(GOLDEN.glob("*.instance.json"))), "wide", "simulate-mc", "construct-dump"],
+)
+def test_orjson_reads_only_flat_rows(monkeypatch, source):
+    if source.endswith(".json"):
+        data = (GOLDEN / source).read_bytes()
+    else:
+        data = json.dumps(generated_instance(source)).encode()
+    seen = []
+    loads = orjson.loads
+
+    def record(piece):
+        seen.append(bytes(piece))
+        return loads(piece)
+
+    monkeypatch.setattr(serialize.orjson, "loads", record)
+    parse_instance(data)
+    assert len(seen) == interior_rows(json.loads(data)) > 0
+    for row in seen:
+        assert row[:1] == b"[" and row[-1:] == b"]", row[:40]
+        assert not any(c in row[1:-1] for c in b'[]{}"'), row[:40]
