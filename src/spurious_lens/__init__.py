@@ -51,7 +51,6 @@ from .ovb import (
     ovb_bias,
 )
 from .scenarios import (
-    Example1Spec,
     Quantity,
     ScenarioReport,
     example1_closed_form,
@@ -64,7 +63,6 @@ from .scenarios import (
 __all__ = [
     "CounterexampleBundle",
     "DesignMatrix",
-    "Example1Spec",
     "GroundTruth",
     "GroupLossEstimate",
     "GroupMoments",

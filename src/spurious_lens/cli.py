@@ -52,7 +52,7 @@ _CONSTRUCTION_ERRORS = (ParallelParametersError, ParallelTargetsError, AbsorbedT
 # on the scenarios module (perfbench's tracer) is the one that runs.
 _SCENARIOS = {
     "example1": (
-        lambda seed, **kw: scenarios.example1_simulate(scenarios.Example1Spec(seed=seed, **kw)),
+        lambda seed, **kw: scenarios.example1_simulate(seed=seed, **kw),
         (("n", _integer, 20), ("p", float, 0.9), ("trials", _integer, 10_000)),
     ),
     "example2": (
@@ -268,6 +268,8 @@ def cmd_construct(args) -> int:
         elif "S" in scenario and "Y" in scenario:
             s_vec = _build("scenario.S", lambda: _as_vector(scenario["S"], "S"))
             y_vec = _build("scenario.Y", lambda: _as_vector(scenario["Y"], "Y"))
+            if s_vec.shape != y_vec.shape:
+                raise InstanceError(f"scenario.S has {s_vec.shape[0]} entries but scenario.Y has {y_vec.shape[0]}")
         else:
             raise InstanceError("construct --mode balanced needs train.S/train.Y or scenario.S/Y")
         d = _param(args, scenario, "d", _integer)

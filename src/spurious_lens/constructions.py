@@ -26,6 +26,7 @@ from .analysis import RemovalVerdict, TestDistribution, removal_verdict
 from .estimators import GroundTruth, _reproduces
 from .exceptions import (
     AbsorbedTargetsError,
+    DimensionMismatchError,
     DimensionTooSmallError,
     NonFiniteResultError,
     ParallelParametersError,
@@ -147,7 +148,7 @@ def construct_disjoint(
     beta = _as_vector(beta_star, "beta_star")
     d = theta.shape[0]
     if beta.shape[0] != d:
-        raise DimensionTooSmallError("theta_star and beta_star must share a dimension")
+        raise DimensionMismatchError("theta_star and beta_star must share a dimension")
     if d < 4:
         raise DimensionTooSmallError(f"construction needs dimension >= 4, got {d}")
     if not (1 <= n < d - 1):
@@ -212,7 +213,7 @@ def construct_balanced(S, Y, d: int) -> CounterexampleBundle:
     y = _as_vector(Y, "Y")
     n = s.shape[0]
     if y.shape[0] != n:
-        raise DimensionTooSmallError("S and Y must have the same length")
+        raise DimensionMismatchError("S and Y must have the same length")
     if d < 4:
         raise DimensionTooSmallError(f"construction needs dimension >= 4, got {d}")
     if not s.any() or not y.any():

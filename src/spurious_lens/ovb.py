@@ -10,13 +10,14 @@ For a single extra feature s (coefficient beta) and unobserved z
 where lambda = Sigma_ss^{-1} Sigma_sz is the population correlation of s
 with z and lambda_g its in-group counterpart. All moments refer to
 variables centered at the population level (the observed covariates are
-conditioned away by the caller).
+conditioned away by the caller). estimate_group_losses checks the rule by
+Monte-Carlo on draws of (s, z) that the caller has made and restricted to
+the group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -152,43 +153,31 @@ def group_prefers_core(pop: OvbPopulation, grp: GroupMoments) -> bool:
     return lhs >= pop.beta_s
 
 
-def estimate_group_losses(
-    pop: OvbPopulation,
-    generator: Callable[[np.random.Generator, int], tuple],
-    group_predicate: Callable[..., np.ndarray],
-    trials: int,
-    seed: int = 0,
-) -> GroupLossEstimate:
+def estimate_group_losses(pop: OvbPopulation, s, z) -> GroupLossEstimate:
     """Monte-Carlo in-group losses of the two population predictors.
 
-    generator(rng, m) must return raw draws (x, s, z, y) with s of length m
-    and z of shape (m, q), else DimensionMismatchError is raised;
-    group_predicate(x, s, z, y) selects the group members. Losses are
+    s (length m) and z (m x q, or length m when q = 1) are the raw draws of
+    the group's members; DimensionMismatchError unless their shapes agree
+    with each other and with gamma, EmptyGroupError when m = 0. Losses are
     evaluated on the population-centered variables:
         with s:    (gamma' z - gamma' lambda s)^2
         without s: (gamma' z + beta s)^2
     A draw, loss or standard error that overflows raises
     NonFiniteResultError.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, s, z, y = generator(rng, trials)
     s = np.asarray(s, dtype=float)
     z = np.asarray(z, dtype=float)
     if z.ndim == 1:
         z = z[:, None]
-    if s.shape != (trials,) or z.shape != (trials, pop.gamma.shape[0]):
+    if s.ndim != 1 or z.shape != (s.shape[0], pop.gamma.shape[0]):
         raise DimensionMismatchError(
-            f"draws have s {s.shape} and z {z.shape}, expected ({trials},) and ({trials}, {pop.gamma.shape[0]})"
+            f"draws have s {s.shape} and z {z.shape}, expected (m,) and (m, {pop.gamma.shape[0]})"
         )
-    mask = np.asarray(group_predicate(x, s, z, y), dtype=bool)
-    m = int(np.count_nonzero(mask))
+    m = s.shape[0]
     if m == 0:
-        raise EmptyGroupError(f"no group members among {trials} draws")
-    sc = s[mask] - pop.mean_s
-    zc = z[mask] - pop.mean_z
+        raise EmptyGroupError("no group members among the draws")
+    sc = s - pop.mean_s
+    zc = z - pop.mean_z
     with np.errstate(over="ignore", invalid="ignore"):
         gz = zc @ pop.gamma
         with_s = (gz - float(pop.gamma @ pop.lam) * sc) ** 2

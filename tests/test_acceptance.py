@@ -13,7 +13,6 @@ import pytest
 
 from spurious_lens import (
     DesignMatrix,
-    Example1Spec,
     GroundTruth,
     GroupMoments,
     LabeledData,
@@ -229,7 +228,7 @@ def test_criterion_8_example1_closed_forms():
             assert example1_closed_form(n, 1.0)[0] == n / (n + 1)
         assert example1_closed_form(20, 0.0) == (0.0, 1.0)
         for p in (0.5, 0.9, 0.99):
-            report = example1_simulate(Example1Spec(n=20, p=p, trials=100_000, seed=88))
+            report = example1_simulate(n=20, p=p, trials=100_000, seed=88)
             for label in ("E_w", "E_theta_i"):
                 q = report.quantities[label]
                 assert abs(q.closed_form - q.monte_carlo) <= 3 * q.stderr
@@ -260,17 +259,10 @@ def test_criterion_9_ovb_decision_rule():
                 gamma=gamma, beta_s=beta, sigma_ss=sigma_full[0, 0], sigma_sz=sigma_full[0, 1:]
             )
             grp = GroupMoments(sigma_ss_g=cond[0, 0], sigma_sz_g=cond[0, 1:])
-            chol = np.linalg.cholesky(sigma_full)
-
-            def generate(r, m, _chol=chol):
-                x = r.standard_normal((m, _chol.shape[0])) @ _chol.T
-                return None, x[:, 0], x[:, 1:], None
-
-            def in_group(_x, s, z, _y, _u=u, _c=c):
-                return np.column_stack([s, z]) @ _u > _c
-
-            est = estimate_group_losses(pop, generate, in_group, trials=30_000,
-                                        seed=int(rng.integers(1 << 30)))
+            draws = np.random.default_rng(int(rng.integers(1 << 30))).standard_normal((30_000, 1 + q))
+            x = draws @ np.linalg.cholesky(sigma_full).T
+            group = x @ u > c
+            est = estimate_group_losses(pop, x[group, 0], x[group, 1:])
             if abs(est.difference) <= 3 * est.stderr_difference:
                 continue
             decided += 1

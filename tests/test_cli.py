@@ -130,6 +130,17 @@ MALFORMED_INPUTS = [
         {**BALANCED_FROM_SCENARIO, ("scenario", "S"): [1.0, float("nan")]},
         ["construct", "--mode", "balanced"],
     ),
+    (
+        "scenario_S_Y_lengths",
+        {**BALANCED_FROM_SCENARIO, ("scenario", "S"): [2.0, 1.0, 3.0]},
+        ["construct", "--mode", "balanced"],
+    ),
+    # sizes past scenarios.MAX_DRAWS and MAX_IDENTITY_DIM, whose first allocation fails at once
+    *(
+        (f"{s}_trials_1e11", {}, ["simulate", "--scenario", s, "--trials", "100000000000"])
+        for s in ("example1", "example2", "ovb-simple")
+    ),
+    *((f"{s}_n_1e11", {("scenario", "n"): 1e11}, ["simulate", "--scenario", s]) for s in ("example1", "example2")),
     # a block a command needs is missing, or the document is not an object
     ("instance_top_level_array", b"[1.0, 2.0]", ["fit"]),
     ("train_Z_only_without_truth", b'{"train": {"Z": [[1.0, 0.0]]}}', ["fit"]),

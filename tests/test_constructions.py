@@ -23,6 +23,7 @@ from spurious_lens.constructions import _orthonormal_complement, _widening
 from spurious_lens.estimators import LabeledData, fit_core, fit_full
 from spurious_lens.exceptions import (
     AbsorbedTargetsError,
+    DimensionMismatchError,
     DimensionTooSmallError,
     ParallelParametersError,
     ParallelTargetsError,
@@ -81,6 +82,10 @@ class TestConstructDisjoint:
             construct_disjoint(np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]), n=1)
         with pytest.raises(DimensionTooSmallError):
             construct_disjoint(np.ones(4), np.array([1.0, -1.0, 1.0, -1.0]), n=3)  # n >= d-1
+
+    def test_parameter_lengths_differ(self):
+        with pytest.raises(DimensionMismatchError, match="must share a dimension"):
+            construct_disjoint(np.ones(5), np.array([1.0, -1.0, 1.0, -1.0]), n=2)
 
     def test_orthogonality_bookkeeping(self):
         rng = np.random.default_rng(40)
@@ -272,6 +277,10 @@ class TestConstructBalanced:
         with pytest.raises(DimensionTooSmallError):
             construct_balanced(np.array([1.0, 1.0]), np.array([1.0, 0.0]), d=3)
 
+    def test_target_lengths_differ(self):
+        with pytest.raises(DimensionMismatchError, match="must have the same length"):
+            construct_balanced(np.array([1.0, 1.0]), np.array([1.0, 0.0, 2.0]), d=4)
+
 
 class TestParallelCaseGuarantees:
     def test_collinear_parameters_full_never_worse(self):
@@ -331,11 +340,13 @@ class TestEmbeddedChecks:
         return construct_balanced(np.array([1.0, 1.0]), np.array([1.0, 0.0]), d=4)
 
     @pytest.mark.parametrize("which,bad,message", [
+        # the full model loses but keeps its error gap, so only the win check sees it
+        ("verdict_full_wins", verdict(False, 2.0, 1.0), "full model does not win"),
         ("verdict_core_wins", verdict(True, 2.0, 1.0), "core model does not win"),
         ("verdict_core_wins", verdict(False, 1.0, 1.0), "core model does not win"),
         ("verdict_full_wins", verdict(True, 1.0 + 1e-12, 1.0), "error gaps are not strictly positive"),
         ("verdict_core_wins", verdict(False, 1.0, 1.0 + 1e-12), "error gaps are not strictly positive"),
-    ], ids=["full_wins_both", "core_ties", "full_gap", "core_gap"])
+    ], ids=["full_loses", "full_wins_both", "core_ties", "full_gap", "core_gap"])
     def test_bundle_refuses_verdicts(self, bundle, which, bad, message):
         with pytest.raises(VerificationError, match=message):
             dataclasses.replace(bundle, **{which: bad})

@@ -54,18 +54,37 @@ def random_gaussian_population(rng, q):
     return pop, grp, sigma_full, u, c
 
 
-def gaussian_generator(sigma_full, u, c):
-    chol = np.linalg.cholesky(sigma_full)
+def gaussian_draws(sigma_full, m, seed):
+    """m draws of (s, z) ~ N(0, sigma_full) from default_rng(seed): s (m,) and z (m, q)."""
+    x = np.random.default_rng(seed).standard_normal((m, sigma_full.shape[0])) @ np.linalg.cholesky(sigma_full).T
+    return x[:, 0], x[:, 1:]
 
-    def generate(rng, m):
-        x = rng.standard_normal((m, sigma_full.shape[0])) @ chol.T
-        return None, x[:, 0], x[:, 1:], None
 
-    def in_group(_x, s, z, _y):
-        pts = np.column_stack([s, z])
-        return pts @ u > c
+class TestInputChecks:
+    # sigma_sz and mean_z must match gamma's length, and sigma_ss must be positive and finite
+    @pytest.mark.parametrize("fields,error,message", [
+        ({"sigma_sz": [0.5]}, DimensionMismatchError, "sigma_sz has length 1, expected 2"),
+        ({"mean_z": [0.0]}, DimensionMismatchError, "mean_z length must match gamma"),
+        *(({"sigma_ss": v}, ValueError, "sigma_ss must be positive") for v in (0.0, -1.0, math.nan, math.inf)),
+    ], ids=["sigma_sz_length", "mean_z_length", "sigma_ss_zero", "sigma_ss_negative", "sigma_ss_nan", "sigma_ss_inf"])
+    def test_population_refuses(self, fields, error, message):
+        kwargs = {"gamma": [1.0, -1.0], "beta_s": 1.0, "sigma_ss": 1.0, "sigma_sz": [0.5, 0.5], **fields}
+        with pytest.raises(error, match=message):
+            OvbPopulation(**kwargs)
 
-    return generate, in_group
+    @pytest.mark.parametrize("sigma_ss_g", [0.0, -1.0, math.nan, math.inf])
+    def test_group_moments_refuse_a_non_positive_variance(self, sigma_ss_g):
+        with pytest.raises(ValueError, match="sigma_ss_g must be positive"):
+            GroupMoments(sigma_ss_g=sigma_ss_g, sigma_sz_g=[1.0])
+
+    def test_bias_refuses_a_misshapen_cross_moment(self):
+        with pytest.raises(DimensionMismatchError, match="cross_moment must be 3 x 1"):
+            ovb_bias(np.eye(3), np.zeros((2, 1)), np.zeros(1))
+
+    def test_decision_refuses_group_moments_of_another_dimension(self):
+        pop = OvbPopulation(gamma=[1.0], beta_s=1.0, sigma_ss=1.0, sigma_sz=[0.5])
+        with pytest.raises(DimensionMismatchError, match="group moments dimension"):
+            group_prefers_core(pop, GroupMoments(sigma_ss_g=1.0, sigma_sz_g=[0.5, 0.5]))
 
 
 class TestOvbBias:
@@ -200,12 +219,7 @@ class TestEstimateGroupLosses:
             gamma, beta = -gamma, -beta
         pop = OvbPopulation(gamma=gamma, beta_s=beta, sigma_ss=sigma_full[0, 0], sigma_sz=sigma_full[0, 1:])
         grp = GroupMoments(sigma_ss_g=sigma_full[0, 0], sigma_sz_g=sigma_full[0, 1:])
-        generate, _ = gaussian_generator(sigma_full, np.zeros(1 + q), -1.0)
-
-        def everything(_x, s, z, _y):
-            return np.ones(s.shape[0], dtype=bool)
-
-        est = estimate_group_losses(pop, generate, everything, trials=100_000, seed=9)
+        est = estimate_group_losses(pop, *gaussian_draws(sigma_full, 100_000, seed=9))
         prefers = group_prefers_core(pop, grp)
         if abs(est.difference) > 3 * est.stderr_difference:
             assert prefers == (est.difference >= 0)
@@ -214,15 +228,8 @@ class TestEstimateGroupLosses:
         pop = OvbPopulation(
             gamma=np.array([2.0]), beta_s=1.0, sigma_ss=1.0, sigma_sz=np.array([0.5])
         )
-
-        def generate(rng, m):
-            s = rng.standard_normal(m)
-            return None, s, np.zeros((m, 1)), None
-
-        def everything(_x, s, _z, _y):
-            return np.ones(s.shape[0], dtype=bool)
-
-        est = estimate_group_losses(pop, generate, everything, trials=50_000, seed=10)
+        s = np.random.default_rng(10).standard_normal(50_000)
+        est = estimate_group_losses(pop, s, np.zeros((50_000, 1)))
         lam = 0.5
         s2 = 1.0  # E[s^2] for standard normal draws
         assert est.loss_with_s == pytest.approx((2.0 * lam) ** 2 * s2, rel=0.05)
@@ -232,51 +239,38 @@ class TestEstimateGroupLosses:
         pop = OvbPopulation(
             gamma=np.array([1.0]), beta_s=1.0, sigma_ss=1.0, sigma_sz=np.array([0.0])
         )
-
-        def generate(rng, m):
-            s = rng.standard_normal(m)
-            return None, s, rng.standard_normal((m, 1)), None
-
-        def nobody(_x, s, _z, _y):
-            return np.zeros(s.shape[0], dtype=bool)
-
+        rng = np.random.default_rng(11)
+        s, z = rng.standard_normal(100), rng.standard_normal((100, 1))
+        nobody = np.zeros(100, dtype=bool)
         with pytest.raises(EmptyGroupError):
-            estimate_group_losses(pop, generate, nobody, trials=100, seed=11)
+            estimate_group_losses(pop, s[nobody], z[nobody])
 
-    # z with the wrong column count, z with too few rows, s with too many rows
+    # z with the wrong column count, z with too few rows, s with too many rows, s not a vector
     @pytest.mark.parametrize(
-        "shape_s,shape_z", [((10,), (10, 2)), ((10,), (9, 1)), ((11,), (10, 1))], ids=["z_cols", "z_rows", "s_rows"]
+        "shape_s,shape_z",
+        [((10,), (10, 2)), ((10,), (9, 1)), ((11,), (10, 1)), ((10, 1), (10, 1))],
+        ids=["z_cols", "z_rows", "s_rows", "s_matrix"],
     )
     def test_misshapen_draws_raise(self, shape_s, shape_z):
         pop = OvbPopulation(
             gamma=np.array([1.0]), beta_s=1.0, sigma_ss=1.0, sigma_sz=np.array([0.0])
         )
-
-        def generate(rng, m):
-            return None, rng.standard_normal(shape_s), rng.standard_normal(shape_z), None
-
-        def everything(_x, s, _z, _y):
-            return np.ones(10, dtype=bool)
-
+        rng = np.random.default_rng(11)
+        s, z = rng.standard_normal(shape_s), rng.standard_normal(shape_z)
         with pytest.raises(DimensionMismatchError, match=r"draws have s"):
-            estimate_group_losses(pop, generate, everything, trials=10, seed=11)
+            estimate_group_losses(pop, s, z)
 
     def test_deterministic_given_seed(self):
         pop = OvbPopulation(
             gamma=np.array([1.0, -1.0]), beta_s=1.5, sigma_ss=1.0, sigma_sz=np.array([0.3, 0.1])
         )
 
-        def generate(rng, m):
-            s = rng.standard_normal(m)
-            z = rng.standard_normal((m, 2))
-            return None, s, z, None
+        def estimate():
+            rng = np.random.default_rng(12)
+            s, z = rng.standard_normal(5000), rng.standard_normal((5000, 2))
+            return estimate_group_losses(pop, s[s > 0], z[s > 0])
 
-        def half(_x, s, _z, _y):
-            return s > 0
-
-        a = estimate_group_losses(pop, generate, half, trials=5000, seed=12)
-        b = estimate_group_losses(pop, generate, half, trials=5000, seed=12)
-        assert a == b
+        assert estimate() == estimate()
 
     def test_simple_example_losses(self):
         rep = ovb_simple_scenario(trials=60_000, seed=13)
@@ -290,9 +284,7 @@ class TestGaussianPopulations:
     def test_halfspace_moments_match_samples(self):
         rng = np.random.default_rng(56)
         pop, grp, sigma_full, u, c = random_gaussian_population(rng, q=3)
-        generate, in_group = gaussian_generator(sigma_full, u, c)
-        draw_rng = np.random.default_rng(14)
-        _, s, z, _ = generate(draw_rng, 200_000)
+        s, z = gaussian_draws(sigma_full, 200_000, seed=14)
         pts = np.column_stack([s, z])
         mask = pts @ u > c
         sel = pts[mask]
@@ -306,8 +298,9 @@ class TestGaussianPopulations:
         checked = disagreements = 0
         for _ in range(40):
             pop, grp, sigma_full, u, c = random_gaussian_population(rng, q=int(rng.integers(1, 4)))
-            generate, in_group = gaussian_generator(sigma_full, u, c)
-            est = estimate_group_losses(pop, generate, in_group, trials=40_000, seed=int(rng.integers(1 << 30)))
+            s, z = gaussian_draws(sigma_full, 40_000, seed=int(rng.integers(1 << 30)))
+            group = np.column_stack([s, z]) @ u > c
+            est = estimate_group_losses(pop, s[group], z[group])
             if abs(est.difference) <= 3 * est.stderr_difference:
                 continue
             checked += 1

@@ -4,7 +4,6 @@ import pytest
 
 from spurious_lens import scenarios
 from spurious_lens import (
-    Example1Spec,
     example1_closed_form,
     example1_simulate,
     example2_simulate,
@@ -68,25 +67,25 @@ class TestExample1ClosedForm:
 
 class TestExample1Simulate:
     def test_deterministic_draw_p_one(self):
-        rep = example1_simulate(Example1Spec(n=5, p=1.0, trials=1))
+        rep = example1_simulate(n=5, p=1.0, trials=1)
         assert rep.quantities["E_w"].monte_carlo == pytest.approx(5 / 6)
         assert rep.quantities["E_loss_s1"].monte_carlo == 0.0
         assert rep.quantities["E_loss"].monte_carlo == 0.0
 
     def test_p_zero_all_losses_vanish(self):
-        rep = example1_simulate(Example1Spec(n=8, p=0.0, trials=50, seed=1))
+        rep = example1_simulate(n=8, p=0.0, trials=50, seed=1)
         for label in ("E_loss", "E_loss_s0", "E_loss_s1"):
             assert rep.quantities[label].monte_carlo == 0.0
         assert rep.quantities["E_w"].monte_carlo == 0.0
         assert rep.quantities["E_theta_i"].monte_carlo == 1.0
 
     def test_three_sigma_agreement(self):
-        rep = example1_simulate(Example1Spec(n=20, p=0.9, trials=4000, seed=7))
+        rep = example1_simulate(n=20, p=0.9, trials=4000, seed=7)
         assert rep.three_sigma_violations() == []
 
     def test_losses_match_enumeration_oracle(self):
         n, p = 12, 0.7
-        rep = example1_simulate(Example1Spec(n=n, p=p, trials=6000, seed=3))
+        rep = example1_simulate(n=n, p=p, trials=6000, seed=3)
         # conditional losses are deterministic functions of the count u
         expect_s0 = binomial_expectation(n, p, lambda u: (u / (1 + u)) ** 2 * u / n)
         expect_s1 = binomial_expectation(n, p, lambda u: (u / (1 + u)) ** 2 * (n - u) / n)
@@ -95,19 +94,19 @@ class TestExample1Simulate:
             assert abs(q.monte_carlo - expect) <= 3 * q.stderr
 
     def test_group_s0_bears_the_loss_at_high_p(self):
-        rep = example1_simulate(Example1Spec(n=20, p=0.9, trials=2000, seed=8))
+        rep = example1_simulate(n=20, p=0.9, trials=2000, seed=8)
         assert rep.quantities["E_loss_s0"].monte_carlo > rep.quantities["E_loss_s1"].monte_carlo
 
     def test_per_trial_weight_matches_generic_fit(self):
         # every run cross-checks every trial against the generic fitter
-        example1_simulate(Example1Spec(n=6, p=0.5, trials=300, seed=4))
+        example1_simulate(n=6, p=0.5, trials=300, seed=4)
 
     def test_verification_catches_one_perturbed_trial(self, perturbed_third_fit):
         # the check compares every trial: nudging one fitted weight (in the
         # last, partial block) by 1e-9 must fail it
         block = scenarios._VERIFY_BLOCK
         with pytest.raises(VerificationError, match="disagrees with fitted weight"):
-            example1_simulate(Example1Spec(n=6, p=0.5, trials=2 * block + 100, seed=4))
+            example1_simulate(n=6, p=0.5, trials=2 * block + 100, seed=4)
         assert perturbed_third_fit == [block, block, 100]
 
     def test_cli_exits_1_on_a_perturbed_trial(self, perturbed_third_fit, capsys):
@@ -119,17 +118,17 @@ class TestExample1Simulate:
         assert err.count("\n") == 1
 
     def test_bit_identical_reports(self):
-        a = example1_simulate(Example1Spec(n=10, p=0.6, trials=500, seed=5))
-        b = example1_simulate(Example1Spec(n=10, p=0.6, trials=500, seed=5))
+        a = example1_simulate(n=10, p=0.6, trials=500, seed=5)
+        b = example1_simulate(n=10, p=0.6, trials=500, seed=5)
         assert a == b
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            Example1Spec(n=0, p=0.5, trials=1)
+            example1_simulate(n=0, p=0.5, trials=1)
         with pytest.raises(ValueError):
-            Example1Spec(n=5, p=-0.1, trials=1)
+            example1_simulate(n=5, p=-0.1, trials=1)
         with pytest.raises(ValueError):
-            Example1Spec(n=5, p=0.5, trials=0)
+            example1_simulate(n=5, p=0.5, trials=0)
 
 
 class TestExample2Simulate:
@@ -163,6 +162,22 @@ class TestExample2Simulate:
             example2_simulate(n=1, p_s=0.5, trials=10)
         with pytest.raises(ValueError):
             example2_simulate(n=5, p_s=2.0, trials=10)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            example2_simulate(n=5, p_s=0.5, trials=0)
+
+
+class TestSizeBounds:
+    # one past each bound is refused before anything is drawn
+    @pytest.mark.parametrize("run", [
+        lambda: example1_simulate(n=scenarios.MAX_IDENTITY_DIM + 1, p=0.5, trials=1),
+        lambda: example2_simulate(n=scenarios.MAX_IDENTITY_DIM + 1, p_s=0.5, trials=1),
+        lambda: example1_simulate(n=20, p=0.5, trials=scenarios.MAX_DRAWS // 20 + 1),
+        lambda: example2_simulate(n=20, p_s=0.5, trials=scenarios.MAX_DRAWS // 40 + 1),
+        lambda: ovb_simple_scenario(trials=scenarios.MAX_DRAWS // 2 + 1),
+    ], ids=["example1_n", "example2_n", "example1_draws", "example2_draws", "ovb_simple_draws"])
+    def test_one_past_a_bound_raises(self, run):
+        with pytest.raises(ValueError, match="must be at most"):
+            run()
 
 
 class TestReferenceTables:
@@ -215,3 +230,8 @@ class TestOvbSimpleScenario:
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
             ovb_simple_scenario(trials=0)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            ovb_simple_scenario(trials=10, sigma=sigma)
