@@ -15,9 +15,11 @@ parameters):
     rst:    theta = P theta* + w (I - P) beta*
 
 Every fit also has an (S, Y)-data form used when no ground truth is attached.
-The core, full and multi fits share one solver over the design's cached thin
-SVD; the RST fit solves its pseudo-label system from one QR factorization
-of the unlabeled design and checks the labels against the result.
+The core, full and multi fits share one solver over the design's thin SVD
+Z = U S V', which the design takes from its cached QR Z' = Q R and the SVD of
+the n x n factor R (V = Q Ur); the RST fit solves its pseudo-label system
+from the same cached QR of the unlabeled design, Zu = Q R, and checks the
+labels against the result.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .minnorm import (
     _as_matrix,
     _as_vector,
     _freeze,
-    _rank,
     _relative_residual,
     _require_full_row_rank,
     _scaled,
@@ -319,9 +320,9 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
     Solves min ||theta||^2 s.t. Z theta = Y and Zu theta = Zu theta_full + Su w.
     Zu must have full column rank (rank d by minnorm's rank rule), so
     Zu theta = pseudo has at most one solution, and when the stacked system
-    is consistent that solution is its minimum-norm one. It is read from one
-    QR factorization Zu = QR as R^-1 Q' pseudo, with the rank decided by the
-    singular values of R, which are Zu's; the solution is
+    is consistent that solution is its minimum-norm one. It is read from the
+    QR factorization Zu = QR that DesignMatrix(Zu') caches, as R^-1 Q' pseudo,
+    with the rank decided by that design's full_row_rank; the solution is
     P theta* + w (I - P) beta*. Only when that theta misses the labels (near
     the rank cutoff) is the stacked system [Z; Zu] solved by its own QR.
     Raises InconsistentConstraintsError when the stacked system's relative
@@ -348,9 +349,10 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
         raise DimensionMismatchError(
             f"Su has {su.shape[1]} columns but the full model has {full.w_hat.shape[0]} spurious weights"
         )
-    q, r = np.linalg.qr(zu)
-    if _rank(np.linalg.svd(r, compute_uv=False)) < d:
+    zu_t = DesignMatrix(zu.T)
+    if not zu_t.full_row_rank:
         raise RankDeficientError(f"unlabeled design ({m}x{d}) must have full column rank")
+    q, r = zu_t.qr
     # Pseudo-labels or a solution past the float range give a non-finite
     # residual, which the check below refuses.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,12 +1,13 @@
 """Minimum-norm linear algebra primitives.
 
-A full-row-rank design is factored once, by a thin SVD Z = U S V' cached on
-the design. Its orthonormal row basis V backs the row-space projector
-P = V V', which is applied as V(V'x) and formed densely only on request;
-the same factors give every minimum-norm fit. Also here: the least-norm
-solver by pseudoinverse (the oracle everything else is checked against),
-and the intersection projector of two orthonormal bases, taken from their
-principal angles. One rule, _rank, decides every rank.
+A design is factored once, by a reduced Householder QR Z' = Q R cached on
+it. The rank comes from the singular values of the n x n factor R, which are
+Z's, and the thin SVD Z = U S V' from R = Ur S Vr' as U = Vr, V = Q Ur
+(Chan's R-SVD). The row basis V backs the projector P = V V', applied as
+V(V'x) and formed densely only on request, and every minimum-norm fit. Also
+here: the least-norm solver by pseudoinverse (the oracle everything else is
+checked against), and the intersection projector of two orthonormal bases,
+taken from their principal angles. One rule, _rank, decides every rank.
 
 All functions are pure and operate on immutable inputs; tolerances are the
 module constants below.
@@ -75,6 +76,13 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
+def _locked(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays themselves, made read-only in place."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def _freeze(obj, **arrays) -> None:
     """Store a read-only copy of each array (or tuple of arrays) on the frozen dataclass obj."""
     for name, a in arrays.items():
@@ -86,11 +94,11 @@ def _freeze(obj, **arrays) -> None:
 class DesignMatrix:
     """An n x d matrix of observed core-feature rows (n points, d features).
 
-    Building one only validates and freezes the entries. full_row_rank is
-    decided by its own singular-value SVD when it is first read, and the
-    thin SVD Z = U diag(s) V' with singular vectors when a fit or a
-    projection first needs it; both are cached, so a design that is only
-    carried around never takes an SVD.
+    Building one only validates and freezes the entries. The first read of
+    full_row_rank takes the reduced QR Z' = Q R and decides the rank from
+    the singular values of R alone; the first read of svd takes the SVD of
+    R with its vectors. Each is cached, so a design that is only carried
+    around is never factored, and one that is factored takes one QR.
     """
 
     entries: np.ndarray
@@ -99,11 +107,16 @@ class DesignMatrix:
         _freeze(self, entries=_as_matrix(self.entries, "design matrix"))
 
     @cached_property
+    def qr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, R) with Z' = Q R, reduced: for n <= d, Q is d x n orthonormal and R n x n upper triangular."""
+        return _locked(*np.linalg.qr(self.entries.T))
+
+    @cached_property
     def full_row_rank(self) -> bool:
-        """n <= d and every singular value counts toward the rank (_rank)."""
+        """n <= d and every singular value counts toward the rank (_rank), read from R."""
         if self.rows > self.cols:
             return False
-        return _rank(np.linalg.svd(self.entries.T, compute_uv=False)) == self.rows
+        return _rank(np.linalg.svd(self.qr[1], compute_uv=False)) == self.rows
 
     @property
     def rows(self) -> int:
@@ -117,14 +130,13 @@ class DesignMatrix:
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(U, s, V) with Z = U diag(s) V': U is n x n, V the d x n orthonormal row basis.
 
-        Raises RankDeficientError unless the design has full row rank.
+        From R = Ur diag(s) Vr': U = Vr and V = Q Ur. Raises
+        RankDeficientError unless the design has full row rank.
         """
         _require_full_row_rank(self)
-        v, s, ut = np.linalg.svd(self.entries.T, full_matrices=False)
-        factors = (ut.T, s, v)
-        for f in factors:
-            f.setflags(write=False)
-        return factors
+        q, r = self.qr
+        ur, s, vrt = np.linalg.svd(r)
+        return _locked(vrt.T, s, q @ ur)
 
 
 def _require_full_row_rank(Z: DesignMatrix) -> None:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spurious_lens import (
@@ -20,6 +22,7 @@ from spurious_lens import (
     population_error,
     predict,
     projection,
+    removal_verdict,
 )
 from spurious_lens.exceptions import (
     DimensionMismatchError,
@@ -138,6 +141,11 @@ class TestFitMulti:
         assert_allclose(model.theta_hat, [2 / 3, 0.0, 0.0], atol=1e-12)
         assert_allclose(model.w_hat, [2 / 3, 2 / 3], atol=1e-12)
 
+    def test_needs_a_spurious_column(self):
+        data = LabeledData.from_truth(DesignMatrix(np.eye(2, 3)), GroundTruth(np.ones(3)))
+        with pytest.raises(DimensionMismatchError, match="at least one spurious column"):
+            fit_multi(data)
+
     def test_table4_only_first_feature(self):
         truth = GroundTruth(np.array([2.0, 2.0, 2.0]), (np.array([1.0, -3.0, 0.0]),))
         data = LabeledData.from_truth(DesignMatrix(np.array([[1.0, 0.0, 0.0]])), truth)
@@ -206,6 +214,51 @@ class TestHugeSpuriousColumns:
         truth = GroundTruth(rng.standard_normal(12), (beta, beta))
         with pytest.raises(RankDeficientError, match="spurious-weight system is singular"):
             fit_multi(LabeledData.from_truth(DesignMatrix(rng.standard_normal((5, 12))), truth))
+
+
+# Metamorphic relations of the fits and the removal verdict. An orthogonal
+# change of basis z -> R z takes Z to Z R', theta* and beta* to R theta* and
+# R beta*, and Sigma to R Sigma R': theta_hat goes to R theta_hat, and w_hat
+# and every verdict boolean stay the same. So do theta_hat and w_hat under a
+# reordering of the rows of (Z, S, Y). Y and S are formed from the truth, so
+# their rounding, carried through the design's factors, is cond(Z) eps
+# relative to the truth's scale ||theta*|| + |w| ||beta*||, not to the often
+# shorter theta_hat = P theta*. Over 2,000 random instances of these sizes the
+# worst theta_hat and w_hat errors were 23 and 14 cond(Z) eps; the bound is 64.
+class TestMetamorphicRelations:
+    BOUND = 64
+
+    @staticmethod
+    def run(z, theta, beta, sigma):
+        truth = GroundTruth(theta, (beta,))
+        data = LabeledData.from_truth(DesignMatrix(z), truth)
+        verdict = removal_verdict(truth, projection(data.Z), TestDistribution(sigma))
+        flags = verdict.sign_match, verdict.magnitude_holds, verdict.full_better, verdict.tie
+        return (fit_core(data), fit_full(data)), flags
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), extra=st.integers(1, 12))
+    def test_basis_change_and_row_order(self, seed, n, extra):
+        rng = np.random.default_rng(seed)
+        d = n + extra
+        z = rng.standard_normal((n, d))
+        theta, beta = rng.standard_normal(d), rng.standard_normal(d)
+        f = rng.standard_normal((d, d))
+        sigma = f @ f.T / d
+        rot, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        rotated = rot @ sigma @ rot.T
+        base, flags = self.run(z, theta, beta, sigma)
+        tol = self.BOUND * np.linalg.cond(z) * np.finfo(float).eps
+        for image, models, got in (
+            (rot, *self.run(z @ rot.T, rot @ theta, rot @ beta, (rotated + rotated.T) / 2.0)),
+            (np.eye(d), *self.run(z[rng.permutation(n)], theta, beta, sigma)),
+        ):
+            assert got == flags
+            for m, b in zip(models, base):
+                w = np.abs(b.w_hat)
+                scale = np.linalg.norm(theta) + float(np.sum(w)) * np.linalg.norm(beta)
+                assert np.linalg.norm(m.theta_hat - image @ b.theta_hat) <= tol * scale
+                assert np.all(np.abs(m.w_hat - b.w_hat) <= tol * (1.0 + w))
 
 
 class TestOracleEquivalence:
@@ -434,6 +487,25 @@ class TestFitRst:
         with pytest.raises(ValueError):
             fit_rst(data, UnlabeledData(Zu=np.eye(3), Su=np.zeros(3)), fit_core(data))
 
+    # Each mismatch below would otherwise reach a numpy product of the wrong
+    # shapes and surface as a bare ValueError.
+    def test_weight_count_must_match_labeled_columns(self):
+        data = table2()
+        full = fit_full(data)
+        two = LinearModel(theta_hat=full.theta_hat, w_hat=np.append(full.w_hat, 0.0), kind="full")
+        with pytest.raises(DimensionMismatchError, match="labeled data has 1 spurious columns"):
+            fit_rst(data, UnlabeledData(Zu=np.eye(3), Su=np.zeros((3, 2))), two)
+
+    def test_unlabeled_columns_must_match_design(self):
+        data = table2()
+        with pytest.raises(DimensionMismatchError, match="unlabeled design has 4 columns, expected 3"):
+            fit_rst(data, UnlabeledData(Zu=np.eye(4), Su=np.zeros(4)), fit_full(data))
+
+    def test_unlabeled_spurious_columns_must_match_weights(self):
+        data = table2()
+        with pytest.raises(DimensionMismatchError, match="Su has 2 columns"):
+            fit_rst(data, UnlabeledData(Zu=np.eye(3), Su=np.zeros((3, 2))), fit_full(data))
+
 
 class TestPredict:
     def test_table3_predictions(self):
@@ -472,6 +544,11 @@ class TestImplicitWeights:
             assert_allclose(
                 implicit_weights(fit_full(data), data.truth), [2.0, alpha], atol=1e-12
             )
+
+    def test_model_dimension_must_match_truth(self):
+        data = table2()
+        with pytest.raises(DimensionMismatchError, match="model dimension 3 does not match truth dimension 4"):
+            implicit_weights(fit_core(data), GroundTruth(np.ones(4)))
 
     def test_core_model_unchanged(self):
         data = table2()

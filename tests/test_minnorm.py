@@ -231,6 +231,10 @@ class TestIntersectionProjection:
         assert out.rank == 2
         assert_allclose(out.matrix, oracle, atol=1e-10)
 
+    def test_dimensions_must_agree(self):
+        with pytest.raises(DimensionMismatchError, match="projection dims differ: 3 vs 4"):
+            intersection_projection(axes_projection(3, [0]), axes_projection(4, [0]))
+
     # Lines at an angle above RANK_RTOL do not meet, as the basis oracle says;
     # a cutoff on the squared sines, as pinv(P1 + P2) applies, would merge
     # them up to an angle of about 1e-6.
@@ -274,11 +278,25 @@ class TestDesignMatrixInvariants:
     def test_rank_svd_on_first_read_only(self, monkeypatch):
         svd = np.linalg.svd
         seen = []
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: seen.append(k) or svd(*a, **k))
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: seen.append((a[0].shape, k)) or svd(*a, **k))
         z = DesignMatrix(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
         assert seen == []
         assert z.full_row_rank and z.full_row_rank
-        assert seen == [{"compute_uv": False}]
+        # the values of the 2 x 2 factor R, not of the 3 x 2 matrix Z'
+        assert seen == [((2, 2), {"compute_uv": False})]
+
+    def test_one_qr_then_svds_of_r(self, monkeypatch):
+        qr, svd = np.linalg.qr, np.linalg.svd
+        seen = []
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: seen.append(("qr", a[0].shape, k)) or qr(*a, **k))
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: seen.append(("svd", a[0].shape, k)) or svd(*a, **k))
+        z = DesignMatrix(np.random.default_rng(4).standard_normal((6, 15)))
+        assert z.full_row_rank
+        assert seen == [("qr", (15, 6), {}), ("svd", (6, 6), {"compute_uv": False})]
+        seen.clear()
+        assert z.svd is z.svd and seen == [("svd", (6, 6), {})]
+        q, r = z.qr
+        assert q.shape == (15, 6) and r.shape == (6, 6) and not q.flags.writeable and not r.flags.writeable
 
     def test_rejects_bad_input(self):
         with pytest.raises(DimensionMismatchError):
@@ -298,3 +316,35 @@ class TestDesignMatrixInvariants:
             Projection(basis=np.eye(3)[:2])
         with pytest.raises(ValueError, match="non-finite"):
             Projection(basis=np.array([[1.0], [np.nan]]))
+
+
+def factor_test_designs():
+    """Random designs with d/n from 1.2 to 5, and designs U diag(s) V' with cond up to 1e9."""
+    rng = np.random.default_rng(23)
+    for n in (2, 7, 30, 80):
+        for ratio in (1.2, 2.0, 3.5, 5.0):
+            yield rng.standard_normal((n, round(n * ratio)))
+    for cond in (1e3, 1e6, 1e9):
+        for n, d in ((6, 9), (25, 60), (40, 200)):
+            u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            v, _ = np.linalg.qr(rng.standard_normal((d, n)))
+            yield (u * np.geomspace(1.0, 1.0 / cond, n)) @ v.T
+
+
+# The SVD taken through Z' = Q R is a backward-stable SVD of Z: orthonormal
+# factors, the singular values LAPACK gives for Z itself, and a product that
+# reproduces Z, each to a small multiple of n eps. Over these designs the
+# worst ratios to n eps were 1.25, 1.0, 0.60 and 3.2 (the last two relative
+# to s[0] = ||Z||_2), so each bound leaves a factor of about 3 or more.
+def test_svd_through_qr_is_an_svd_of_z():
+    eps = np.finfo(float).eps
+    for z in factor_test_designs():
+        n = z.shape[0]
+        u, s, v = DesignMatrix(z).svd
+        ref = np.linalg.svd(z, compute_uv=False)
+        assert u.shape == (n, n) and v.shape == (z.shape[1], n)
+        assert np.max(np.abs(u.T @ u - np.eye(n))) <= 4 * n * eps
+        assert np.max(np.abs(v.T @ v - np.eye(n))) <= 4 * n * eps
+        assert np.all(np.diff(s) <= 0)
+        assert np.max(np.abs(s - ref)) <= 2 * n * eps * ref[0]
+        assert np.linalg.norm((u * s) @ v.T - z) <= 10 * n * eps * ref[0]
