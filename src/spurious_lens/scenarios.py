@@ -58,7 +58,7 @@ _VERIFY_BLOCK = 2048
 # Largest gap between a recomputed table entry and its printed value.
 TABLES_TOL = 1e-9
 # Largest n of the identity-design examples, which build the n x n design and
-# take its thin SVD, and most random values one simulation may draw: trials x n
+# factor it, and most random values one simulation may draw: trials x n
 # for example1, trials x 2n for example2, trials x 2 for ovb-simple. Time and
 # memory grow with the draws. At the bounds, on a 2-vCPU Xeon, a process peaks
 # at 309 MB in 1.9 s (example1, n = 1), 418 MB in 2.2 s (example2, n = 2),

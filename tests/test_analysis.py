@@ -434,6 +434,22 @@ class TestRobustError:
         with pytest.raises(DimensionMismatchError):
             robust_errors([], self.truth, [self.dist, TestDistribution(np.ones(5))], self.spec, samples=10)
 
+    # Each argument check refuses its input before any draw, with a typed error.
+    def test_arguments_are_checked_before_sampling(self):
+        core, full = fit_core(self.data), fit_full(self.data)
+        two_betas = GroundTruth(self.truth.theta_star, self.truth.beta_stars * 2)
+        with pytest.raises(DimensionMismatchError, match="exactly one spurious vector, got 2"):
+            robust_errors([core], two_betas, [self.dist], self.spec, samples=10)
+        short = LinearModel(theta_hat=np.zeros(2), w_hat=np.zeros(0), kind="core")
+        with pytest.raises(DimensionMismatchError, match="model and truth dimensions"):
+            robust_errors([core, short], self.truth, [self.dist], self.spec, samples=10)
+        two_weights = LinearModel(theta_hat=full.theta_hat, w_hat=np.ones(2), kind="full")
+        with pytest.raises(DimensionMismatchError, match="one spurious weight, got 2"):
+            robust_errors([full, two_weights], self.truth, [self.dist], self.spec, samples=10)
+        for samples in (0, -3):
+            with pytest.raises(ValueError, match="samples must be >= 1"):
+                robust_errors([core, full], self.truth, [self.dist], self.spec, samples=samples)
+
     def test_replayed_batches_bound_the_memory(self):
         # Six groups need 3, 5, 11, 27, 64 and 201 batches of 4096 x 40. The
         # sampler holds one batch of normals, its squares and each group's
@@ -538,6 +554,17 @@ class TestGroupwiseSpuriousFit:
             out = groupwise_spurious_fit(z1, z2, a1, a2)
             assert_allclose(out, schur_complement_fit(z1, z2, a1, a2), atol=1e-8)
 
+    def test_dimensions_must_agree(self):
+        z1, z2 = DesignMatrix(np.array([[1.0, 0.0]])), DesignMatrix(np.array([[0.0, 1.0]]))
+        z3 = DesignMatrix(np.array([[0.0, 1.0, 0.0]]))
+        for args in (
+            (z1, z3, np.ones(2), np.ones(2)),
+            (z1, z2, np.ones(3), np.ones(2)),
+            (z1, z2, np.ones(2), np.ones(3)),
+        ):
+            with pytest.raises(DimensionMismatchError, match="share one dimension"):
+                groupwise_spurious_fit(*args)
+
     def test_overlapping_row_spaces_fall_back(self):
         shared = np.array([[1.0, 1.0, 0.0]])
         z1 = DesignMatrix(np.vstack([shared, [[0.0, 0.0, 1.0]]]))
@@ -615,6 +642,20 @@ class TestGroupwiseSpuriousError:
         losses = (zs @ theta - preds) ** 2
         se = losses.std(ddof=1) / np.sqrt(losses.size)
         assert abs(closed - losses.mean()) <= 3 * se
+
+    def test_dimensions_must_agree(self):
+        z1, z2, theta, alpha1, alpha2 = self.worked_example()
+        z3 = DesignMatrix(np.array([[0.0, 1.0, 0.0]]))
+        dist = TestDistribution(np.eye(2))
+        for args in (
+            (z1, z3, theta, alpha1, alpha2, 0.5, dist),
+            (z1, z2, np.ones(3), alpha1, alpha2, 0.5, dist),
+            (z1, z2, theta, np.ones(3), alpha2, 0.5, dist),
+            (z1, z2, theta, alpha1, np.ones(3), 0.5, dist),
+            (z1, z2, theta, alpha1, alpha2, 0.5, TestDistribution(np.eye(3))),
+        ):
+            with pytest.raises(DimensionMismatchError, match="share one dimension"):
+                groupwise_spurious_error(*args)
 
     def test_non_orthogonal_groups_rejected(self):
         z1 = DesignMatrix(np.array([[1.0, 0.0, 0.0]]))

@@ -367,13 +367,17 @@ def test_two_scaled_blocks_keep_exit_contract(capsys, tmp_path, name, scales, ar
 
 # A design is factored only where it is used: both constructions take their
 # projector from an orthonormal basis they build (the disjoint one from its
-# orthonormal training rows, the balanced one from e1 and e2), and analyze
-# takes the rank SVD and the thin SVD of its training design.
+# orthonormal training rows, the balanced one from e1 and e2). A fit reads
+# its design's QR and takes one SVD, the values of R for the rank; analyze
+# also takes the SVD of R with its vectors for the projector's basis, and
+# the RST fit the rank SVD of its unlabeled design.
 @pytest.mark.parametrize("argv,calls", [
     (["construct", "--mode", "disjoint", "--n", "4"], 0),
     (["construct", "--mode", "balanced", "--d", "12"], 0),
     (["analyze", "--seed", "3"], 2),
-    (["fit", "--model", "rst"], 3),
+    (["fit", "--model", "rst"], 2),
+    (["fit", "--model", "full"], 1),
+    (["fit", "--model", "core"], 1),
 ])
 def test_svd_calls_per_command(capsys, monkeypatch, argv, calls):
     svd = np.linalg.svd
@@ -410,7 +414,7 @@ def test_normal_batches_per_analyze(capsys, tmp_path, monkeypatch):
     assert draws == [3, 3]
 
 
-# The RST fit reads theta and Zu's rank from one QR of Zu (the third SVD
+# The RST fit reads theta and Zu's rank from one QR of Zu (the second SVD
 # above is of its R factor), with no least-squares solve.
 def test_rst_fit_makes_no_lstsq_call(capsys, monkeypatch):
     def refuse(*args, **kwargs):

@@ -83,6 +83,17 @@ class TestConstructDisjoint:
         with pytest.raises(DimensionTooSmallError):
             construct_disjoint(np.ones(4), np.array([1.0, -1.0, 1.0, -1.0]), n=3)  # n >= d-1
 
+    def test_zero_parameters_rejected(self):
+        beta = np.array([1.0, -1.0, 1.0, -1.0])
+        for theta, b in ((np.zeros(4), beta), (beta, np.zeros(4))):
+            with pytest.raises(ParallelParametersError, match="must be nonzero"):
+                construct_disjoint(theta, b, n=2)
+
+    @pytest.mark.parametrize("x", [0.0, -0.1, np.inf, np.nan])
+    def test_x_must_be_positive_and_finite(self, x):
+        with pytest.raises(ValueError, match="x must be positive and finite"):
+            construct_disjoint(np.array([1.0, 0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0, 1.0]), n=2, x=x)
+
     def test_parameter_lengths_differ(self):
         with pytest.raises(DimensionMismatchError, match="must share a dimension"):
             construct_disjoint(np.ones(5), np.array([1.0, -1.0, 1.0, -1.0]), n=2)

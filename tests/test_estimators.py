@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from spurious_lens import estimators
 from spurious_lens import (
     DesignMatrix,
     GroundTruth,
@@ -260,6 +261,28 @@ class TestMetamorphicRelations:
                 assert np.linalg.norm(m.theta_hat - image @ b.theta_hat) <= tol * scale
                 assert np.all(np.abs(m.w_hat - b.w_hat) <= tol * (1.0 + w))
 
+    # Y -> c Y scales theta_hat and w_hat by c (the fit is linear in Y), and
+    # (Z, S, Y) -> c (Z, S, Y) leaves both unchanged (the same constraints).
+    # For c a power of two every step of the fit scales exactly, so both
+    # relations hold bit for bit.
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), extra=st.integers(1, 8),
+        k=st.integers(0, 2), j=st.integers(-40, 40),
+    )
+    def test_power_of_two_scaling(self, seed, n, extra, k, j):
+        rng = np.random.default_rng(seed)
+        z, s, y = rng.standard_normal((n, n + extra)), rng.standard_normal((n, k)), rng.standard_normal(n)
+        c = 2.0**j
+        for fit in [fit_core] + [fit_full] * (k == 1) + [fit_multi] * (k >= 1):
+            base = fit(LabeledData(Z=DesignMatrix(z), S=s, Y=y))
+            scaled_y = fit(LabeledData(Z=DesignMatrix(z), S=s, Y=c * y))
+            scaled_all = fit(LabeledData(Z=DesignMatrix(c * z), S=c * s, Y=c * y))
+            assert_array_equal(scaled_y.theta_hat, c * base.theta_hat)
+            assert_array_equal(scaled_y.w_hat, c * base.w_hat)
+            assert_array_equal(scaled_all.theta_hat, base.theta_hat)
+            assert_array_equal(scaled_all.w_hat, base.w_hat)
+
 
 class TestOracleEquivalence:
     def test_fits_match_min_norm_oracle(self):
@@ -358,7 +381,7 @@ class TestFitMinNormStack:
 
     @pytest.mark.parametrize("scale", [1.0, 1e200])
     def test_stationarity_check_sees_a_zeroed_weight(self, monkeypatch, scale):
-        # theta = V(b - A w) interpolates for any w, so w = 0 passes the
+        # theta = Q(b - A w) interpolates for any w, so w = 0 passes the
         # interpolation check; the k x k system's residual does not
         # (scale 1e200 checks the scaled route's system)
         rng = np.random.default_rng(27)
@@ -367,9 +390,25 @@ class TestFitMinNormStack:
         y = rng.standard_normal(5)
         fit_min_norm_stack(z, cols, y)
         solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda *a: np.zeros_like(solve(*a)))
+        systems = []
+        monkeypatch.setattr(np.linalg, "solve", lambda m, b: systems.append(m.shape) or np.zeros_like(solve(m, b)))
         with pytest.raises(VerificationError, match="do not solve"):
             fit_min_norm_stack(z, cols, y)
+        # the stacked 2 x 2 weight systems are the only solve
+        assert systems == [(4, 2, 2)]
+
+    # A fit reads the design's QR and R^-1: its one SVD is the rank's
+    # values-only SVD of the n x n R, and no singular vectors are formed.
+    @pytest.mark.parametrize("fit,k", [(fit_core, 1), (fit_full, 1), (fit_multi, 2)])
+    def test_fit_takes_no_singular_vectors(self, monkeypatch, fit, k):
+        svd = np.linalg.svd
+        seen = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: seen.append((a[0].shape, kw)) or svd(*a, **kw))
+        rng = np.random.default_rng(33)
+        z = DesignMatrix(rng.standard_normal((5, 12)))
+        fit(LabeledData(Z=z, S=rng.standard_normal((5, k)), Y=rng.standard_normal(5)))
+        assert "svd" not in z.__dict__
+        assert seen == [((5, 5), {"compute_uv": False})]
 
     def test_worst_block_decides_interpolation(self):
         # a rank-deficient design never reaches the solve; an inconsistent
@@ -481,6 +520,24 @@ class TestFitRst:
             stacked = np.vstack([data.Z.entries, zu])
             rhs = np.concatenate([data.Y, zu @ full.theta_hat + zu @ truth.beta_stars[0] * full.w_hat[0]])
             assert np.linalg.norm(stacked @ model.theta_hat - rhs) <= 1e-8 * np.linalg.norm(rhs)
+
+    # Zu' is factored from the Zu that UnlabeledData froze, not from a copy.
+    def test_unlabeled_design_shares_the_frozen_zu(self, monkeypatch):
+        made = []
+
+        class Recording(DesignMatrix):
+            def __post_init__(self):
+                super().__post_init__()
+                made.append(self)
+
+        monkeypatch.setattr(estimators, "DesignMatrix", Recording)
+        data = table2()
+        zu = np.random.default_rng(35).standard_normal((4, 3))
+        unlabeled = UnlabeledData(Zu=zu, Su=zu @ data.truth.beta_stars[0])
+        fit_rst(data, unlabeled, fit_full(data))
+        (design,) = made
+        assert design.entries.shape == (3, 4) and np.shares_memory(design.entries, unlabeled.Zu)
+        assert not design.entries.flags.writeable
 
     def test_needs_full_model(self):
         data = table2()

@@ -298,6 +298,25 @@ class TestDesignMatrixInvariants:
         q, r = z.qr
         assert q.shape == (15, 6) and r.shape == (6, 6) and not q.flags.writeable and not r.flags.writeable
 
+    # A frozen float array, or a view whose bases are all read-only, is kept
+    # as it stands; a read-only view of a writable array is copied.
+    def test_frozen_entries_are_kept_and_others_copied(self):
+        frozen = np.random.default_rng(6).standard_normal((3, 7))
+        frozen.setflags(write=False)
+        for entries in (frozen, frozen.T, frozen[1:]):
+            z = DesignMatrix(entries)
+            assert z.entries is entries and not z.entries.flags.writeable
+        writable = np.ones((2, 5))
+        view = writable[:]
+        view.setflags(write=False)
+        z = DesignMatrix(view)
+        assert not np.shares_memory(z.entries, writable) and not z.entries.flags.writeable
+        writable[0, 0] = 7.0
+        assert z.entries[0, 0] == 1.0
+        integers = np.eye(2, dtype=int)
+        integers.setflags(write=False)
+        assert DesignMatrix(integers).entries.dtype == float
+
     def test_rejects_bad_input(self):
         with pytest.raises(DimensionMismatchError):
             DesignMatrix(np.zeros(3))
