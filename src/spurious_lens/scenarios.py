@@ -61,8 +61,8 @@ TABLES_TOL = 1e-9
 # factor it, and most random values one simulation may draw: trials x n
 # for example1, trials x 2n for example2, trials x 2 for ovb-simple. Time and
 # memory grow with the draws. At the bounds, on a 2-vCPU Xeon, a process peaks
-# at 309 MB in 1.9 s (example1, n = 1), 418 MB in 2.2 s (example2, n = 2),
-# 141 MB in 0.2 s (ovb-simple) and at most 305 MB in 1.8 s at n = 1024. An
+# at 309 MB in 1.9 s (example1, n = 1), 344 MB in 1.5 s (example2, n = 2),
+# 141 MB in 0.2 s (ovb-simple) and at most 240 MB in 1.3 s at n = 1024. An
 # unbounded size ends in numpy's MemoryError instead of an input error.
 MAX_IDENTITY_DIM = 1_024
 MAX_DRAWS = 5_000_000
@@ -211,16 +211,15 @@ def example2_simulate(
         raise ValueError(f"p_s must be in [0, 1], got {p_s}")
     _check_sizes(trials, 2 * n, n)
     rng = np.random.default_rng(seed)
+    cols = np.zeros((trials, 2, n))
     if force_t_zero:
-        s = (rng.random((trials, n)) < p_s).astype(float)
-        t = np.zeros((trials, n))
+        np.less(rng.random((trials, n)), p_s, out=cols[:, 0])
     else:
-        draws = rng.random((trials, 2, n))
-        s = (draws[:, 0] < p_s).astype(float)
-        t = (draws[:, 1] < 0.5).astype(float)
+        np.less(rng.random((trials, 2, n)), [[p_s], [0.5]], out=cols)
+    s, t = cols[:, 0], cols[:, 1]
     design = DesignMatrix(np.eye(n))
     y = np.ones(n)
-    _, w_with = fit_min_norm_stack(design, np.stack([s, t], axis=2), y)
+    _, w_with = fit_min_norm_stack(design, cols.transpose(0, 2, 1), y)
     _, w_without = fit_min_norm_stack(design, t[:, :, None], y)
     w_s, w_t = w_with[:, :1], w_with[:, 1:]
 

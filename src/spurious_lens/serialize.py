@@ -11,15 +11,15 @@ nested lists. CSV projections print floats with Python's shortest
 round-trip repr and parse back into the same row structure.
 
 An instance document is UTF-8 bytes (the CLI reads the file as bytes, with
-no newline translation) or text. Each interior row of a matrix, a flat row
-between two row separators, is read by its own orjson call; json.loads reads
-the rest, each run of rows standing in as a placeholder row, and the rows are
-spliced back in. One whole-document orjson call would be simpler, but orjson
-3.8.3 builds nested values recursively and crashes the process on a deep
-document, and its buffer would hold about 1.7x the document, not one row.
-The result is json.loads's, except that an integer beyond 64 bits in an
-interior row reads as the nearest float, as every consumer makes it anyway.
-A document the splicer cannot take goes through json.loads whole.
+no newline translation) or text. Each flat list, a [ ... ] with no bracket,
+brace or quote inside, is read by its own orjson call; json.loads reads the
+rest, each flat list standing in as a placeholder list, and each list is put
+back in its placeholder's place. One whole-document orjson call would be
+simpler, but orjson 3.8.3 builds nested values recursively and crashes the
+process on a deep document, and its buffer would hold about 1.7x the
+document, not one list. The result is json.loads's, except that an integer
+beyond 64 bits reads as the nearest float, as every consumer makes it
+anyway. A document the splicer cannot take goes through json.loads whole.
 
 Instance parsing checks only the document's layout (which blocks and keys
 are present) and passes the raw JSON values to the library's value classes,
@@ -37,9 +37,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from dataclasses import dataclass
-from itertools import pairwise
 
 import numpy as np
 import orjson
@@ -256,72 +254,57 @@ def _sigma(block):
     return _as_matrix(block, "sigma")
 
 
-# What joins two rows of a matrix, with JSON's four whitespace bytes only.
-_ROW_SEP = re.compile(rb"\][ \t\n\r]*,[ \t\n\r]*\[")
-# A piece between two row separators that holds none of these is a flat row.
-_NOT_FLAT = (b"[", b"]", b"{", b"}", b'"')
+def _splice(node, lists: list[list]):
+    """node with each placeholder, a list of one string "\\0<k>", replaced by lists[k]."""
+    if isinstance(node, list) and len(node) == 1 and isinstance(node[0], str) and node[0][:1] == "\0":
+        return lists[int(node[0][1:])]
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)):
+            node[key] = _splice(value, lists)
+    return node
 
 
-def _splice(node, runs: list[list]):
-    """node with each placeholder row, a list of one string "\\0<k>", replaced by the rows of runs[k]."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            if isinstance(value, (dict, list)):
-                node[key] = _splice(value, runs)
-        return node
-    out = []
-    for item in node:
-        if isinstance(item, list) and len(item) == 1 and isinstance(item[0], str) and item[0][:1] == "\0":
-            out.extend(runs[int(item[0][1:])])
-        elif isinstance(item, (dict, list)):
-            out.append(_splice(item, runs))
-        else:
-            out.append(item)
-    return out
-
-
-def _loads_rows(data: bytes):
-    """The document, its interior matrix rows read by orjson, the rest by json.loads.
+def _loads_lists(data: bytes):
+    """The document, each flat list read by orjson, the rest by json.loads.
 
     Raises ValueError when a string of the skeleton holds the escape
-    \\u0000, which would read like a placeholder row.
+    \\u0000, which would read like a placeholder.
     """
     view = memoryview(data)
-    runs: list[list] = []
-    skeleton = []
-    start, end = 0, -1
-    for left, right in pairwise(_ROW_SEP.finditer(data)):
-        lo, hi = left.end() - 1, right.start() + 1
-        if any(data.find(c, lo + 1, hi - 1) >= 0 for c in _NOT_FLAT):
+    lists: list[list] = []
+    skeleton = bytearray()
+    pos = done = 0
+    while (left := data.find(b"[", pos)) >= 0 and (right := data.find(b"]", left)) >= 0:
+        left, pos = data.rfind(b"[", left, right), right + 1
+        if any(data.find(c, left, right) >= 0 for c in (b"{", b"}", b'"')):
             continue
-        if left.start() + 1 != end:
-            skeleton += (view[start:lo], b'["\\u0000%d"]' % len(runs))
-            runs.append([])
-        runs[-1].append(orjson.loads(view[lo:hi]))
-        start = end = hi
-    if not runs:
+        skeleton += data[done:left] + b'["\\u0000%d"]' % len(lists)
+        lists.append(orjson.loads(view[left:pos]))
+        done = pos
+    if not lists:
         return json.loads(data.decode("utf-8"))
-    skeleton.append(view[start:])
-    text = b"".join(skeleton)
-    if text.count(b"\\u0000") != len(runs):
+    skeleton += view[done:]
+    if skeleton.count(b"\\u0000") != len(lists):
         raise ValueError("a string holds the escape \\u0000")
-    return _splice(json.loads(text.decode("utf-8")), runs)
+    return _splice(json.loads(skeleton.decode("utf-8")), lists)
 
 
 def _loads(data: bytes | str):
-    """json.loads of the document, its interior matrix rows read by orjson.
+    """json.loads of the document, each flat list read by its own orjson call.
 
-    A piece between two row separators with no bracket, brace or quote is an
-    interior row, read by one orjson call on its own bytes: no nesting reaches
-    orjson 3.8.3's recursive builder, which crashes on a deep document, and
-    its buffer holds one row, not 1.7x the document. Each run of rows becomes
-    a placeholder row ["\\u0000<k>"] in the skeleton that json.loads reads,
-    under json's rules on NaN, depth, integer size and surrogates; a run in a
-    string leaves a backslash outside any string, so that skeleton does not
-    parse. On any failure, encoding a str included, json.loads reads it all.
+    A flat list is a [ ... ] with no bracket, brace or quote inside; the scan
+    takes the last [ before the first ] after the candidate before, so a deep
+    array is one candidate. No nesting reaches orjson 3.8.3's recursive
+    builder, which crashes on a deep document, and its buffer holds one
+    list, not 1.7x the document. Each flat list becomes a placeholder list
+    ["\\u0000<k>"] in the skeleton that json.loads reads, under json's rules
+    on NaN, depth, integer size and surrogates; one inside a string closes
+    that string at the placeholder's quote and leaves \\u0000 outside it, so
+    that skeleton does not parse. On any failure, encoding a str included,
+    json.loads reads it all.
     """
     try:
-        return _loads_rows(data.encode("utf-8") if isinstance(data, str) else data)
+        return _loads_lists(data.encode("utf-8") if isinstance(data, str) else data)
     except (ValueError, RecursionError):
         return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
 

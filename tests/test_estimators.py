@@ -261,6 +261,45 @@ class TestMetamorphicRelations:
                 assert np.linalg.norm(m.theta_hat - image @ b.theta_hat) <= tol * scale
                 assert np.all(np.abs(m.w_hat - b.w_hat) <= tol * (1.0 + w))
 
+    @staticmethod
+    def multi_full_rst(z, zu, theta, betas):
+        design = DesignMatrix(z)
+        multi = fit_multi(LabeledData.from_truth(design, GroundTruth(theta, tuple(betas))))
+        data = LabeledData.from_truth(design, GroundTruth(theta, (betas[0],)))
+        full = fit_full(data)
+        return multi, full, fit_rst(data, UnlabeledData(Zu=zu, Su=zu @ betas[0]), full)
+
+    # The same relations for fit_multi with two betas and for fit_rst, whose
+    # unlabeled design moves with the labeled one: Zu -> Zu R' and its rows
+    # reordered. On each transformed instance RST predicts what the full
+    # model predicts (criterion 7). RST also solves with Zu's QR, so its
+    # bound takes the larger of cond(Z) and cond(Zu).
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), extra=st.integers(1, 12), more=st.integers(1, 8))
+    def test_multi_and_rst_basis_change_and_row_order(self, seed, n, extra, more):
+        rng = np.random.default_rng(seed)
+        d = n + extra
+        z, zu, zs = rng.standard_normal((n, d)), rng.standard_normal((d + more, d)), rng.standard_normal((20, d))
+        theta, betas = rng.standard_normal(d), rng.standard_normal((2, d))
+        norms = np.linalg.norm(betas, axis=1)
+        rot, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        base = self.multi_full_rst(z, zu, theta, betas)
+        tol = self.BOUND * max(np.linalg.cond(z), np.linalg.cond(zu)) * np.finfo(float).eps
+        for image, z2, zu2, zs2 in (
+            (rot, z @ rot.T, zu @ rot.T, zs @ rot.T),
+            (np.eye(d), z[rng.permutation(n)], zu[rng.permutation(d + more)], zs),
+        ):
+            models = self.multi_full_rst(z2, zu2, image @ theta, betas @ image.T)
+            for m, b in zip(models, base):
+                w = np.abs(b.w_hat)
+                scale = np.linalg.norm(theta) + float(w @ norms[: w.size])
+                assert np.linalg.norm(m.theta_hat - image @ b.theta_hat) <= tol * scale
+                assert np.all(np.abs(m.w_hat - b.w_hat) <= tol * (1.0 + w))
+            _, full, rst = models
+            scale = np.linalg.norm(theta) + abs(float(full.w_hat[0])) * norms[0]
+            gap = zs2 @ rst.theta_hat - (zs2 @ full.theta_hat + full.w_hat[0] * (zs @ betas[0]))
+            assert np.all(np.abs(gap) <= tol * scale * np.linalg.norm(zs, axis=1))
+
     # Y -> c Y scales theta_hat and w_hat by c (the fit is linear in Y), and
     # (Z, S, Y) -> c (Z, S, Y) leaves both unchanged (the same constraints).
     # For c a power of two every step of the fit scales exactly, so both

@@ -2,9 +2,9 @@
 
 A float64 array is written row by row with one %-format per row; the same
 array given as nested lists goes through `_fmt_float` one entry at a time.
-The two must give the same bytes. An instance document is read with its
-interior matrix rows parsed by orjson; the result, or the error, must be
-json.loads's, and orjson must see only flat rows.
+The two must give the same bytes. An instance document is read with each
+flat list parsed by its own orjson call; the result, or the error, must be
+json.loads's, and orjson must see only flat lists.
 """
 
 import json
@@ -210,6 +210,13 @@ def outcome(loads, data):
 @example(data=b"[[1], [NaN], [3], [4]]")
 @example(data=b"[[1], [2], [1e400], [4]]")
 @example(data=b"[[1], [\xff], [3]]")
+@example(data=b'["a\\\\[1]", 2]')
+@example(data=b'["a\\"[1]\\"b"]')
+@example(data=b'["a\\[1], "b"]')
+@example(data=b"[1, 2]")
+@example(data=b"[]")
+@example(data=b"[[]]")
+@example(data=b'{"a": []}')
 def test_loads_matches_json_loads(data):
     fast, plain = outcome(_loads, data), outcome(lambda b: json.loads(b.decode("utf-8")), data)
     if isinstance(plain, Exception):
@@ -226,6 +233,7 @@ def test_loads_matches_json_loads(data):
 def test_loads_reads_a_wide_integer_in_an_interior_row_as_a_float():
     doc = _loads(b"[[0], [18446744073709551616], [0]]")
     assert doc == [[0], [math.ldexp(1.0, 64)], [0]] and isinstance(doc[1][0], float)
+    assert _loads(b'{"a": [18446744073709551616]}') == {"a": [math.ldexp(1.0, 64)]}
 
 
 def test_loads_takes_text_that_utf8_cannot_encode():
@@ -233,15 +241,15 @@ def test_loads_takes_text_that_utf8_cannot_encode():
     assert _loads(text) == json.loads(text)
 
 
-def interior_rows(node) -> int:
-    """The rows of node's numeric matrices other than each one's first and last."""
+def flat_lists(node) -> int:
+    """The lists in node that hold no list, object or string."""
     if isinstance(node, dict):
-        return sum(map(interior_rows, node.values()))
+        return sum(map(flat_lists, node.values()))
     if not isinstance(node, list):
         return 0
-    if node and all(isinstance(r, list) and all(type(x) in (int, float) for x in r) for r in node):
-        return max(len(node) - 2, 0)
-    return sum(map(interior_rows, node))
+    if not any(isinstance(x, (list, dict, str)) for x in node):
+        return 1
+    return sum(map(flat_lists, node))
 
 
 def dense_sigma(rng, d):
@@ -251,8 +259,9 @@ def dense_sigma(rng, d):
 
 
 def generated_instance(name: str) -> dict:
-    """A wide instance with diagonal groups, and two shaped like the benchmark's
-    simulate-mc (10 dense 40 x 40 groups) and construct-dump (450 unlabeled rows)."""
+    """A wide instance with diagonal groups and a list of strings, and two
+    shaped like the benchmark's simulate-mc (10 dense 40 x 40 groups) and
+    construct-dump (450 unlabeled rows)."""
     rng = np.random.default_rng(5)
     n, d, unlabeled = {"wide": (60, 150, 0), "simulate-mc": (20, 40, 0), "construct-dump": (200, 400, 450)}[name]
     doc = {
@@ -261,6 +270,8 @@ def generated_instance(name: str) -> dict:
     }
     if name == "wide":
         doc["groups"] = [{"label": f"g{i}", "sigma": {"diag": rng.uniform(0.1, 2.0, d).tolist()}} for i in range(8)]
+        # a list of strings is not flat: json.loads reads it
+        doc["scenario"] = {"labels": [g["label"] for g in doc["groups"]]}
     elif name == "simulate-mc":
         doc["groups"] = [{"label": f"g{i}", "sigma": dense_sigma(rng, d)} for i in range(10)]
         doc["robust"] = {"gamma": 6.0, "samples": 4096}
@@ -270,11 +281,24 @@ def generated_instance(name: str) -> dict:
     return doc
 
 
-# Why the reader splices rows instead of making one orjson call: orjson
-# 3.8.3 builds nested values recursively and crashes on a deep document,
-# and its buffer holds about 1.7x the document. A flat row has no nesting,
-# and its buffer holds one row. (A deep document through the CLI is in
-# test_cli.py.)
+def record_orjson(monkeypatch) -> list[bytes]:
+    """The bytes of each orjson.loads call the reader makes from now on."""
+    seen = []
+    loads = orjson.loads
+
+    def record(piece):
+        seen.append(bytes(piece))
+        return loads(piece)
+
+    monkeypatch.setattr(serialize.orjson, "loads", record)
+    return seen
+
+
+# Why the reader splices flat lists instead of making one orjson call:
+# orjson 3.8.3 builds nested values recursively and crashes on a deep
+# document, and its buffer holds about 1.7x the document. A flat list has
+# no nesting, and its buffer holds one list. (A deep document through the
+# CLI is in test_cli.py.)
 @pytest.mark.parametrize(
     "source",
     [*(p.name for p in sorted(GOLDEN.glob("*.instance.json"))), "wide", "simulate-mc", "construct-dump"],
@@ -284,16 +308,19 @@ def test_orjson_reads_only_flat_rows(monkeypatch, source):
         data = (GOLDEN / source).read_bytes()
     else:
         data = json.dumps(generated_instance(source)).encode()
-    seen = []
-    loads = orjson.loads
-
-    def record(piece):
-        seen.append(bytes(piece))
-        return loads(piece)
-
-    monkeypatch.setattr(serialize.orjson, "loads", record)
+    seen = record_orjson(monkeypatch)
     parse_instance(data)
-    assert len(seen) == interior_rows(json.loads(data)) > 0
+    assert len(seen) == flat_lists(json.loads(data)) > 0
     for row in seen:
         assert row[:1] == b"[" and row[-1:] == b"]", row[:40]
         assert not any(c in row[1:-1] for c in b'[]{}"'), row[:40]
+
+
+# A deep array holds one flat list, its innermost: orjson gets that list
+# once and no nested piece, and json.loads refuses the skeleton's depth.
+def test_million_deep_array_is_one_orjson_call(monkeypatch):
+    depth = 1_000_000
+    seen = record_orjson(monkeypatch)
+    with pytest.raises(serialize.InstanceError, match="instance JSON invalid"):
+        parse_instance(b'{"scenario": {"n": ' + b"[" * depth + b"0" + b"]" * depth + b"}}")
+    assert seen == [b"[0]"]
