@@ -6,10 +6,12 @@
     spurious-lens simulate  --scenario example1|example2|ovb-simple|tables
 
 Common flags: --output PATH (default stdout), --format json|csv, --trials N,
---seed N. Exit codes: 0 success, 1 verification failure, 2 input error,
-3 numerical precondition failure, 4 construction precondition failure.
-JSON output is byte-deterministic for a fixed command line, seed, BLAS build
-and BLAS thread count; other thread counts can change a fit's last digits.
+--seed N (-2**63 <= N < 2**64). Exit codes: 0 success, 1 verification
+failure, 2 input error, 3 numerical precondition failure, 4 construction
+precondition failure. Reports are written as UTF-8 bytes whatever the
+locale. JSON output is byte-deterministic for a fixed command line, seed,
+BLAS build and BLAS thread count; other thread counts can change a fit's
+last digits.
 """
 
 from __future__ import annotations
@@ -67,6 +69,17 @@ _SCENARIOS = {
 }
 
 
+def _seed(text: str) -> int:
+    """--seed: an integer that a report can echo, in [-2**63, 2**64)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not -(2**63) <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be an integer in [-2**63, 2**64), got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parse_args leaves it unchanged."""
@@ -81,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--instance", help="path to an instance JSON document")
         p.add_argument("--output", help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
 
     p_fit = sub.add_parser("fit", help="fit one model on the instance's training block")
     common(p_fit)
@@ -116,16 +129,24 @@ def _load_instance(args) -> Instance:
 
 
 def _emit(args, document: dict, fieldnames: list[str], rows) -> None:
-    """Write the JSON document, or with --format csv the rows that rows() builds."""
-    payload = rows_to_csv(fieldnames, rows()) if args.format == "csv" else dumps_canonical(document)
+    """Write the JSON document, or with --format csv the rows that rows() builds,
+    as UTF-8 bytes whatever the locale, to --output or to stdout's byte stream."""
+    if args.format == "csv":
+        payload = rows_to_csv(fieldnames, rows()).encode("utf-8")
+    else:
+        payload = dumps_canonical(document)
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            with open(args.output, "wb") as fh:
                 fh.write(payload)
         except OSError as exc:
             raise InstanceError(f"cannot write output file: {exc}") from exc
+    elif (stream := getattr(sys.stdout, "buffer", None)) is None:
+        # a text stream with no bytes under it, such as io.StringIO
+        sys.stdout.write(payload.decode("utf-8"))
     else:
-        sys.stdout.write(payload)
+        sys.stdout.flush()
+        stream.write(payload)
 
 
 def _fit_requested_model(inst: Instance, kind: str):

@@ -1,14 +1,13 @@
 """Deterministic report serialization and problem-instance parsing.
 
-JSON output is canonical: keys sorted, floats printed with 17 significant
-digits (lossless round-trip), a single trailing newline. A float64 array is
-checked for finiteness once and written one row at a time, with a single
-%-format per row, in the same bytes as its nested lists would give. A +0.0
-entry is a literal 0.0 in its row's format, each distinct format is built
-once per array, and a row with the same bytes as the row before it is
-formatted once and its text written again. Other arrays go through their
-nested lists. CSV projections print floats with Python's shortest
-round-trip repr and parse back into the same row structure.
+JSON output is canonical UTF-8: keys sorted, no whitespace, each float in
+the shortest digits that read back as the same float64, a single trailing
+newline. One walk refuses non-finite floats (a float64 array by one
+isfinite) and non-string keys, and hands every other array and numpy scalar
+over as its Python value; one orjson call then writes the document, each
+float64 array straight from its buffer. CSV projections print floats with
+Python's repr, the same shortest round-trip digits, and parse back into the
+same row structure.
 
 An instance document is UTF-8 bytes (the CLI reads the file as bytes, with
 no newline translation) or text. Each flat list, a [ ... ] with no bracket,
@@ -37,6 +36,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,97 +69,50 @@ class InstanceError(ValueError):
     """The instance document is malformed or misses a required block."""
 
 
-def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x}")
-    text = format(float(x), ".17g")
-    # Normalize bare integers so the output is unambiguous JSON-wise.
-    if "e" not in text and "." not in text and "n" not in text:
-        text += ".0"
-    return text
+def _checked(obj):
+    """obj as orjson is to write it, or a ValueError or TypeError.
 
-
-# Per-entry formats of a float row by kind: %.17g; %.1f for an
-# integer-valued entry below 1e17, which is where format(x, ".17g") has
-# neither "." nor "e" and _fmt_float appends ".0"; and the literal 0.0 for
-# an entry whose bits are all zero (+0.0; -0.0 takes %.1f), which is not
-# passed to %.
-_ROW_FORMATS = ("%.17g", "%.1f", "0.0")
-
-
-def _encode_float_array(a: np.ndarray, out: list[str], last: list) -> None:
-    """Write a finite float64 array of ndim >= 1, one row per % format.
-
-    last holds the bytes and the text of the row written before, and the
-    row formats made so far for this array, keyed by their entry kinds. A
-    row with the same bytes reuses that text; bytes, not ==, so -0.0 and
-    0.0 differ.
+    A float64 array stays as it is; any other array, and any numpy scalar,
+    becomes its Python value, so a float32 entry is written as the float64
+    it equals, not by its own shortest digits.
     """
-    if a.ndim > 1:
-        out.append("[")
-        for i, sub in enumerate(a):
-            if i:
-                out.append(", ")
-            _encode_float_array(sub, out, last)
-        out.append("]")
-        return
-    key = a.tobytes()
-    if key != last[0]:
-        zero = a.view(np.uint64) == 0
-        kinds = ((a == np.floor(a)) & (np.abs(a) < 1e17)).view(np.uint8) + zero
-        kind_key = kinds.tobytes()
-        fmt = last[2].get(kind_key)
-        if fmt is None:
-            fmt = last[2][kind_key] = ", ".join([_ROW_FORMATS[k] for k in kinds.tolist()])
-        last[:2] = key, "[" + fmt % tuple(a[~zero].tolist()) + "]"
-    out.append(last[1])
-
-
-def _encode(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(x := float(obj)):
+            raise ValueError(f"cannot serialize non-finite float {x}")
+        return x
+    if isinstance(obj, (np.bool_, np.integer)):
+        return obj.item()
+    if isinstance(obj, dict):
+        for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {type(key)}")
-            if i:
-                out.append(", ")
-            out.append(json.dumps(key))
-            out.append(": ")
-            _encode(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(", ")
-            _encode(item, out)
-        out.append("]")
-    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim:
+        return {key: _checked(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_checked(item) for item in obj]
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
         finite = np.isfinite(obj)
         if not finite.all():
             raise ValueError(f"cannot serialize non-finite float {obj[~finite][0]}")
-        _encode_float_array(obj, out, [None, "", {}])
-    elif isinstance(obj, np.ndarray):
-        _encode(obj.tolist(), out)
-    else:
-        raise TypeError(f"cannot serialize {type(obj)}")
+        return obj
+    if isinstance(obj, np.ndarray):
+        return _checked(obj.tolist())
+    raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def dumps_canonical(obj) -> str:
-    """Serialize to deterministic JSON text (sorted keys, 17-digit floats)."""
-    out: list[str] = []
-    _encode(obj, out)
-    return "".join(out) + "\n"
+def dumps_canonical(obj) -> bytes:
+    """Serialize to canonical JSON as UTF-8 bytes (sorted keys, shortest
+    round-trip floats, one trailing newline).
+
+    orjson declines a float64 array that is not C-contiguous or has no
+    dimension; those go through their nested lists.
+    """
+    return orjson.dumps(
+        _checked(obj),
+        option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE,
+        default=np.ndarray.tolist,
+    )
 
 
 def rows_to_csv(fieldnames: list[str], rows: list[dict]) -> str:
@@ -242,6 +195,13 @@ def _integer(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _utf8(text: str) -> str:
+    """text, refusing a lone surrogate (json.loads reads one from an escape
+    such as \\ud800), which no UTF-8 report can hold."""
+    text.encode("utf-8")
+    return text
 
 
 def _sigma(block):
@@ -361,7 +321,7 @@ def parse_instance(data: bytes | str) -> Instance:
             raise InstanceError(f"groups[{i}] needs a sigma entry")
         label = str(g.get("label", f"group{i}"))
         groups.append(
-            _build(f"groups[{i}]", lambda: TestDistribution(sigma=_sigma(g["sigma"]), label=label))
+            _build(f"groups[{i}]", lambda: TestDistribution(sigma=_sigma(g["sigma"]), label=_utf8(label)))
         )
 
     robust = None

@@ -47,13 +47,13 @@ def run(capsys, argv):
     return status, out.out, out.err
 
 
-def run_process(argv, **env):
+def run_process(argv, text=True, **env):
     """python -m spurious_lens argv in a fresh process, with env added to this one's."""
     # the child imports the same package as this process, installed or not
     src = str(Path(spurious_lens.__file__).resolve().parents[1])
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "spurious_lens", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "spurious_lens", *argv], capture_output=True, text=text, env=env
     )
 
 
@@ -730,6 +730,14 @@ class TestAnalyzeCommand:
             if abs(row["delta"]) > 1e-9:
                 assert row["full_better"] == (row["delta"] > 0)
 
+    # json.loads reads the escape \ud800 as a lone surrogate, which no
+    # UTF-8 report can hold: an input error naming the group, no traceback
+    def test_lone_surrogate_label_exit_2(self, tmp_path):
+        groups = [{"label": "\ud800x", "sigma": {"diag": [0.0, 1.0, 0.0]}}]
+        proc = run_process(["analyze", "--instance", table2_instance(tmp_path, groups=groups)])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("input error: groups[0] invalid") and "Traceback" not in proc.stderr
+
     def test_missing_groups_exit_2(self, capsys, tmp_path):
         path = write_instance(
             tmp_path,
@@ -1085,6 +1093,18 @@ class TestSimulateCommand:
         assert status == 3 and out == ""
         assert "not finite" in err and "Traceback" not in err
 
+    # A report echoes the seed as a JSON integer, which holds 64 bits
+    @pytest.mark.parametrize("seed,status", [
+        (2**64 - 1, 0), (2**64, 2), (-(2**63), 0), (-(2**63) - 1, 2), (10**23, 2),
+    ])
+    def test_seed_outside_64_bits_exit_2(self, capsys, seed, status):
+        code, out, err = run(capsys, ["simulate", "--scenario", "tables", "--seed", str(seed)])
+        assert code == status
+        if status == 0:
+            assert json.loads(out)["seed"] == seed
+        else:
+            assert out == "" and "seed must be an integer in [-2**63, 2**64)" in err
+
     def test_unknown_scenario_exit_2(self, capsys):
         status, _, _ = run(capsys, ["simulate", "--scenario", "nope"])
         assert status == 2
@@ -1124,8 +1144,21 @@ class TestDeterminism:
 
     def test_canonical_float_formatting(self):
         text = dumps_canonical({"x": 0.1, "n": 3, "flag": True, "none": None})
-        assert text == '{"flag": true, "n": 3, "none": null, "x": 0.10000000000000001}\n'
+        assert text == b'{"flag":true,"n":3,"none":null,"x":0.1}\n'
         assert json.loads(text)["x"] == 0.1
+
+    # Reports are UTF-8 bytes whatever the locale: a label that ASCII cannot
+    # encode is written raw, the same to a file and to stdout
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_ascii_label_same_bytes_under_ascii_stdout(self, tmp_path, fmt):
+        groups = [{"label": "\u00e9", "sigma": {"diag": [0.0, 1.0, 0.0]}}]
+        argv = ["analyze", "--instance", table2_instance(tmp_path, groups=groups), "--format", fmt]
+        out_file = tmp_path / "report.out"
+        to_file = run_process([*argv, "--output", str(out_file)], text=False, PYTHONIOENCODING="ascii")
+        to_stdout = run_process(argv, text=False, PYTHONIOENCODING="ascii")
+        assert (to_file.returncode, to_file.stderr, to_stdout.returncode, to_stdout.stderr) == (0, b"", 0, b"")
+        assert out_file.read_bytes() == to_stdout.stdout
+        assert "\u00e9".encode("utf-8") in to_stdout.stdout
 
     # Byte identity holds for one BLAS thread count: a wide fit's last
     # digits may change with it, but no more than rounding does

@@ -344,12 +344,10 @@ class TestOracleEquivalence:
             data = random_instance(rng)
             assert fit_multi(data).squared_norm <= fit_core(data).squared_norm + 1e-10
 
-    @pytest.mark.parametrize("cond", [1e3, 1e6, 1e8, 1e9])
-    def test_ill_conditioned_designs_match_oracle_or_raise(self, cond):
-        # 5 x 12 designs with singular values spread from 1 to 1/cond: every
-        # fit agrees with the stacked min-norm solve to O(cond * eps) or
-        # raises a typed error, never a silently wrong answer.
-        tol = 1e4 * cond * np.finfo(float).eps
+    @staticmethod
+    def ill_conditioned_cases(cond):
+        """(fit, data) for 20 5 x 12 designs with singular values spread from
+        1 to 1/cond, each under fit_core, fit_full and fit_multi."""
         for seed in range(20):
             rng = np.random.default_rng([seed, int(np.log10(cond))])
             u, _ = np.linalg.qr(rng.standard_normal((5, 5)))
@@ -357,14 +355,37 @@ class TestOracleEquivalence:
             z = DesignMatrix((u * np.logspace(0.0, -np.log10(cond), 5)) @ v.T)
             theta, beta1, beta2 = rng.standard_normal((3, 12))
             for fit, betas in ((fit_core, ()), (fit_full, (beta1,)), (fit_multi, (beta1, beta2))):
-                data = LabeledData.from_truth(z, GroundTruth(theta, betas))
-                try:
-                    model = fit(data)
-                except SpuriousLensError:
-                    continue
-                oracle = min_norm_solve(np.hstack([z.entries, data.S]), data.Y).x
-                got = np.concatenate([model.theta_hat, model.w_hat])
-                assert np.linalg.norm(got - oracle) <= tol * np.linalg.norm(oracle)
+                yield fit, LabeledData.from_truth(z, GroundTruth(theta, betas))
+
+    @staticmethod
+    def assert_matches_oracle(model, data, cond):
+        tol = 1e4 * cond * np.finfo(float).eps
+        oracle = min_norm_solve(np.hstack([data.Z.entries, data.S]), data.Y).x
+        got = np.concatenate([model.theta_hat, model.w_hat])
+        assert np.linalg.norm(got - oracle) <= tol * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("cond", [1e3, 1e6, 1e8, 1e9])
+    def test_ill_conditioned_designs_match_oracle_or_raise(self, cond):
+        # every fit agrees with the stacked min-norm solve to O(cond * eps)
+        # or raises a typed error, never a silently wrong answer
+        for fit, data in self.ill_conditioned_cases(cond):
+            try:
+                model = fit(data)
+            except SpuriousLensError:
+                continue
+            self.assert_matches_oracle(model, data, cond)
+
+    # The rank cutoff sits at cond 1 / RANK_RTOL = 1e10: below it no fit may
+    # raise, well past it every fit must refuse the design
+    @pytest.mark.parametrize("cond", [1e3, 1e6, 1e8, 1e9])
+    def test_ill_conditioned_designs_below_the_rank_cutoff_fit(self, cond):
+        for fit, data in self.ill_conditioned_cases(cond):
+            self.assert_matches_oracle(fit(data), data, cond)
+
+    def test_designs_past_the_rank_cutoff_are_rank_deficient(self):
+        for fit, data in self.ill_conditioned_cases(1e11):
+            with pytest.raises(RankDeficientError):
+                fit(data)
 
     def test_interpolation(self):
         rng = np.random.default_rng(15)

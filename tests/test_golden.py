@@ -53,7 +53,7 @@ CASES = [
 FORCE_T_ZERO = GOLDEN / "example2_force_t_zero.report.json"
 
 
-def force_t_zero_text() -> str:
+def force_t_zero_text() -> bytes:
     """Canonical JSON of every field of one example2 report with t pinned to zero."""
     report = example2_simulate(n=6, p_s=0.7, trials=200, seed=3, force_t_zero=True)
     return dumps_canonical({
@@ -130,7 +130,7 @@ def test_matches_golden_output(tmp_path, name, argv, instance, exit_code):
 
 
 def test_example2_force_t_zero_matches_golden():
-    assert force_t_zero_text() == FORCE_T_ZERO.read_text()
+    assert force_t_zero_text() == FORCE_T_ZERO.read_bytes()
 
 
 def test_comparison_flags_departures():
@@ -149,7 +149,7 @@ def regenerate() -> None:
         code = run_case(argv, instance, out)
         if code != exit_code:
             raise SystemExit(f"{name}: exit code {code}, expected {exit_code}")
-    FORCE_T_ZERO.write_text(force_t_zero_text())
+    FORCE_T_ZERO.write_bytes(force_t_zero_text())
 
 
 if __name__ == "__main__":

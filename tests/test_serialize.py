@@ -1,10 +1,12 @@
 """Each fast path of `serialize` against the plain path it stands in for.
 
-A float64 array is written row by row with one %-format per row; the same
-array given as nested lists goes through `_fmt_float` one entry at a time.
-The two must give the same bytes. An instance document is read with each
-flat list parsed by its own orjson call; the result, or the error, must be
-json.loads's, and orjson must see only flat lists.
+A float64 array is written by orjson straight from its buffer (or through
+its nested lists when it is not C-contiguous); the same array given as
+nested lists is written one Python float at a time. The two must give the
+same bytes, and every other array must be written as the float64 values of
+its entries. An instance document is read with each flat list parsed by its
+own orjson call; the result, or the error, must be json.loads's, and orjson
+must see only flat lists.
 """
 
 import json
@@ -47,7 +49,7 @@ def test_edge_values_together():
     a = np.array(EDGE_VALUES)
     assert_same_as_lists(a)
     assert_same_as_lists(a.reshape(4, 6))
-    assert dumps_canonical(np.array([-0.0, 1e16, 1e17])) == "[-0.0, 10000000000000000.0, 1e+17]\n"
+    assert dumps_canonical(np.array([-0.0, 1e16, 1e17])) == b"[-0.0,1e16,1e17]\n"
 
 
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4), (2, 3, 0), (2, 2, 2)])
@@ -118,13 +120,24 @@ def test_non_finite_entry_raises(bad, shape, index):
 
 
 def test_int_bool_and_zero_dim_arrays_keep_their_encoding():
-    assert dumps_canonical(np.array([[1, -2], [3, 4]])) == "[[1, -2], [3, 4]]\n"
-    assert dumps_canonical(np.array([True, False])) == "[true, false]\n"
-    assert dumps_canonical(np.array(2.0)) == "2.0\n"
-    assert dumps_canonical(np.array(7)) == "7\n"
-    assert dumps_canonical(np.array([1.5, 2.0], dtype=np.float32)) == "[1.5, 2.0]\n"
+    assert dumps_canonical(np.array([[1, -2], [3, 4]])) == b"[[1,-2],[3,4]]\n"
+    assert dumps_canonical(np.array([True, False])) == b"[true,false]\n"
+    assert dumps_canonical(np.array(2.0)) == b"2.0\n"
+    assert dumps_canonical(np.array(7)) == b"7\n"
+    assert dumps_canonical(np.array([1.5, 2.0], dtype=np.float32)) == b"[1.5,2.0]\n"
     with pytest.raises(ValueError, match="non-finite float nan"):
         dumps_canonical(np.array(np.nan))
+
+
+# A float32 is written as the float64 it equals: its own shortest digits
+# (0.1 for float32(0.1)) would read back as another float64
+@pytest.mark.parametrize("value", [0.1, 1 / 3, 3.4028234663852886e38, 1e-45, -0.0])
+def test_float32_entries_read_back_as_their_float64_values(value):
+    x = np.float32(value)
+    doc = [np.array([[x, 1.5]], dtype=np.float32), np.array([1.5, x], dtype=np.float32)[::-1], x]
+    got = json.loads(dumps_canonical(doc))
+    bits = [struct.pack("<d", v) for v in (got[0][0][0], got[1][0], got[2])]
+    assert bits == [struct.pack("<d", float(x))] * 3
 
 
 def test_non_string_key_raises():
