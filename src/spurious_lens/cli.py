@@ -6,12 +6,12 @@
     spurious-lens simulate  --scenario example1|example2|ovb-simple|tables
 
 Common flags: --output PATH (default stdout), --format json|csv, --trials N,
---seed N (-2**63 <= N < 2**64). Exit codes: 0 success, 1 verification
-failure, 2 input error, 3 numerical precondition failure, 4 construction
-precondition failure. Reports are written as UTF-8 bytes whatever the
-locale. JSON output is byte-deterministic for a fixed command line, seed,
-BLAS build and BLAS thread count; other thread counts can change a fit's
-last digits.
+--seed N (-2**63 <= N < 2**64). Exit codes: 0 success, 1 verification failure,
+2 input error or an unwritable --output or stdout (such as a closed pipe),
+3 numerical precondition failure, 4 construction precondition failure.
+Reports are written as UTF-8 bytes whatever the locale. JSON output is
+byte-deterministic for a fixed command line, seed, BLAS build and BLAS
+thread count; other thread counts can change a fit's last digits.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -147,6 +148,7 @@ def _emit(args, document: dict, fieldnames: list[str], rows) -> None:
     else:
         sys.stdout.flush()
         stream.write(payload)
+        stream.flush()
 
 
 def _fit_requested_model(inst: Instance, kind: str):
@@ -371,6 +373,10 @@ def main(argv=None) -> int:
         return cmd_simulate(args)
     except InstanceError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit cannot fail
+        print(f"input error: cannot write to stdout: {exc}", file=sys.stderr)
         return 2
     except _CONSTRUCTION_ERRORS as exc:
         print(f"construction precondition failed: {exc}", file=sys.stderr)

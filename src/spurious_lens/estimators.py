@@ -15,11 +15,11 @@ parameters):
     rst:    theta = P theta* + w (I - P) beta*
 
 Every fit also has an (S, Y)-data form used when no ground truth is attached.
-The core, full and multi fits share one solver over the design's cached QR
-Z' = Q R: with Z = R'Q', theta = Q c and R'c = Y - S w, it needs Q and R^-1
-and no singular vectors. The RST fit solves its pseudo-label system from the
-same cached QR of the unlabeled design, Zu = Q R, and checks the labels
-against the result.
+Only fit_rst's fallback forms a Q: the fits read Z and R of Z' = Q R. The
+core, full and multi fits share one solver, theta = Z'R^-1 c with
+R'c = Y - S w, corrected by one step when the residual the interpolation
+check reads is above rounding level. The RST fit solves R'R theta = Zu'
+pseudo (Zu = Q R) with one correction step and checks the labels.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ _PAIRING_TOL = 1e-9
 # Largest normwise backward error of a stacked fit's k x k solve, in k * eps:
 # about 9 times the worst over the test suite (0.45, at k = 1).
 _STATIONARITY_TOL = 4.0
+# Largest relative residual a stacked fit keeps without a correction step.
+_REFINE_RTOL = 1e-12
 
 
 def _reproduces(z: np.ndarray, abs_z: np.ndarray, v: np.ndarray, t: np.ndarray) -> bool:
@@ -190,27 +192,22 @@ class LinearModel:
 
 
 def interpolation_residual(data: LabeledData, theta: np.ndarray, w: np.ndarray) -> float:
-    """Norm of the training residual Z theta + S w - Y, taken of the residual
+    """Norm of the training residual Y - S w - Z theta (w empty for core and rst models),
     scaled by _scaled; inf or nan, with no warning, when it is not representable."""
     with np.errstate(over="ignore", invalid="ignore"):
-        pred = data.Z.entries @ theta
-        if w.size:
-            pred = pred + data.S @ w
-        r, e = _scaled(pred - data.Y)
+        r, e = _scaled(_residual(data.Z, data.S[:, : w.size], data.Y, theta, w)[0])
         return float(np.ldexp(np.linalg.norm(r), e))
 
 
-def _check_interpolation(Z: DesignMatrix, cols: np.ndarray, Y: np.ndarray, theta, w) -> None:
-    """Raise unless Z theta + cols w = Y holds to INTERP_RTOL for every fit.
+def _residual(Z: DesignMatrix, cols: np.ndarray, Y: np.ndarray, theta, w) -> tuple[np.ndarray, float]:
+    """Y - cols w - Z theta and the worst block's relative residual; theta, w and
+    cols carry the same leading (stack) dimensions, or none."""
+    res = Y - np.einsum("...nk,...k->...n", cols, w) - theta @ Z.entries.T
+    return res, _relative_residual(res, Y)
 
-    theta, w and cols carry the same leading (stack) dimensions, or none; the
-    worst relative residual decides, and a non-finite one fails. On
-    fit_min_norm_stack's result it cannot see a wrong w: theta = Q(b - A w)
-    interpolates for every w up to rounding, so there it catches non-finite
-    results only, and _check_stationarity checks w.
-    """
-    pred = theta @ Z.entries.T + np.einsum("...nk,...k->...n", cols, w)
-    rel = _relative_residual(pred - Y, Y)
+
+def _check_interpolation(rel: float) -> None:
+    """Raise unless a relative residual from _residual is at most INTERP_RTOL (a non-finite one fails)."""
     if not rel <= INTERP_RTOL:
         raise InconsistentSystemError(
             f"fitted model does not interpolate its training targets (relative residual {rel:.3e})"
@@ -234,20 +231,22 @@ def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray
     """Joint minimum-norm interpolants of Z theta_i + cols_i w_i = Y for a stack.
 
     cols is T x n x k (k >= 0): T column blocks sharing one design and one
-    target. Returns theta (T x d) and w (T x k). With the design's cached QR
-    Z' = Q R (so Z = R'Q'), theta_i = Q c_i where c_i = b - A_i w_i,
-    A_i = R'^{-1} cols_i and b = R'^{-1} Y; minimizing ||c_i||^2 + ||w_i||^2
-    gives (I + A_i'A_i) w_i = A_i'b, solved for all blocks by one stacked
-    solve. R^-1 is formed once (R is triangular, so LU exchanges no rows), and
-    all A_i' = cols_i'R^-1, all A_i'b and all theta_i each come from one 2-D
-    product over the T blocks. Nothing here squares cond(Z). Only when A'A or
-    A'b overflows is each column of A with max|a_j| >= 0.5 scaled by the
-    power of two that brings it into [0.5, 1): with A~ = A 2^-E,
-    (2^-2E + A~'A~) x = A~'b and w = 2^-E x. Raises RankDeficientError
-    when that k x k system is singular in floating point (collinear columns
-    so large that the identity is lost next to A'A), InconsistentSystemError
-    when the worst block fails to interpolate Y, and VerificationError when
-    a block's x fails _check_stationarity on the system it solved.
+    target. Returns theta (T x d) and w (T x k). With R of the design's QR
+    Z' = Q R, theta_i = Z'R^-1 c_i where c_i = b - A_i w_i, A_i = R'^{-1} cols_i
+    and b = R'^{-1} Y; minimizing ||c_i||^2 + ||w_i||^2 gives
+    (I + A_i'A_i) w_i = A_i'b, solved for all blocks by one stacked solve.
+    R^-1 is formed once (R is triangular, so LU exchanges no rows), and all
+    A_i' = cols_i'R^-1, all A_i'b and all theta_i each come from one 2-D
+    product over the T blocks. Only when A'A or A'b overflows is each column
+    of A with max|a_j| >= 0.5 scaled by the power of two that brings it into
+    [0.5, 1): with A~ = A 2^-E, (2^-2E + A~'A~) x = A~'b and w = 2^-E x.
+    This seminormal theta's residual grows with cond(Z); above _REFINE_RTOL
+    (Gaussian designs up to 300 x 700 stay below 1.7e-15) one corrected step
+    theta_i += Z'R^-1 R'^-1 res_i (Bjorck 1996) brings it to rounding level.
+    Raises RankDeficientError when that k x k system is singular in floating
+    point (collinear columns so large that the identity is lost next to A'A),
+    InconsistentSystemError when the worst block's final residual exceeds
+    INTERP_RTOL, and VerificationError when x fails _check_stationarity.
     """
     cols = np.asarray(cols, dtype=float)
     y = _as_vector(Y, "Y")
@@ -257,7 +256,7 @@ def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray
             f"got shapes {cols.shape} and {y.shape}"
         )
     _require_full_row_rank(Z)
-    q, rinv = Z.qr[0], np.linalg.inv(Z.qr[1])
+    rinv = np.linalg.inv(Z.r)
     t, n, k = cols.shape
     b = y @ rinv
     # row j of at[i] is (R'^-1 cols_i[:, j])', so at[i] = A_i'
@@ -276,8 +275,12 @@ def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError(f"the spurious-weight system is singular: {exc}") from exc
     w = np.ldexp(x, -e)
-    theta = (b - np.einsum("tkn,tk->tn", at, w)) @ q.T
-    _check_interpolation(Z, cols, y, theta, w)
+    theta = np.linalg.multi_dot([b - np.einsum("tkn,tk->tn", at, w), rinv.T, Z.entries])
+    res, rel = _residual(Z, cols, y, theta, w)
+    if _REFINE_RTOL < rel < np.inf:
+        theta += np.linalg.multi_dot([res, rinv, rinv.T, Z.entries])
+        res, rel = _residual(Z, cols, y, theta, w)
+    _check_interpolation(rel)
     _check_stationarity(m, x, rhs)
     return theta, w
 
@@ -322,13 +325,13 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
     Solves min ||theta||^2 s.t. Z theta = Y and Zu theta = Zu theta_full + Su w.
     Zu must have full column rank (rank d by minnorm's rank rule), so
     Zu theta = pseudo has at most one solution, and when the stacked system
-    is consistent that solution is its minimum-norm one. It is read from the
-    QR factorization Zu = QR that DesignMatrix(Zu') caches, as R^-1 Q' pseudo,
-    with the rank decided by that design's full_row_rank; the solution is
-    P theta* + w (I - P) beta*. Only when that theta misses the labels (near
-    the rank cutoff) is the stacked system [Z; Zu] solved by its own QR.
-    Raises InconsistentConstraintsError when the stacked system's relative
-    residual exceeds INTERP_RTOL.
+    is consistent that solution is its minimum-norm one. It is read from R
+    of Zu = Q R, cached with no Q by DesignMatrix(Zu'), which also decides
+    the rank: R'R theta = Zu' pseudo, corrected once by R'R d = Zu' res.
+    The solution is P theta* + w (I - P) beta*. Only when that theta misses
+    the labels (near the rank cutoff) is the stacked system [Z; Zu] solved
+    by its own QR. Raises InconsistentConstraintsError when the stacked
+    system's relative residual exceeds INTERP_RTOL.
     """
     if full.kind != "full":
         raise ValueError(f"fit_rst needs a full-model fit, got kind={full.kind!r}")
@@ -339,14 +342,12 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
             f"carries {full.w_hat.shape[0]} weights"
         )
     # full must come from this data
-    _check_interpolation(labeled.Z, labeled.S, labeled.Y, full.theta_hat, full.w_hat)
+    _check_interpolation(_residual(labeled.Z, labeled.S, labeled.Y, full.theta_hat, full.w_hat)[1])
     zu = unlabeled.Zu
     su = unlabeled.Su
     m, d = zu.shape[0], labeled.Z.cols
     if zu.shape[1] != d:
-        raise DimensionMismatchError(
-            f"unlabeled design has {zu.shape[1]} columns, expected {d}"
-        )
+        raise DimensionMismatchError(f"unlabeled design has {zu.shape[1]} columns, expected {d}")
     if su.shape[1] != full.w_hat.shape[0]:
         raise DimensionMismatchError(
             f"Su has {su.shape[1]} columns but the full model has {full.w_hat.shape[0]} spurious weights"
@@ -354,19 +355,18 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
     zu_t = DesignMatrix(zu.T)
     if not zu_t.full_row_rank:
         raise RankDeficientError(f"unlabeled design ({m}x{d}) must have full column rank")
-    q, r = zu_t.qr
+    r = zu_t.r
     # Pseudo-labels or a solution past the float range give a non-finite
     # residual, which the check below refuses.
     with np.errstate(over="ignore", invalid="ignore"):
         pseudo = zu @ full.theta_hat + su @ full.w_hat
         rhs = np.concatenate([labeled.Y, pseudo])
-        theta = np.linalg.solve(r, q.T @ pseudo)
+        theta = np.linalg.solve(r, np.linalg.solve(r.T, pseudo @ zu))
+        theta += np.linalg.solve(r, np.linalg.solve(r.T, (pseudo - zu @ theta) @ zu))
         rel = _relative_residual(np.concatenate([labeled.Z.entries @ theta, zu @ theta]) - rhs, rhs)
         if not rel <= INTERP_RTOL:
-            # Near the rank cutoff theta's forward error, about cond(Zu) * eps,
-            # shows in the label rows. The least-squares solution of the stacked
-            # system, which has full column rank, leaves a residual at rounding
-            # level whenever that system is consistent.
+            # Near the rank cutoff theta's forward error, about cond(Zu) eps, shows
+            # in the label rows; the stacked system's own QR solves it to rounding.
             stacked = np.vstack([labeled.Z.entries, zu])
             q, r = np.linalg.qr(stacked)
             theta = np.linalg.solve(r, q.T @ rhs)

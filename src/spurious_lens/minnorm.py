@@ -1,11 +1,11 @@
 """Minimum-norm linear algebra primitives.
 
-A design is factored once, by a reduced Householder QR Z' = Q R cached on
-it. The rank comes from the singular values of the n x n factor R, which are
-Z's, and every minimum-norm fit reads Q and R^-1 (estimators). Only the
-projector reads the thin SVD Z = U S V', taken from R = Ur S Vr' as U = Vr,
-V = Q Ur (Chan's R-SVD): its row basis V backs P = V V', applied as V(V'x)
-and formed densely only on request. Also here: the least-norm solver by
+A design is factored once, by a Householder QR Z' = Q R of which only the
+n x n R is cached; the rank comes from its singular values, which are Z's,
+and every minimum-norm fit reads R and Z (estimators). Only the projector
+forms Q, for the thin SVD Z = U S V' from R = Ur S Vr': U = Vr, V = Q Ur
+(Chan's R-SVD). Its row basis V backs P = V V', applied as V(V'x) and
+formed densely only on request. Also here: the least-norm solver by
 pseudoinverse (the oracle everything else is checked against), and the
 intersection projector of two orthonormal bases, taken from their principal
 angles. One rule, _rank, decides every rank.
@@ -102,11 +102,10 @@ class DesignMatrix:
     """An n x d matrix of observed core-feature rows (n points, d features).
 
     Building one only validates and freezes the entries. The first read of
-    full_row_rank takes the reduced QR Z' = Q R, which is all a fit reads,
-    and decides the rank from the singular values of R alone; only the
-    projector reads svd, the SVD of R with its vectors. Each is cached, so a
-    design that is only carried around is never factored, and one that is
-    factored takes one QR.
+    full_row_rank takes R of Z' = Q R, which is all a fit reads, and decides
+    the rank from its singular values alone; only the projector reads svd,
+    which forms Q. Each is cached, so a design that is only carried around
+    is never factored, and one that is factored takes one QR.
     """
 
     entries: np.ndarray
@@ -115,16 +114,14 @@ class DesignMatrix:
         _freeze(self, entries=_as_matrix(self.entries, "design matrix"))
 
     @cached_property
-    def qr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Q, R) with Z' = Q R, reduced: for n <= d, Q is d x n orthonormal and R n x n upper triangular."""
-        return _locked(*np.linalg.qr(self.entries.T))
+    def r(self) -> np.ndarray:
+        """R of Z' = Q R, with no Q formed: n x n upper triangular for n <= d."""
+        return _locked(np.linalg.qr(self.entries.T, mode="r"))[0]
 
     @cached_property
     def full_row_rank(self) -> bool:
-        """n <= d and every singular value counts toward the rank (_rank), read from R."""
-        if self.rows > self.cols:
-            return False
-        return _rank(np.linalg.svd(self.qr[1], compute_uv=False)) == self.rows
+        """Every singular value counts toward the rank (_rank), read from R: never for n > d."""
+        return _rank(np.linalg.svd(self.r, compute_uv=False)) == self.rows
 
     @property
     def rows(self) -> int:
@@ -138,12 +135,14 @@ class DesignMatrix:
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(U, s, V) with Z = U diag(s) V': U is n x n, V the d x n orthonormal row basis.
 
-        From R = Ur diag(s) Vr': U = Vr and V = Q Ur; read by projection only.
-        Raises RankDeficientError unless the design has full row rank.
+        From R = Ur diag(s) Vr' and Q of a reduced QR, whose R is r when r is
+        unread (both modes give the same R): U = Vr and V = Q Ur. Read by
+        projection only. Raises RankDeficientError unless full row rank.
         """
+        q, r = np.linalg.qr(self.entries.T)
+        self.__dict__.setdefault("r", _locked(r)[0])
         _require_full_row_rank(self)
-        q, r = self.qr
-        ur, s, vrt = np.linalg.svd(r)
+        ur, s, vrt = np.linalg.svd(self.r)
         return _locked(vrt.T, s, q @ ur)
 
 
@@ -234,10 +233,9 @@ def projection(Z: DesignMatrix) -> Projection:
     """Orthogonal projector onto the row space of a full-row-rank design.
 
     Backed by the row basis V of the design's cached thin SVD, so P = V V'
-    equals Z'(ZZ')^{-1}Z without forming ZZ'. Q from the design's QR spans
-    the same space and would spare the SVD of R with its vectors; V stays
-    until the benchmark's tracer test, which pins at least two SVDs per
-    analyze (perfbench/test_perfbench.py), changes with it.
+    equals Z'(ZZ')^{-1}Z without forming ZZ'. Q spans the same space and would
+    spare the SVD of R with its vectors, but the benchmark's tracer test pins
+    at least two SVDs per analyze (perfbench/test_perfbench.py).
     """
     return Projection(basis=Z.svd[2])
 

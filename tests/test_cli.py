@@ -47,13 +47,17 @@ def run(capsys, argv):
     return status, out.out, out.err
 
 
+def child_env(**env):
+    """This process's environment with env added, for a child that imports the
+    same package as this process, installed or not."""
+    src = str(Path(spurious_lens.__file__).resolve().parents[1])
+    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_process(argv, text=True, **env):
     """python -m spurious_lens argv in a fresh process, with env added to this one's."""
-    # the child imports the same package as this process, installed or not
-    src = str(Path(spurious_lens.__file__).resolve().parents[1])
-    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "spurious_lens", *argv], capture_output=True, text=text, env=env
+        [sys.executable, "-m", "spurious_lens", *argv], capture_output=True, text=text, env=child_env(**env)
     )
 
 
@@ -622,6 +626,27 @@ class TestFitCommand:
         status, out, err = run(capsys, argv)
         assert status == 2 and out == ""
         assert err.startswith("input error: cannot write output file") and "Traceback" not in err
+
+    # The reader closes the pipe before the child writes (the child is still
+    # importing): one stderr line and exit 2, as for an unwritable --output,
+    # not a BrokenPipeError traceback with exit 1. stdout is block-buffered,
+    # as it is by default, so the small fit report reaches the pipe only when
+    # flushed, inside main and not at exit (exit 120).
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--scenario", "tables"], ["fit", "--instance", str(GOLDEN / "one_beta.instance.json")]],
+        ids=["tables", "fit"],
+    )
+    def test_closed_stdout_exit_2(self, argv):
+        with subprocess.Popen(
+            [sys.executable, "-m", "spurious_lens", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(PYTHONUNBUFFERED=""),
+        ) as child:
+            child.stdout.close()
+            err = child.stderr.read().decode()
+        assert child.returncode == 2
+        assert err.startswith("input error: cannot write to stdout") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     # Two equal spurious columns at 1e100: I + A'A is singular in floating point.
     def test_equal_huge_spurious_columns_exit_3(self, capsys, tmp_path):

@@ -382,6 +382,30 @@ class TestOracleEquivalence:
         for fit, data in self.ill_conditioned_cases(cond):
             self.assert_matches_oracle(fit(data), data, cond)
 
+    # The residual that triggers the correction step is the one the
+    # interpolation check reads. At cond 1e3 the seminormal residual stays
+    # below _REFINE_RTOL (at most 4.0e-13 here) and no step runs; at 1e8 and
+    # 1e9 it reaches 2e-8 and 9e-7, and one step brings every fit back below
+    # _REFINE_RTOL (at most 1.8e-14), far inside INTERP_RTOL.
+    @pytest.mark.parametrize("cond,steps", [(1e3, 0), (1e8, 60), (1e9, 60)])
+    def test_one_residual_drives_the_correction_step_and_the_check(self, monkeypatch, cond, steps):
+        residual, seen = estimators._residual, []
+
+        def recording(*args):
+            res, rel = residual(*args)
+            seen.append(rel)
+            return res, rel
+
+        monkeypatch.setattr(estimators, "_residual", recording)
+        taken = 0
+        for fit, data in self.ill_conditioned_cases(cond):
+            seen.clear()
+            fit(data)
+            taken += len(seen) - 1
+            assert len(seen) <= 2 and seen[-1] <= estimators._REFINE_RTOL
+            assert (len(seen) == 2) == (seen[0] > estimators._REFINE_RTOL)
+        assert taken == steps
+
     def test_designs_past_the_rank_cutoff_are_rank_deficient(self):
         for fit, data in self.ill_conditioned_cases(1e11):
             with pytest.raises(RankDeficientError):
@@ -441,7 +465,7 @@ class TestFitMinNormStack:
 
     @pytest.mark.parametrize("scale", [1.0, 1e200])
     def test_stationarity_check_sees_a_zeroed_weight(self, monkeypatch, scale):
-        # theta = Q(b - A w) interpolates for any w, so w = 0 passes the
+        # theta = Z'R^-1(b - A w) interpolates for any w, so w = 0 passes the
         # interpolation check; the k x k system's residual does not
         # (scale 1e200 checks the scaled route's system)
         rng = np.random.default_rng(27)
@@ -457,18 +481,21 @@ class TestFitMinNormStack:
         # the stacked 2 x 2 weight systems are the only solve
         assert systems == [(4, 2, 2)]
 
-    # A fit reads the design's QR and R^-1: its one SVD is the rank's
-    # values-only SVD of the n x n R, and no singular vectors are formed.
+    # A fit reads R of the design's QR, taken with no Q: its one QR is
+    # np.linalg.qr(Z', mode="r"), its one SVD the rank's values-only SVD of
+    # the n x n R, and no singular vectors are formed.
     @pytest.mark.parametrize("fit,k", [(fit_core, 1), (fit_full, 1), (fit_multi, 2)])
     def test_fit_takes_no_singular_vectors(self, monkeypatch, fit, k):
-        svd = np.linalg.svd
-        seen = []
+        qr, svd = np.linalg.qr, np.linalg.svd
+        seen, qrs = [], []
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: qrs.append((a[0].shape, kw)) or qr(*a, **kw))
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: seen.append((a[0].shape, kw)) or svd(*a, **kw))
         rng = np.random.default_rng(33)
         z = DesignMatrix(rng.standard_normal((5, 12)))
         fit(LabeledData(Z=z, S=rng.standard_normal((5, k)), Y=rng.standard_normal(5)))
         assert "svd" not in z.__dict__
         assert seen == [((5, 5), {"compute_uv": False})]
+        assert qrs == [((12, 5), {"mode": "r"})]
 
     def test_worst_block_decides_interpolation(self):
         # a rank-deficient design never reaches the solve; an inconsistent
@@ -580,6 +607,25 @@ class TestFitRst:
             stacked = np.vstack([data.Z.entries, zu])
             rhs = np.concatenate([data.Y, zu @ full.theta_hat + zu @ truth.beta_stars[0] * full.w_hat[0]])
             assert np.linalg.norm(stacked @ model.theta_hat - rhs) <= 1e-8 * np.linalg.norm(rhs)
+
+    # Unless its fallback runs, fit_rst forms no Q: the labeled design and
+    # Zu' each take one QR, with mode="r". The correction step keeps the
+    # fallback off at cond(Zu) = 1e6: over 200 such designs the uncorrected
+    # solve of R'R theta = Zu' pseudo missed by up to 4.6e-5 relative (every
+    # one falling back), the corrected one by at most 3.4e-11.
+    def test_forms_no_q(self, monkeypatch):
+        qr, seen = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: seen.append((a[0].shape, kw)) or qr(*a, **kw))
+        rng = np.random.default_rng(36)
+        d, n, m = 12, 5, 20
+        for _ in range(10):
+            truth = GroundTruth(rng.standard_normal(d), (rng.standard_normal(d),))
+            data = LabeledData.from_truth(DesignMatrix(rng.standard_normal((n, d))), truth)
+            u, _, vt = np.linalg.svd(rng.standard_normal((m, d)), full_matrices=False)
+            zu = u @ np.diag(np.geomspace(1.0, 1e-6, d)) @ vt
+            seen.clear()
+            fit_rst(data, UnlabeledData(Zu=zu, Su=zu @ truth.beta_stars[0]), fit_full(data))
+            assert seen == [((d, n), {"mode": "r"}), ((m, d), {"mode": "r"})]
 
     # Zu' is factored from the Zu that UnlabeledData froze, not from a copy.
     def test_unlabeled_design_shares_the_frozen_zu(self, monkeypatch):

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from spurious_lens import (
     DesignMatrix,
     Projection,
+    fit_min_norm_stack,
     intersection_projection,
     min_norm_solve,
     projection,
@@ -285,18 +286,35 @@ class TestDesignMatrixInvariants:
         # the values of the 2 x 2 factor R, not of the 3 x 2 matrix Z'
         assert seen == [((2, 2), {"compute_uv": False})]
 
+    # A design that is only fit takes R alone (mode="r": LAPACK forms no Q).
+    # One that is projected first takes one reduced QR, whose R the fit then
+    # reads: every design is factored once.
     def test_one_qr_then_svds_of_r(self, monkeypatch):
         qr, svd = np.linalg.qr, np.linalg.svd
-        seen = []
-        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: seen.append(("qr", a[0].shape, k)) or qr(*a, **k))
+        seen, factors = [], []
+
+        def recording_qr(a, **k):
+            seen.append(("qr", a.shape, k))
+            factors.append(qr(a, **k))
+            return factors[-1]
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: seen.append(("svd", a[0].shape, k)) or svd(*a, **k))
-        z = DesignMatrix(np.random.default_rng(4).standard_normal((6, 15)))
+        rng = np.random.default_rng(4)
+        entries, cols, y = rng.standard_normal((6, 15)), rng.standard_normal((1, 6, 1)), rng.standard_normal(6)
+        z = DesignMatrix(entries)
         assert z.full_row_rank
-        assert seen == [("qr", (15, 6), {}), ("svd", (6, 6), {"compute_uv": False})]
+        assert seen == [("qr", (15, 6), {"mode": "r"}), ("svd", (6, 6), {"compute_uv": False})]
+        fit_min_norm_stack(z, cols, y)
+        assert len(seen) == 2 and "svd" not in z.__dict__
         seen.clear()
-        assert z.svd is z.svd and seen == [("svd", (6, 6), {})]
-        q, r = z.qr
-        assert q.shape == (15, 6) and r.shape == (6, 6) and not q.flags.writeable and not r.flags.writeable
+        z = DesignMatrix(entries)
+        assert z.svd is z.svd
+        assert seen == [("qr", (15, 6), {}), ("svd", (6, 6), {"compute_uv": False}), ("svd", (6, 6), {})]
+        seen.clear()
+        fit_min_norm_stack(z, cols, y)
+        assert seen == [] and z.r is factors[-1][1]
+        assert z.r.shape == (6, 6) and not z.r.flags.writeable and np.array_equal(z.r, factors[0])
 
     # A frozen float array, or a view whose bases are all read-only, is kept
     # as it stands; a read-only view of a writable array is copied.
