@@ -131,7 +131,9 @@ def _load_instance(args) -> Instance:
 
 def _emit(args, document: dict, fieldnames: list[str], rows) -> None:
     """Write the JSON document, or with --format csv the rows that rows() builds,
-    as UTF-8 bytes whatever the locale, to --output or to stdout's byte stream."""
+    as UTF-8 bytes whatever the locale, to --output or to stdout's byte stream.
+    An unwritable --output or a closed stdout raises InstanceError; a closed
+    stdout is first pointed at os.devnull, so the flush at exit cannot fail."""
     if args.format == "csv":
         payload = rows_to_csv(fieldnames, rows()).encode("utf-8")
     else:
@@ -146,9 +148,15 @@ def _emit(args, document: dict, fieldnames: list[str], rows) -> None:
         # a text stream with no bytes under it, such as io.StringIO
         sys.stdout.write(payload.decode("utf-8"))
     else:
-        sys.stdout.flush()
-        stream.write(payload)
-        stream.flush()
+        try:
+            sys.stdout.flush()
+            stream.write(payload)
+            stream.flush()
+        except BrokenPipeError as exc:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+            raise InstanceError(f"cannot write to stdout: {exc}") from exc
 
 
 def _fit_requested_model(inst: Instance, kind: str):
@@ -373,10 +381,6 @@ def main(argv=None) -> int:
         return cmd_simulate(args)
     except InstanceError as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit cannot fail
-        print(f"input error: cannot write to stdout: {exc}", file=sys.stderr)
         return 2
     except _CONSTRUCTION_ERRORS as exc:
         print(f"construction precondition failed: {exc}", file=sys.stderr)

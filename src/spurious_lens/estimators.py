@@ -15,11 +15,13 @@ parameters):
     rst:    theta = P theta* + w (I - P) beta*
 
 Every fit also has an (S, Y)-data form used when no ground truth is attached.
-Only fit_rst's fallback forms a Q: the fits read Z and R of Z' = Q R. The
-core, full and multi fits share one solver, theta = Z'R^-1 c with
-R'c = Y - S w, corrected by one step when the residual the interpolation
-check reads is above rounding level. The RST fit solves R'R theta = Zu'
-pseudo (Zu = Q R) with one correction step and checks the labels.
+Only the fallbacks near the rank cutoff form a Q: the fits read Z and R of
+Z' = Q R. The core, full and multi fits share one solver, theta = Z'R^-1 c
+with R'c = Y - S w, corrected by one step when the residual the
+interpolation check reads is above rounding level, and taken as Q c when
+that step leaves it above INTERP_RTOL. The RST fit solves
+R'R theta = Zu' pseudo (Zu = Q R) with one correction step and checks the
+labels.
 """
 
 from __future__ import annotations
@@ -227,6 +229,11 @@ def _check_stationarity(m: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> None:
         raise VerificationError(f"block {int(np.argmin(ok))}'s spurious weights do not solve (I + A'A) w = A'b")
 
 
+def _through_z(c: np.ndarray, rinv: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """c R'^-1 Z for T x n rows c (so each row is Z'R^-1 c_i), in the cheaper order."""
+    return c @ rinv.T @ z if c.shape[0] < z.shape[1] else c @ (rinv.T @ z)
+
+
 def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray]:
     """Joint minimum-norm interpolants of Z theta_i + cols_i w_i = Y for a stack.
 
@@ -235,18 +242,21 @@ def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray
     Z' = Q R, theta_i = Z'R^-1 c_i where c_i = b - A_i w_i, A_i = R'^{-1} cols_i
     and b = R'^{-1} Y; minimizing ||c_i||^2 + ||w_i||^2 gives
     (I + A_i'A_i) w_i = A_i'b, solved for all blocks by one stacked solve.
-    R^-1 is formed once (R is triangular, so LU exchanges no rows), and all
-    A_i' = cols_i'R^-1, all A_i'b and all theta_i each come from one 2-D
-    product over the T blocks. Only when A'A or A'b overflows is each column
-    of A with max|a_j| >= 0.5 scaled by the power of two that brings it into
-    [0.5, 1): with A~ = A 2^-E, (2^-2E + A~'A~) x = A~'b and w = 2^-E x.
-    This seminormal theta's residual grows with cond(Z); above _REFINE_RTOL
-    (Gaussian designs up to 300 x 700 stay below 1.7e-15) one corrected step
-    theta_i += Z'R^-1 R'^-1 res_i (Bjorck 1996) brings it to rounding level.
-    Raises RankDeficientError when that k x k system is singular in floating
-    point (collinear columns so large that the identity is lost next to A'A),
-    InconsistentSystemError when the worst block's final residual exceeds
-    INTERP_RTOL, and VerificationError when x fails _check_stationarity.
+    R^-1 is formed once (R is triangular, so LU exchanges no rows); all
+    A_i' = cols_i'R^-1 and all A_i'b each come from one 2-D product over the
+    T blocks, and all theta_i from two (_through_z). Only when A'A or A'b
+    overflows is each column of A with max|a_j| >= 0.5 scaled by the power of
+    two that brings it into [0.5, 1): with A~ = A 2^-E, (2^-2E + A~'A~) x = A~'b
+    and w = 2^-E x. This seminormal theta's residual grows with cond(Z); above
+    _REFINE_RTOL (Gaussian designs up to 300 x 700 stay below 1.7e-15) one
+    corrected step theta_i += Z'R^-1 R'^-1 res_i (Bjorck 1996) scales it by
+    about cond(Z)^2 eps. Where it is still above INTERP_RTOL (near the rank
+    cutoff), theta_i = Q c_i from a reduced QR of Z', whose R is the cached R
+    bit for bit. w is never corrected. Raises RankDeficientError when the
+    k x k system is singular in floating point (collinear columns so large
+    that the identity is lost next to A'A), InconsistentSystemError when the
+    worst block's final residual exceeds INTERP_RTOL, and VerificationError
+    when x fails _check_stationarity.
     """
     cols = np.asarray(cols, dtype=float)
     y = _as_vector(Y, "Y")
@@ -275,11 +285,16 @@ def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray
     except np.linalg.LinAlgError as exc:
         raise RankDeficientError(f"the spurious-weight system is singular: {exc}") from exc
     w = np.ldexp(x, -e)
-    theta = np.linalg.multi_dot([b - np.einsum("tkn,tk->tn", at, w), rinv.T, Z.entries])
+    c = b - np.einsum("tkn,tk->tn", at, w)
+    theta = _through_z(c, rinv, Z.entries)
     res, rel = _residual(Z, cols, y, theta, w)
     if _REFINE_RTOL < rel < np.inf:
-        theta += np.linalg.multi_dot([res, rinv, rinv.T, Z.entries])
+        theta += _through_z(res @ rinv, rinv, Z.entries)
         res, rel = _residual(Z, cols, y, theta, w)
+        if not rel <= INTERP_RTOL:
+            # one step converges only while cond(Z)^2 eps < 1; Q c does not square cond(Z)
+            theta = c @ np.linalg.qr(Z.entries.T)[0].T
+            rel = _residual(Z, cols, y, theta, w)[1]
     _check_interpolation(rel)
     _check_stationarity(m, x, rhs)
     return theta, w

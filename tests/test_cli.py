@@ -648,6 +648,17 @@ class TestFitCommand:
         assert err.startswith("input error: cannot write to stdout") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    # The same in this process, on a stdout over a pipe with no reader: the
+    # devnull redirect lands on that pipe's descriptor, so closing it is quiet.
+    def test_closed_stdout_in_process_exit_2(self, capsys, monkeypatch):
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        with open(write_fd, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            status = main(["simulate", "--scenario", "tables"])
+        assert status == 2
+        assert capsys.readouterr().err.startswith("input error: cannot write to stdout")
+
     # Two equal spurious columns at 1e100: I + A'A is singular in floating point.
     def test_equal_huge_spurious_columns_exit_3(self, capsys, tmp_path):
         doc = json.loads((GOLDEN / "two_betas.instance.json").read_text())
