@@ -26,7 +26,8 @@ and x - V(V'x). Sigma is kept in the form it was given: a diagonal as its
 diagonal v, an empirical second moment Z'Z/n as its sample factor Z/sqrt(n),
 and anything else as a d x d matrix. TestDistribution.quad and apply carry
 the arithmetic of all three, so outside the robust sampler a d x d array
-exists only where one was given.
+exists only where one was given. A dense Sigma is eigendecomposed once, by
+TestDistribution.eigh, which its PSD check and the robust sampler read.
 
 The robust sampler draws each batch of a seed's standard normals once per
 robust_errors call for every group still short of samples. A group accepts
@@ -65,6 +66,17 @@ from .minnorm import (
 # and the verdict is a tie.
 TIE_TOL = 1e-12
 
+# Sigma is symmetric when max|S - S'| <= SYM_C eps max|S| and PSD when
+# lambda_min >= -PSD_C d eps max|lambda|. By Weyl's bound, a symmetric E moves
+# each eigenvalue by at most ||E||_2: forming a second moment rounds by a few
+# d eps ||Sigma||_2 (Higham, §3.1), and eigh, reading one triangle, sees an
+# asymmetry as ||E||_2 <= d SYM_C/2 eps max|S|, the PSD bound. Over ~3,000
+# rank-deficient Grams and R S R' (d = 3 to 400) the largest were 0.5 d eps
+# and 4.3 eps; 16 keeps a factor of 32 and refuses -4e-11 at unit scale.
+EPS = float(np.finfo(float).eps)
+PSD_C = 16
+SYM_C = 2 * PSD_C
+
 NORM_KINDS = ("l2", "linf")
 
 
@@ -74,17 +86,18 @@ class TestDistribution:
 
     sigma holds Sigma in one of three forms, each validated in the form it
     is kept in:
-    - a d x d matrix, which must be finite, square, symmetric to 1e-10 and
-      positive semidefinite to 1e-10; one with no off-diagonal nonzero has
-      its diagonal as eigenvalues, so it is validated with no
-      eigendecomposition, and any other matrix is checked with eigvalsh;
-    - a length-d vector v standing for diag(v), finite and at least -1e-10
-      entrywise, checked in O(d);
+    - a d x d matrix, which must be finite, square, symmetric to SYM_C eps
+      max|S| and positive semidefinite to PSD_C d eps max|lambda|; one with
+      no off-diagonal nonzero has its diagonal as eigenvalues, so it is
+      validated with no eigendecomposition, and any other matrix is checked
+      on eigh, which the robust sampler then reuses;
+    - a length-d vector v standing for diag(v), held to the same PSD rule
+      entrywise, in O(d);
     - an m x d factor F with Sigma = F'F (factored), made by from_samples.
       F'F is positive semidefinite by construction, so F is only checked
       for shape and finiteness, in O(md).
-    quad and apply give r' Sigma r and Sigma x in every form, and matrix the
-    dense Sigma, formed on first read.
+    quad and apply give r' Sigma r and Sigma x in every form, matrix the
+    dense Sigma, formed on first read, and eigh its one eigendecomposition.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -96,25 +109,28 @@ class TestDistribution:
     def __post_init__(self):
         s = np.asarray(self.sigma, dtype=float)
         if self.factored:
-            s = _as_matrix(s, "sigma factor")
-            smallest = 0.0
-        elif s.ndim == 1 and s.size:
-            s = _as_vector(s, "sigma")
-            smallest = float(np.min(s))
+            _freeze(self, sigma=_as_matrix(s, "sigma factor"))
+            return
+        if s.ndim == 1 and s.size:
+            _freeze(self, sigma=_as_vector(s, "sigma"))
+            eigval = self.sigma
         else:
             s = _as_matrix(s, "sigma")
             if s.shape[0] != s.shape[1]:
                 raise DimensionMismatchError(f"sigma must be square, got {s.shape}")
-            diag = np.diagonal(s)
-            if np.count_nonzero(s) == np.count_nonzero(diag):
-                smallest = float(np.min(diag))
-            else:
-                if np.max(np.abs(s - s.T)) >= 1e-10:
+            _freeze(self, sigma=s)
+            eigval = np.diagonal(s)
+            if np.count_nonzero(s) != np.count_nonzero(eigval):
+                with np.errstate(over="ignore"):  # a gap past the float range is inf
+                    gap = np.max(np.abs(s - s.T)) / max(s.max(), -s.min())
+                if gap > SYM_C * EPS:
                     raise ValueError("sigma is not symmetric")
-                smallest = float(np.min(np.linalg.eigvalsh(s)))
-        if smallest < -1e-10:
+                eigval = self.eigh[0]
+                if not np.isfinite(eigval).all():
+                    raise NonFiniteResultError("sigma has a non-finite eigenvalue")
+        smallest = eigval.min()
+        if smallest < 0 and smallest / max(eigval.max(), -smallest) < -PSD_C * eigval.size * EPS:
             raise ValueError("sigma is not positive semidefinite")
-        _freeze(self, sigma=s)
 
     @classmethod
     def from_samples(cls, Z, label: str = "") -> "TestDistribution":
@@ -155,6 +171,14 @@ class TestDistribution:
             return s
         m.setflags(write=False)
         return m
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and orthonormal eigenvectors of matrix, read-only.
+        A diagonal is decomposed as diag(v), so its robust draws are its matrix's."""
+        eigval, eigvec = np.linalg.eigh(self.matrix)
+        eigval.flags.writeable = eigvec.flags.writeable = False
+        return eigval, eigvec
 
 
 @dataclass(frozen=True)
@@ -306,7 +330,7 @@ def robust_errors(
     without spurious weights get their plain squared error.
 
     A group's z ~ N(0, Sigma) is x F' for standard-normal rows x and
-    F = Q sqrt(Lambda) from eigh of Sigma, kept while ||z|| <= gamma. Each
+    F = Q sqrt(Lambda) from dist.eigh, kept while ||z|| <= gamma. Each
     max(samples, 512) x d batch of the seed's normals is drawn once, into one
     buffer, and for l2 squared once, for every group still short of samples;
     a group keeps only z'v = x F'v for v = theta* and each theta_hat, each
@@ -338,8 +362,7 @@ def robust_errors(
     vectors = [truth.theta_star] + [m.theta_hat for m in models]
     samplers = []
     for dist in groups:
-        # eigh of diag(v), not sqrt(v), so a diagonal's draws are its matrix's
-        eigval, eigvec = np.linalg.eigh(dist.matrix)
+        eigval, eigvec = dist.eigh
         eigval = np.clip(eigval, 0.0, None)
         factor = eigvec * np.sqrt(eigval)
         samplers.append((eigval, factor, [factor.T @ v for v in vectors], [[] for _ in vectors]))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import RemovalVerdict, TestDistribution, removal_verdict
+from .analysis import EPS, RemovalVerdict, TestDistribution, removal_verdict
 from .estimators import GroundTruth, _reproduces
 from .exceptions import (
     AbsorbedTargetsError,
@@ -35,8 +35,11 @@ from .exceptions import (
 )
 from .minnorm import RANK_RTOL, DesignMatrix, Projection, _as_vector, _scaled
 
-# Verdict error gaps below this are treated as verification failures.
-GAP_TOL = 1e-9
+# An error gap counts only above GAP_C d eps (error_core + error_full). Each
+# error is a quadratic form ||F r||^2 in d coordinates, rounded to a few d eps
+# of its size where F r does not cancel (Higham, §3.1), so a smaller gap
+# cannot be told from a tie. GAP_C = 16, as analysis.PSD_C.
+GAP_C = 16
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,8 @@ class CounterexampleBundle:
             raise VerificationError("full model does not win on its test design")
         if v2.full_better or v2.error_full <= v2.error_core:
             raise VerificationError("core model does not win on its test design")
-        if v1.error_core - v1.error_full <= GAP_TOL or v2.error_full - v2.error_core <= GAP_TOL:
+        rtol = GAP_C * self.truth.dim * EPS
+        if any(a - b <= rtol * (a + b) for a, b in ((v1.error_core, v1.error_full), (v2.error_full, v2.error_core))):
             raise VerificationError("error gaps are not strictly positive")
 
     @classmethod

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from spurious_lens import (
     robust_error,
     robust_errors,
 )
-from spurious_lens.analysis import TIE_TOL
+from spurious_lens.analysis import EPS, PSD_C, TIE_TOL
 from spurious_lens.exceptions import (
     DimensionMismatchError,
     NonFiniteResultError,
@@ -667,20 +668,49 @@ class TestGroupwiseSpuriousError:
 
 
 # Where a diagonal Sigma's PSD decision could go either way: signed zeros,
-# subnormals, the 1e-10 tolerance and its neighbours, and extreme magnitudes.
-BELOW_TOL = float(np.nextafter(-1e-10, -1.0))
-ABOVE_TOL = float(np.nextafter(-1e-10, 0.0))
+# subnormals, the PSD bound -PSD_C d eps at unit scale for each list length d
+# and its neighbours, and extreme magnitudes.
+PSD_EDGES = [-PSD_C * d * EPS for d in range(1, 7)]
 DIAGONAL_EDGE_VALUES = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
-    -1e-10, BELOW_TOL, ABOVE_TOL, 1e-10, float(np.nextafter(1e-10, 0.0)),
-    float(np.nextafter(1e-10, 1.0)), 1e300, -1e300, 1e-300, -1e-300,
+    1.0, 0.5, 2.0, 1e300, -1e300, 1e-300, -1e-300,
+    *PSD_EDGES, *(float(np.nextafter(e, -1.0)) for e in PSD_EDGES), *(float(np.nextafter(e, 0.0)) for e in PSD_EDGES),
 ]
 
 
-# LAPACK's symmetric eigensolver rescales a matrix whose largest entry
-# exceeds sqrt(eps / tiny), about 1e146, and scales the eigenvalues back,
-# which can move a small eigenvalue by an ulp; a diagonal's is exact.
+def psd_by_rule(eigval) -> bool:
+    """lambda_min >= -PSD_C d eps max|lambda|, in exact arithmetic."""
+    bound = PSD_C * len(eigval) * Fraction(EPS) * Fraction(max(abs(x) for x in eigval))
+    return Fraction(min(eigval)) >= -bound
+
+
+# LAPACK's symmetric eigensolver rescales a matrix whose largest entry lies
+# outside [1 / rmax, rmax], rmax = sqrt(eps / tiny) (about 1e146), and scales
+# the eigenvalues back, which can move a small eigenvalue by an ulp; a
+# diagonal's is exact.
 LAPACK_RMAX = float(np.sqrt(np.finfo(float).eps / np.finfo(float).tiny))
+
+
+def relative_cases():
+    """Sigmas that the former absolute 1e-10 rules decided the other way, by
+    case: (the Sigmas, the refusal message, or None where they are valid)."""
+    rng = np.random.default_rng(28)
+    grams = []
+    for _ in range(100):
+        # a rank-20 Gram with entries of about 2e6: its rounding-level
+        # negative eigenvalues fall below -1e-10
+        x = np.sqrt(1e5) * rng.standard_normal((20, 40))
+        gram = x.T @ x
+        grams.append((gram + gram.T) / 2.0)
+    asymmetric = np.array([[2e6, 1e6], [1e6, 3e6]])
+    asymmetric[0, 1] = np.nextafter(1e6, 2e6)  # one ulp of asymmetry
+    # eigenvalues {1, -4e-11}: diag(1, -4e-11) rotated by 45 degrees
+    indefinite = np.array([[1.0 - 4e-11, 1.0 + 4e-11], [1.0 + 4e-11, 1.0 - 4e-11]]) / 2.0
+    return {
+        "gram_at_scale": (grams, None),
+        "one_ulp_asymmetry": ([asymmetric], None),
+        "indefinite_at_unit_scale": ([indefinite], "not positive semidefinite"),
+    }
 
 
 class TestValidation:
@@ -689,6 +719,24 @@ class TestValidation:
             TestDistribution(np.array([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(ValueError):
             TestDistribution(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    # Powers of two scale Sigma exactly; 2^-900 and 2^900 take its largest
+    # entries to about 1e-271 and 3e277.
+    @pytest.mark.parametrize("scale", [2.0**-900, 2.0**-400, 1.0, 2.0**400, 2.0**900])
+    @pytest.mark.parametrize("case", ["gram_at_scale", "one_ulp_asymmetry", "indefinite_at_unit_scale"])
+    def test_checks_are_relative_to_the_scale_of_sigma(self, case, scale):
+        sigmas, message = relative_cases()[case]
+        for sigma in sigmas:
+            if message is None:
+                TestDistribution(sigma * scale)
+            else:
+                with pytest.raises(ValueError, match=message):
+                    TestDistribution(sigma * scale)
+
+    def test_overflowing_eigenvalues_are_refused(self):
+        # finite entries, but the largest eigenvalue is 2e308
+        with pytest.raises(NonFiniteResultError, match="non-finite eigenvalue"):
+            TestDistribution(np.full((2, 2), 1e308))
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(
@@ -702,8 +750,9 @@ class TestValidation:
         )
     )
     @example(v=[1.0, -1e-10])
-    @example(v=[1.0, BELOW_TOL])
-    @example(v=[1.0, ABOVE_TOL])
+    @example(v=[1.0, PSD_EDGES[1]])
+    @example(v=[1.0, float(np.nextafter(PSD_EDGES[1], -1.0))])
+    @example(v=[2.0**600, PSD_EDGES[1] * 2.0**600])
     # eigvalsh rescales this one and returns -1.0000000000000002e-10
     @example(v=[2.0901618131163305e191, -1e-10])
     def test_diagonal_sigma_decision_is_exact_and_matches_eigvalsh(self, v):
@@ -718,14 +767,14 @@ class TestValidation:
                 decisions.append(False)
         # A diagonal matrix's eigenvalues are its diagonal, exactly, and the
         # vector form decides from the same entries.
-        assert decisions == [min(v) >= -1e-10] * 2
-        if np.max(np.abs(m)) <= LAPACK_RMAX:
-            assert decisions[0] == (float(np.min(np.linalg.eigvalsh(m))) >= -1e-10)
+        assert decisions == [psd_by_rule(v)] * 2
+        if 1.0 / LAPACK_RMAX <= np.max(np.abs(m)) <= LAPACK_RMAX:
+            assert decisions[0] == psd_by_rule(np.linalg.eigvalsh(m).tolist())
 
     def test_one_off_diagonal_entry_takes_the_dense_path(self, monkeypatch):
         calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
         TestDistribution(np.diag([1.0, 2.0, 3.0]))
         assert calls == []
         # positive diagonal, but the off-diagonal pair makes an eigenvalue -1
@@ -736,6 +785,22 @@ class TestValidation:
         asymmetric[0, 2] = 1e-3
         with pytest.raises(ValueError, match="not symmetric"):
             TestDistribution(asymmetric)
+
+    def test_a_dense_sigma_is_decomposed_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("eigvalsh was called"))
+        truth, data, pi = table2_setup()
+        dist = TestDistribution(np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        assert len(calls) == 1 and calls[0] is dist.sigma
+        spec = RobustSpec(gamma=10.0)
+        models = [fit_core(data), fit_full(data)]
+        first = robust_error(models[1], truth, dist, spec, samples=64, seed=1)
+        assert robust_error(models[1], truth, dist, spec, samples=64, seed=1) == first
+        robust_errors(models, truth, [dist, dist], spec, samples=64)
+        assert len(calls) == 1
+        assert not dist.eigh[0].flags.writeable and not dist.eigh[1].flags.writeable
 
     def test_vector_form_gives_the_dense_diagonal_results_exactly(self):
         rng = np.random.default_rng(3)
@@ -824,6 +889,7 @@ class TestSampleFactor:
             raise AssertionError("a sample factor was eigendecomposed")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
         z = np.array([[1.0, 2.0, 0.0, -1.0], [0.5, 0.0, 3.0, 1.0]])
         dist = TestDistribution.from_samples(z, "g")
         assert dist.factored and dist.label == "g" and dist.dim == 4
@@ -842,3 +908,32 @@ class TestSampleFactor:
         assert TestDistribution(v).matrix.tolist() == np.diag(v).tolist()
         m = np.array([[2.0, 1.0], [1.0, 2.0]])
         assert TestDistribution(m).matrix.tolist() == m.tolist()
+
+
+class TestVerdictRelations:
+    """An orthogonal change of basis R (Z -> Z R', theta* -> R theta*,
+    beta* -> R beta*, Sigma -> R Sigma R', not symmetrized) and a reordering
+    of the training rows leave every removal_verdict boolean unchanged, at
+    any scale of Sigma."""
+
+    @staticmethod
+    def booleans(z, theta, beta, sigma):
+        v = removal_verdict(GroundTruth(theta, (beta,)), projection(DesignMatrix(z)), TestDistribution(sigma))
+        return v.sign_match, v.magnitude_holds, v.full_better, v.tie
+
+    def test_change_of_basis_and_row_order_keep_every_verdict(self):
+        rng = np.random.default_rng(28)
+        outcomes = set()
+        for _ in range(200):
+            n = int(rng.integers(2, 8))
+            d = int(rng.integers(n + 2, n + 12))
+            z = rng.standard_normal((n, d))
+            theta, beta = rng.standard_normal(d), rng.standard_normal(d)
+            a = rng.standard_normal((d, int(rng.integers(1, d + 1))))  # Sigma of rank 1 to d
+            sigma = rng.choice([1e-3, 1.0, 2e6]) * (a @ a.T)
+            r, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            base = self.booleans(z, theta, beta, sigma)
+            assert self.booleans(z @ r.T, r @ theta, r @ beta, r @ sigma @ r.T) == base
+            assert self.booleans(z[rng.permutation(n)], theta, beta, sigma) == base
+            outcomes.add(base)
+        assert len(outcomes) > 1  # both verdicts occur

@@ -816,6 +816,29 @@ class TestAnalyzeCommand:
         assert status == 3 and out == ""
         assert "not finite" in err and "Traceback" not in err
 
+    def test_each_dense_group_is_decomposed_once(self, capsys, tmp_path, monkeypatch):
+        doc = golden_instance()
+        dense = doc["groups"][0]["sigma"]
+        doc["groups"] = [{"label": f"g{i}", "sigma": dense} for i in range(3)]
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("eigvalsh was called"))
+        status, out, err = run(capsys, ["analyze", "--instance", write_instance(tmp_path, doc)])
+        assert status == 0, err
+        assert len(json.loads(out)["robust"]) == 3
+        assert len(calls) == 3
+
+    def test_asymmetry_past_the_float_range_is_an_input_error(self, capsys, tmp_path):
+        doc = golden_instance()
+        d = len(doc["ground_truth"]["theta_star"])
+        sigma = np.eye(d)
+        sigma[0, 1], sigma[1, 0] = 1e308, -1e308
+        doc["groups"][0]["sigma"] = sigma.tolist()
+        status, out, err = run(capsys, ["analyze", "--instance", write_instance(tmp_path, doc)])
+        assert (status, out) == (2, "")
+        assert err == "input error: groups[0] invalid: sigma is not symmetric\n"
+
     def test_diagonal_groups_need_no_eigendecomposition(self, capsys, tmp_path, monkeypatch):
         doc = json.loads((GOLDEN / "one_beta_no_robust.instance.json").read_text())
         d = len(doc["ground_truth"]["theta_star"])
@@ -886,7 +909,7 @@ class TestConstructCommand:
     ])
     def test_constructions_need_no_eigendecomposition(self, capsys, tmp_path, monkeypatch, argv):
         doc = golden_instance()
-        del doc["groups"], doc["robust"]  # dense groups are validated by eigvalsh
+        del doc["groups"], doc["robust"]  # dense groups are validated by eigh
         path = write_instance(tmp_path, doc)
 
         def refuse(*args, **kwargs):
@@ -895,6 +918,16 @@ class TestConstructCommand:
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         status, out, err = run(capsys, argv + ["--instance", path])
+        assert status == 0, err
+        assert json.loads(out)["verified"] is True
+
+    def test_small_angle_disjoint_instance_verifies(self, capsys, tmp_path):
+        # the core-wins gap is 4.9e-10 on errors of 6.3e-10 and 1.1e-9: far
+        # above rounding, though under the former absolute bound of 1e-9
+        e1, beta = np.eye(6)[0], np.eye(6)[0] + 0.01 * np.eye(6)[1]
+        doc = {"ground_truth": {"theta_star": e1.tolist(), "beta_stars": [beta.tolist()]}}
+        argv = ["construct", "--mode", "disjoint", "--n", "2", "--instance", write_instance(tmp_path, doc)]
+        status, out, err = run(capsys, argv)
         assert status == 0, err
         assert json.loads(out)["verified"] is True
 

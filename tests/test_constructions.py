@@ -355,12 +355,23 @@ class TestEmbeddedChecks:
         ("verdict_full_wins", verdict(False, 2.0, 1.0), "full model does not win"),
         ("verdict_core_wins", verdict(True, 2.0, 1.0), "core model does not win"),
         ("verdict_core_wins", verdict(False, 1.0, 1.0), "core model does not win"),
-        ("verdict_full_wins", verdict(True, 1.0 + 1e-12, 1.0), "error gaps are not strictly positive"),
-        ("verdict_core_wins", verdict(False, 1.0, 1.0 + 1e-12), "error gaps are not strictly positive"),
+        # gaps of 1e-14 at errors of 1, under the rounding bound 2 GAP_C d eps (2.8e-14 at d = 4)
+        ("verdict_full_wins", verdict(True, 1.0 + 1e-14, 1.0), "error gaps are not strictly positive"),
+        ("verdict_core_wins", verdict(False, 1.0, 1.0 + 1e-14), "error gaps are not strictly positive"),
     ], ids=["full_loses", "full_wins_both", "core_ties", "full_gap", "core_gap"])
     def test_bundle_refuses_verdicts(self, bundle, which, bad, message):
         with pytest.raises(VerificationError, match=message):
             dataclasses.replace(bundle, **{which: bad})
+
+    # the gap is judged relative to the errors, at any scale
+    @pytest.mark.parametrize("scale", [1e-200, 1e-9, 1.0, 1e200])
+    def test_bundle_accepts_gaps_above_rounding(self, bundle, scale):
+        for gap in (1e-12, 0.5):
+            dataclasses.replace(
+                bundle,
+                verdict_full_wins=verdict(True, scale * (1.0 + gap), scale),
+                verdict_core_wins=verdict(False, scale, scale * (1.0 + gap)),
+            )
 
     # theta* alone reads column d-2 and beta* alone column d-1, so nudging
     # one of them in the full-wins test design breaks one reproduction only
