@@ -15,13 +15,12 @@ parameters):
     rst:    theta = P theta* + w (I - P) beta*
 
 Every fit also has an (S, Y)-data form used when no ground truth is attached.
-Only the fallbacks near the rank cutoff form a Q: the fits read Z and R of
-Z' = Q R. The core, full and multi fits share one solver, theta = Z'R^-1 c
-with R'c = Y - S w, corrected by one step when the residual the
-interpolation check reads is above rounding level, and taken as Q c when
-that step leaves it above INTERP_RTOL. The RST fit solves
-R'R theta = Zu' pseudo (Zu = Q R) with one correction step and checks the
-labels.
+The core, full and multi fits share one solver reading Z and R of Z' = Q R:
+theta = Z'R^-1 c with R'c = Y - S w, corrected by one step when the residual
+the interpolation check reads is above rounding level, and taken as Q c when
+that step leaves it above INTERP_RTOL (near the rank cutoff). The RST fit
+reads theta off R of [Zu | pseudo] or, near the cutoff, of [Z Y; Zu pseudo],
+and forms no Q.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from .minnorm import (
     _as_matrix,
     _as_vector,
     _freeze,
+    _rank,
     _relative_residual,
     _require_full_row_rank,
     _scaled,
@@ -338,14 +338,13 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
     and the full model's pseudo-labels on the unlabeled points.
 
     Solves min ||theta||^2 s.t. Z theta = Y and Zu theta = Zu theta_full + Su w.
-    Zu must have full column rank (rank d by minnorm's rank rule), so
-    Zu theta = pseudo has at most one solution, and when the stacked system
-    is consistent that solution is its minimum-norm one. It is read from R
-    of Zu = Q R, cached with no Q by DesignMatrix(Zu'), which also decides
-    the rank: R'R theta = Zu' pseudo, corrected once by R'R d = Zu' res.
-    The solution is P theta* + w (I - P) beta*. Only when that theta misses
-    the labels (near the rank cutoff) is the stacked system [Z; Zu] solved
-    by its own QR. Raises InconsistentConstraintsError when the stacked
+    Zu must have full column rank (minnorm's rank rule), so Zu theta = pseudo
+    has at most one solution, and when the stacked system is consistent it is
+    the minimum-norm one, P theta* + w (I - P) beta*. theta is read off R =
+    [R11 r; 0 rho] of [Zu | pseudo] as R11^-1 r, with no Q formed (Bjorck 1996,
+    §2.4); R11 is R of Zu, and its singular values decide the rank. When that
+    theta misses the labels (near the rank cutoff) it is read the same way off
+    [Z Y; Zu pseudo]. Raises InconsistentConstraintsError when the stacked
     system's relative residual exceeds INTERP_RTOL.
     """
     if full.kind != "full":
@@ -367,25 +366,23 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
         raise DimensionMismatchError(
             f"Su has {su.shape[1]} columns but the full model has {full.w_hat.shape[0]} spurious weights"
         )
-    zu_t = DesignMatrix(zu.T)
-    if not zu_t.full_row_rank:
-        raise RankDeficientError(f"unlabeled design ({m}x{d}) must have full column rank")
-    r = zu_t.r
     # Pseudo-labels or a solution past the float range give a non-finite
     # residual, which the check below refuses.
     with np.errstate(over="ignore", invalid="ignore"):
         pseudo = zu @ full.theta_hat + su @ full.w_hat
+        augmented = np.column_stack([zu, pseudo])
+        r = np.linalg.qr(augmented, mode="r")
+        if _rank(np.linalg.svd(r[:d, :d], compute_uv=False)) < d:
+            raise RankDeficientError(f"unlabeled design ({m}x{d}) must have full column rank")
         rhs = np.concatenate([labeled.Y, pseudo])
-        theta = np.linalg.solve(r, np.linalg.solve(r.T, pseudo @ zu))
-        theta += np.linalg.solve(r, np.linalg.solve(r.T, (pseudo - zu @ theta) @ zu))
+        theta = np.linalg.solve(r[:d, :d], r[:d, d])
         rel = _relative_residual(np.concatenate([labeled.Z.entries @ theta, zu @ theta]) - rhs, rhs)
         if not rel <= INTERP_RTOL:
-            # Near the rank cutoff theta's forward error, about cond(Zu) eps, shows
-            # in the label rows; the stacked system's own QR solves it to rounding.
-            stacked = np.vstack([labeled.Z.entries, zu])
-            q, r = np.linalg.qr(stacked)
-            theta = np.linalg.solve(r, q.T @ rhs)
-            rel = _relative_residual(stacked @ theta - rhs, rhs)
+            # near the rank cutoff theta's forward error (about cond(Zu) eps) shows in the labels
+            stacked = np.vstack([np.column_stack([labeled.Z.entries, labeled.Y]), augmented])
+            r = np.linalg.qr(stacked, mode="r")
+            theta = np.linalg.solve(r[:d, :d], r[:d, d])
+            rel = _relative_residual(stacked[:, :d] @ theta - rhs, rhs)
     if not rel <= INTERP_RTOL:
         raise InconsistentConstraintsError(
             "labels and pseudo-labels cannot be interpolated by one parameter vector "

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import exact
 from spurious_lens import (
     DesignMatrix,
     GroundTruth,
@@ -185,6 +186,28 @@ class TestRemovalVerdict:
     def test_inconsistent_outcome_rejected(self, sign_match, magnitude_holds, full_better):
         with pytest.raises(ValueError, match="full_better must equal"):
             RemovalVerdict(sign_match, magnitude_holds, full_better, False, 0.0, 0.0, 0.0, 1.0, 1.0)
+
+    # Against the exact rational verdict (tests/exact.py), every definite
+    # verdict the library reports is right: 120 random instances, n from 2 to
+    # 5, d from n + 2 to n + 6, diagonal Sigma with about a third of its
+    # entries zero, so the unseen-space correlation takes either sign.
+    def test_non_tie_verdicts_match_the_exact_verdict(self):
+        rng = np.random.default_rng(29)
+        outcomes, compared = set(), 0
+        for _ in range(120):
+            n = int(rng.integers(2, 6))
+            d = int(rng.integers(n + 2, n + 7))
+            z = rng.standard_normal((n, d))
+            theta, beta = rng.standard_normal((2, d))
+            sigma = rng.uniform(0.0, 1.0, d) * (rng.uniform(size=d) > 0.3)
+            v = removal_verdict(GroundTruth(theta, (beta,)), projection(DesignMatrix(z)), TestDistribution(sigma))
+            if v.tie:
+                continue
+            want = exact.verdict(z, theta, beta, sigma)
+            assert want == {"tie": v.tie, "sign_match": v.sign_match, "magnitude_holds": v.magnitude_holds}
+            outcomes.add((v.sign_match, v.magnitude_holds))
+            compared += 1
+        assert compared >= 100 and len(outcomes) == 4
 
     def test_table2_third_feature_sign_mismatch(self):
         truth, _, pi = table2_setup()

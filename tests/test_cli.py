@@ -331,9 +331,9 @@ def test_scaled_field_keeps_exit_contract(capsys, tmp_path, path, scale):
 # product of two large blocks overflows while S and Y are generated (exit 2);
 # large targets with a large spurious column overflow A'b (exit 3 from the
 # report, not from the interpolation check); a column far below the design's
-# scale beside a huge one is fitted (exit 0); overflowing pseudo-labels, in
-# the first solve or in the stacked fallback, and an overflowing robust slack
-# exit 3. None prints a RuntimeWarning.
+# scale beside a huge one is fitted (exit 0); overflowing pseudo-labels (a
+# non-finite residual on both passes of the RST solve) and an overflowing
+# robust slack exit 3. None prints a RuntimeWarning.
 TWO_BLOCK_CASES = [
     ("Z_1e150_beta_1e300", "one_beta", {("train", "Z"): 1e150, ("ground_truth", "beta_stars"): 1e300},
      ["fit"], 2, "input error: train invalid: S contains non-finite entries"),
@@ -418,8 +418,8 @@ def test_normal_batches_per_analyze(capsys, tmp_path, monkeypatch):
     assert draws == [3, 3]
 
 
-# The RST fit reads theta and Zu's rank from one QR of Zu (the second SVD
-# above is of its R factor), with no least-squares solve.
+# The RST fit reads theta and Zu's rank from one QR of [Zu | pseudo] (the
+# second SVD above is of its leading block), with no least-squares solve.
 def test_rst_fit_makes_no_lstsq_call(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("fit --model rst called lstsq")
