@@ -58,6 +58,7 @@ from .minnorm import (
     _as_matrix,
     _as_vector,
     _freeze,
+    _locked,
     min_norm_solve,
     projection,
 )
@@ -164,21 +165,14 @@ class TestDistribution:
         """The dense d x d Sigma."""
         s = self.sigma
         if self.factored:
-            m = s.T @ s
-        elif s.ndim == 1:
-            m = np.diag(s)
-        else:
-            return s
-        m.setflags(write=False)
-        return m
+            return _locked(s.T @ s)[0]
+        return _locked(np.diag(s))[0] if s.ndim == 1 else s
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and orthonormal eigenvectors of matrix, read-only.
         A diagonal is decomposed as diag(v), so its robust draws are its matrix's."""
-        eigval, eigvec = np.linalg.eigh(self.matrix)
-        eigval.flags.writeable = eigvec.flags.writeable = False
-        return eigval, eigvec
+        return _locked(*np.linalg.eigh(self.matrix))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@
     spurious-lens simulate  --scenario example1|example2|ovb-simple|tables
 
 Common flags: --output PATH (default stdout), --format json|csv, --trials N,
---seed N (-2**63 <= N < 2**64). Exit codes: 0 success, 1 verification failure,
+--seed N (0 <= N < 2**64). Exit codes: 0 success, 1 verification failure,
 2 input error or an unwritable --output or stdout (such as a closed pipe),
 3 numerical precondition failure, 4 construction precondition failure.
 Reports are written as UTF-8 bytes whatever the locale. JSON output is
@@ -71,13 +71,13 @@ _SCENARIOS = {
 
 
 def _seed(text: str) -> int:
-    """--seed: an integer that a report can echo, in [-2**63, 2**64)."""
+    """--seed: an integer that numpy can seed and a report can echo, in [0, 2**64)."""
     try:
         value = int(text)
     except ValueError:
         value = None
-    if value is None or not -(2**63) <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be an integer in [-2**63, 2**64), got {text!r}")
+    if value is None or not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**64), got {text!r}")
     return value
 
 

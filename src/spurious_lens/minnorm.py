@@ -1,14 +1,16 @@
 """Minimum-norm linear algebra primitives.
 
-A design is factored once, by a Householder QR Z' = Q R of which only the
-n x n R is cached; the rank comes from its singular values, which are Z's,
-and every minimum-norm fit reads R and Z (estimators). Only the projector
-forms Q, for the thin SVD Z = U S V' from R = Ur S Vr': U = Vr, V = Q Ur
-(Chan's R-SVD). Its row basis V backs P = V V', applied as V(V'x) and
-formed densely only on request. Also here: the least-norm solver by
-pseudoinverse (the oracle everything else is checked against), and the
-intersection projector of two orthonormal bases, taken from their principal
-angles. One rule, _rank, decides every rank.
+A design is factored once, by a Householder QR Z' = Q R of which it caches
+only the n x n R; the rank comes from R's singular values, which are Z's,
+and every minimum-norm fit reads R and Z (estimators), forming Q only near
+the rank cutoff. The design caches no Q: projection() takes its own reduced
+QR, hands its R to the design when none was taken yet, and builds the row
+basis V = Q Ur of the thin SVD Z = U S V' from R = Ur S Vr' (Chan's R-SVD).
+V backs P = V V', applied as V(V'x) and formed densely only on request.
+Also here: the least-norm solver by pseudoinverse (the oracle everything
+else is checked against), and the intersection projector of two orthonormal
+bases, taken from their principal angles. One rule, _rank, decides every
+rank.
 
 All functions are pure and operate on immutable inputs; tolerances are the
 module constants below.
@@ -103,9 +105,9 @@ class DesignMatrix:
 
     Building one only validates and freezes the entries. The first read of
     full_row_rank takes R of Z' = Q R, which is all a fit reads, and decides
-    the rank from its singular values alone; only the projector reads svd,
-    which forms Q. Each is cached, so a design that is only carried around
-    is never factored, and one that is factored takes one QR.
+    the rank from its singular values alone. Both are cached, so a design
+    that is only carried around is never factored, and one that is factored
+    takes one QR: projection() leaves the R of its own QR here.
     """
 
     entries: np.ndarray
@@ -130,20 +132,6 @@ class DesignMatrix:
     @property
     def cols(self) -> int:
         return self.entries.shape[1]
-
-    @cached_property
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(U, s, V) with Z = U diag(s) V': U is n x n, V the d x n orthonormal row basis.
-
-        From R = Ur diag(s) Vr' and Q of a reduced QR, whose R is r when r is
-        unread (both modes give the same R): U = Vr and V = Q Ur. Read by
-        projection only. Raises RankDeficientError unless full row rank.
-        """
-        q, r = np.linalg.qr(self.entries.T)
-        self.__dict__.setdefault("r", _locked(r)[0])
-        _require_full_row_rank(self)
-        ur, s, vrt = np.linalg.svd(self.r)
-        return _locked(vrt.T, s, q @ ur)
 
 
 def _require_full_row_rank(Z: DesignMatrix) -> None:
@@ -184,9 +172,7 @@ class Projection:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        p = self.basis @ self.basis.T
-        p.setflags(write=False)
-        return p
+        return _locked(self.basis @ self.basis.T)[0]
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """P x, computed as V(V'x)."""
@@ -232,12 +218,19 @@ class MinNormSolution:
 def projection(Z: DesignMatrix) -> Projection:
     """Orthogonal projector onto the row space of a full-row-rank design.
 
-    Backed by the row basis V of the design's cached thin SVD, so P = V V'
-    equals Z'(ZZ')^{-1}Z without forming ZZ'. Q spans the same space and would
-    spare the SVD of R with its vectors, but the benchmark's tracer test pins
-    at least two SVDs per analyze (perfbench/test_perfbench.py).
+    Its basis is V = Q Ur of the thin SVD Z = U S V', taken from a reduced QR
+    Z' = Q R and R = Ur S Vr' (Chan's R-SVD), so P = V V' equals
+    Z'(ZZ')^{-1}Z without forming ZZ'. The QR's R becomes the design's r when
+    r is unread (both modes give the same R). Q spans the same space and
+    would spare the SVD of R, but the benchmark's tracer test pins at least
+    two SVDs per analyze (perfbench/test_perfbench.py). Raises
+    RankDeficientError unless full row rank.
     """
-    return Projection(basis=Z.svd[2])
+    q, r = np.linalg.qr(Z.entries.T)
+    Z.__dict__.setdefault("r", _locked(r)[0])
+    _require_full_row_rank(Z)
+    ur = np.linalg.svd(Z.r)[0]
+    return Projection(basis=_locked(q @ ur)[0])
 
 
 def row_space_projection(M: np.ndarray) -> Projection:

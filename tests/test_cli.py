@@ -737,6 +737,14 @@ class TestAnalyzeCommand:
         for row in doc["robust"]:
             assert row["robust_core"] <= row["robust_full"] + 1e-9
 
+    # numpy's generators take only seeds >= 0, so a negative seed is an input
+    # error before the robust sampler draws
+    def test_robust_negative_seed_exit_2(self, capsys):
+        instance = str(GOLDEN / "one_beta.instance.json")
+        status, out, err = run(capsys, ["analyze", "--instance", instance, "--seed", "-1"])
+        assert status == 2 and out == ""
+        assert "seed must be an integer in [0, 2**64)" in err and "Traceback" not in err
+
     def test_csv_round_trip(self, capsys, tmp_path):
         path = table2_instance(tmp_path)
         status, csv_out, _ = run(capsys, ["analyze", "--instance", path, "--format", "csv"])
@@ -1162,9 +1170,11 @@ class TestSimulateCommand:
         assert status == 3 and out == ""
         assert "not finite" in err and "Traceback" not in err
 
-    # A report echoes the seed as a JSON integer, which holds 64 bits
+    # A report echoes the seed as a JSON integer, which holds 64 bits, and
+    # numpy seeds only non-negative integers
     @pytest.mark.parametrize("seed,status", [
-        (2**64 - 1, 0), (2**64, 2), (-(2**63), 0), (-(2**63) - 1, 2), (10**23, 2),
+        (2**64 - 1, 0), (2**64, 2), (0, 0), (-1, 2), (-(2**63), 2), (-(2**63) - 1, 2), (10**23, 2),
+        ("abc", 2),
     ])
     def test_seed_outside_64_bits_exit_2(self, capsys, seed, status):
         code, out, err = run(capsys, ["simulate", "--scenario", "tables", "--seed", str(seed)])
@@ -1172,7 +1182,7 @@ class TestSimulateCommand:
         if status == 0:
             assert json.loads(out)["seed"] == seed
         else:
-            assert out == "" and "seed must be an integer in [-2**63, 2**64)" in err
+            assert out == "" and "seed must be an integer in [0, 2**64)" in err
 
     def test_unknown_scenario_exit_2(self, capsys):
         status, _, _ = run(capsys, ["simulate", "--scenario", "nope"])

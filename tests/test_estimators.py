@@ -428,17 +428,20 @@ class TestOracleEquivalence:
     # backward-stable fit leaves a residual near cond(Z) eps ||Y||: at cond
     # 1e9, 36 of these 60 fits miss INTERP_RTOL through Q c as well. One
     # corrected step alone leaves about cond(Z)^2 eps and fits only 8 of the
-    # other 24; falling back to Q c fits all 24.
-    def test_generic_targets_below_the_rank_cutoff_fit_through_q(self):
+    # other 24; falling back to Q c fits all 24. At cond 1e8 every fit
+    # returns, and the corrected step is what fits 3 of the 60 that Q c alone
+    # would miss.
+    @pytest.mark.parametrize("cond,least", [(1e8, 60), (1e9, 20)])
+    def test_generic_targets_below_the_rank_cutoff_fit_through_q(self, cond, least):
         rng = np.random.default_rng(27)
         fitted = 0
-        for fit, data in self.ill_conditioned_cases(1e9):
+        for fit, data in self.ill_conditioned_cases(cond):
             try:
                 fit(LabeledData(Z=data.Z, S=data.S, Y=rng.standard_normal(data.Z.rows)))
                 fitted += 1
             except InconsistentSystemError:
                 pass
-        assert fitted >= 20
+        assert fitted >= least
 
     def test_designs_past_the_rank_cutoff_are_rank_deficient(self):
         for fit, data in self.ill_conditioned_cases(1e11):
@@ -527,7 +530,6 @@ class TestFitMinNormStack:
         rng = np.random.default_rng(33)
         z = DesignMatrix(rng.standard_normal((5, 12)))
         fit(LabeledData(Z=z, S=rng.standard_normal((5, k)), Y=rng.standard_normal(5)))
-        assert "svd" not in z.__dict__
         assert seen == [((5, 5), {"compute_uv": False})]
         assert qrs == [((12, 5), {"mode": "r"})]
 

@@ -129,6 +129,10 @@ def test_int_bool_and_zero_dim_arrays_keep_their_encoding():
         dumps_canonical(np.array(np.nan))
 
 
+def test_numpy_integer_and_bool_scalars_keep_their_encoding():
+    assert dumps_canonical({"a": np.int64(3), "b": np.bool_(True)}) == b'{"a":3,"b":true}\n'
+
+
 # A float32 is written as the float64 it equals: its own shortest digits
 # (0.1 for float32(0.1)) would read back as another float64
 @pytest.mark.parametrize("value", [0.1, 1 / 3, 3.4028234663852886e38, 1e-45, -0.0])
