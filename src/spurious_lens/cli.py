@@ -3,15 +3,17 @@
     spurious-lens fit       --instance PATH [--model core|full|multi|rst]
     spurious-lens analyze   --instance PATH
     spurious-lens construct --mode disjoint|balanced [--instance PATH] [--n N] [--x X] [--d D]
-    spurious-lens simulate  --scenario example1|example2|ovb-simple|tables
+    spurious-lens simulate  --scenario example1|example2|ovb-simple|tables [--trials N]
 
-Common flags: --output PATH (default stdout), --format json|csv, --trials N,
+Common flags: --output PATH (default stdout), --format json|csv,
 --seed N (0 <= N < 2**64). Exit codes: 0 success, 1 verification failure,
 2 input error or an unwritable --output or stdout (such as a closed pipe),
 3 numerical precondition failure, 4 construction precondition failure.
-Reports are written as UTF-8 bytes whatever the locale. JSON output is
-byte-deterministic for a fixed command line, seed, BLAS build and BLAS
-thread count; other thread counts can change a fit's last digits.
+Each command builds its report, a JSON document plus a CSV header and
+rows, and main writes it once, in the --format asked for, as UTF-8 bytes
+whatever the locale. JSON output is byte-deterministic for a fixed command
+line, seed, BLAS build and BLAS thread count; other thread counts can
+change a fit's last digits.
 """
 
 from __future__ import annotations
@@ -130,12 +132,12 @@ def _load_instance(args) -> Instance:
 
 
 def _emit(args, document: dict, fieldnames: list[str], rows) -> None:
-    """Write the JSON document, or with --format csv the rows that rows() builds,
-    as UTF-8 bytes whatever the locale, to --output or to stdout's byte stream.
+    """Write the JSON document, or with --format csv the rows, as UTF-8 bytes
+    whatever the locale, to --output or to stdout's byte stream.
     An unwritable --output or a closed stdout raises InstanceError; a closed
     stdout is first pointed at os.devnull, so the flush at exit cannot fail."""
     if args.format == "csv":
-        payload = rows_to_csv(fieldnames, rows()).encode("utf-8")
+        payload = rows_to_csv(fieldnames, rows).encode("utf-8")
     else:
         payload = dumps_canonical(document)
     if args.output:
@@ -180,7 +182,7 @@ def _fit_requested_model(inst: Instance, kind: str):
     return estimators.fit_rst(inst.data, u, full)
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args):
     inst = _load_instance(args)
     model = _fit_requested_model(inst, args.model)
     residual = estimators.interpolation_residual(inst.data, model.theta_hat, model.w_hat)
@@ -198,21 +200,14 @@ def cmd_fit(args) -> int:
         "w_hat": model.w_hat,
         **norms,
     }
-
-    def rows():
-        out = [
-            {"name": name, "index": i, "value": float(v)}
-            for name in ("theta_hat", "w_hat")
-            for i, v in enumerate(doc[name])
-        ]
-        out.append({"name": "train_residual", "index": None, "value": residual})
-        return out
-
-    _emit(args, doc, ["name", "index", "value"], rows)
-    return 0
+    rows = [
+        {"name": name, "index": i, "value": v} for name in ("theta_hat", "w_hat") for i, v in enumerate(doc[name])
+    ]
+    rows.append({"name": "train_residual", "index": None, "value": residual})
+    return doc, ["name", "index", "value"], rows
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args):
     inst = _load_instance(args)
     if inst.truth is None or inst.data is None:
         raise InstanceError("analyze needs ground_truth and train blocks")
@@ -261,8 +256,7 @@ def cmd_analyze(args) -> int:
             for g, (r_core, r_full) in zip(inst.groups, robust)
         ]
     fields = ["group", "error_core", "error_full", "delta", "sign_match", "magnitude_holds", "full_better"]
-    _emit(args, doc, fields, lambda: group_rows)
-    return 0
+    return doc, fields, group_rows
 
 
 def _param(args, scenario: dict, key: str, kind, default=None):
@@ -276,7 +270,7 @@ def _param(args, scenario: dict, key: str, kind, default=None):
     return _build(f"scenario.{key}", lambda: kind(value))
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args):
     scenario = {}
     truth = None
     data = None
@@ -286,7 +280,7 @@ def cmd_construct(args) -> int:
         truth = inst.truth
         data = inst.data
     if args.mode == "disjoint":
-        if truth is None or truth.n_spurious < 1:
+        if truth is None or truth.n_spurious != 1:
             raise InstanceError("construct --mode disjoint needs ground_truth with one beta vector")
         n = _param(args, scenario, "n", _integer)
         x = _param(args, scenario, "x", float, 0.1)
@@ -327,13 +321,10 @@ def cmd_construct(args) -> int:
         "which", "sign_match", "magnitude_holds", "full_better", "tie",
         "w_hat", "lhs_seen_corr", "rhs_unseen_corr", "error_core", "error_full",
     ]
-    _emit(args, doc, fields, lambda: [
-        dict({"which": which}, **doc[f"verdict_{which}"]) for which in ("full_wins", "core_wins")
-    ])
-    return 0
+    return doc, fields, [{"which": which, **doc[f"verdict_{which}"]} for which in ("full_wins", "core_wins")]
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     scenario = _load_instance(args).scenario if args.instance else {}
     runner, spec = _SCENARIOS[args.scenario]
     kwargs = {key: _param(args, scenario, key, kind, default) for key, kind, default in spec}
@@ -348,21 +339,17 @@ def cmd_simulate(args) -> int:
         "scenario": report.name,
         "seed": args.seed,
         "params": report.params,
-        "quantities": {
-            label: {
-                "closed_form": q.closed_form,
-                "monte_carlo": q.monte_carlo,
-                "stderr": q.stderr,
-            }
-            for label, q in report.quantities.items()
-        },
+        "quantities": {label: asdict(q) for label, q in report.quantities.items()},
         "verdicts": report.verdicts,
         "three_sigma_ok": not violations,
     }
-    _emit(args, doc, ["label", "closed_form", "monte_carlo", "stderr"], lambda: [
-        dict({"label": label}, **q) for label, q in doc["quantities"].items()
-    ])
-    return 0
+    rows = [{"label": label, **q} for label, q in doc["quantities"].items()]
+    return doc, ["label", "closed_form", "monte_carlo", "stderr"], rows
+
+
+# Each command builds its report, (JSON document, CSV header, CSV rows), and
+# main writes it.
+_COMMANDS = {"fit": cmd_fit, "analyze": cmd_analyze, "construct": cmd_construct, "simulate": cmd_simulate}
 
 
 def main(argv=None) -> int:
@@ -372,13 +359,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "fit":
-            return cmd_fit(args)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "construct":
-            return cmd_construct(args)
-        return cmd_simulate(args)
+        _emit(args, *_COMMANDS[args.command](args))
     except InstanceError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -391,6 +372,7 @@ def main(argv=None) -> int:
     except SpuriousLensError as exc:
         print(f"numerical precondition failed: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -211,8 +211,6 @@ class MinNormSolution:
     """Least-norm interpolant of a consistent linear system."""
 
     x: np.ndarray
-    residual_norm: float
-    solution_norm: float
 
 
 def projection(Z: DesignMatrix) -> Projection:
@@ -261,8 +259,7 @@ def min_norm_solve(A, y) -> MinNormSolution:
         raise InconsistentSystemError(
             f"system Ax = y is inconsistent (relative residual {rel:.3e})"
         )
-    # hypot scales its arguments, so neither norm overflows on a huge system
-    return MinNormSolution(x=x, residual_norm=math.hypot(*res), solution_norm=math.hypot(*x))
+    return MinNormSolution(x=x)
 
 
 def intersection_projection(pi1: Projection, pi2: Projection) -> Projection:

@@ -5,9 +5,9 @@ the shortest digits that read back as the same float64, a single trailing
 newline. One walk refuses non-finite floats (a float64 array by one
 isfinite) and non-string keys, and hands every other array and numpy scalar
 over as its Python value; one orjson call then writes the document, each
-float64 array straight from its buffer. CSV projections print floats with
-Python's repr, the same shortest round-trip digits, and parse back into the
-same row structure.
+float64 array straight from its buffer. CSV projections are written by the
+csv module, which prints floats with Python's repr, the same shortest
+round-trip digits.
 
 An instance document is UTF-8 bytes (the CLI reads the file as bytes, with
 no newline translation) or text. Each flat list, a [ ... ] with no bracket,
@@ -115,52 +115,27 @@ def dumps_canonical(obj) -> bytes:
     )
 
 
-def rows_to_csv(fieldnames: list[str], rows: list[dict]) -> str:
-    """Serialize dict rows to CSV with round-trippable scalar formatting."""
+def _csv_cell(value):
+    """value as the csv module is to write it: a bool as true/false, a numpy
+    float as the Python float it equals (which csv writes by its repr)."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, np.floating):
+        return float(value)
+    return value
+
+
+def rows_to_csv(fieldnames: list[str], rows) -> str:
+    """Dict rows as CSV text under a header of fieldnames, keys outside it ignored.
+
+    The csv module writes None and a missing key as an empty cell and a float
+    by its repr; bools become true/false, as in the JSON report.
+    """
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n", extrasaction="ignore")
     writer.writeheader()
-    for row in rows:
-        encoded = {}
-        for key in fieldnames:
-            value = row.get(key)
-            if value is None:
-                encoded[key] = ""
-            elif isinstance(value, (bool, np.bool_)):
-                encoded[key] = "true" if value else "false"
-            elif isinstance(value, (float, np.floating)):
-                encoded[key] = repr(float(value))
-            elif isinstance(value, (int, np.integer)):
-                encoded[key] = str(int(value))
-            else:
-                encoded[key] = str(value)
-        writer.writerow(encoded)
+    writer.writerows({key: _csv_cell(value) for key, value in row.items()} for row in rows)
     return buf.getvalue()
-
-
-def csv_to_rows(text: str) -> list[dict]:
-    """Parse CSV produced by rows_to_csv back into typed row dicts."""
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for raw in reader:
-        row = {}
-        for key, value in raw.items():
-            if value == "" or value is None:
-                row[key] = None
-            elif value == "true":
-                row[key] = True
-            elif value == "false":
-                row[key] = False
-            else:
-                try:
-                    row[key] = int(value)
-                except ValueError:
-                    try:
-                        row[key] = float(value)
-                    except ValueError:
-                        row[key] = value
-        rows.append(row)
-    return rows
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import spurious_lens
 from spurious_lens import scenarios
 from spurious_lens.cli import main
-from spurious_lens.serialize import csv_to_rows, dumps_canonical
+from spurious_lens.serialize import dumps_canonical
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -45,6 +46,23 @@ def run(capsys, argv):
     status = main(argv)
     out = capsys.readouterr()
     return status, out.out, out.err
+
+
+def csv_to_rows(text):
+    """The rows of a CSV report, each cell read back as the value written:
+    an empty cell as None, true/false as bools, a number as an int or float."""
+
+    def cell(value):
+        if value == "":
+            return None
+        if value in ("true", "false"):
+            return value == "true"
+        for kind in (int, float):
+            with contextlib.suppress(ValueError):
+                return kind(value)
+        return value
+
+    return [{key: cell(value) for key, value in row.items()} for row in csv.DictReader(io.StringIO(text))]
 
 
 def child_env(**env):
@@ -952,6 +970,14 @@ class TestConstructCommand:
         golden = str(GOLDEN / "one_beta.instance.json")
         assert got == run(capsys, ["construct", "--mode", "disjoint", "--instance", golden, "--n", "4", "--x", "0.1"])
         assert got[0] == 0
+
+    # the disjoint construction takes one beta vector, so it refuses an
+    # instance with two rather than drop the second
+    def test_disjoint_two_betas_exit_2(self, capsys):
+        instance = str(GOLDEN / "two_betas.instance.json")
+        status, out, err = run(capsys, ["construct", "--mode", "disjoint", "--n", "4", "--instance", instance])
+        assert (status, out) == (2, "")
+        assert err == "input error: construct --mode disjoint needs ground_truth with one beta vector\n"
 
     @pytest.mark.parametrize("mode,key", [("disjoint", "n"), ("balanced", "d")])
     def test_missing_parameter_exit_2(self, capsys, tmp_path, mode, key):

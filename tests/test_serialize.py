@@ -144,6 +144,24 @@ def test_float32_entries_read_back_as_their_float64_values(value):
     assert bits == [struct.pack("<d", float(x))] * 3
 
 
+# The CSV projection's exact text: an empty cell for None and a missing key,
+# true/false for any bool, shortest round-trip digits for any float (a
+# float32 as the float64 it equals), quoting as the csv module does it, and
+# keys outside the header ignored.
+def test_rows_to_csv_text():
+    rows = [
+        {"a": None, "b": True, "c": np.bool_(False), "d": 3, "e": np.int64(-4)},
+        {"a": -0.0, "b": 5e-324, "c": 1e16, "d": 1e-5, "e": np.float64(0.1), "extra": 1},
+        {"a": np.float32(0.1), "b": 'x, "y"', "c": False, "d": np.bool_(True)},
+    ]
+    assert serialize.rows_to_csv(["a", "b", "c", "d", "e"], rows) == (
+        "a,b,c,d,e\n"
+        ",true,false,3,-4\n"
+        "-0.0,5e-324,1e+16,1e-05,0.1\n"
+        '0.10000000149011612,"x, ""y""",false,true,\n'
+    )
+
+
 def test_non_string_key_raises():
     with pytest.raises(TypeError, match="JSON keys must be strings"):
         dumps_canonical({"a": {1: 2.0}})
