@@ -6,9 +6,11 @@
     spurious-lens simulate  --scenario example1|example2|ovb-simple|tables [--trials N]
 
 Common flags: --output PATH (default stdout), --format json|csv,
---seed N (0 <= N < 2**64). Exit codes: 0 success, 1 verification failure,
-2 input error or an unwritable --output or stdout (such as a closed pipe),
-3 numerical precondition failure, 4 construction precondition failure.
+--seed N (0 <= N < 2**64). --trials N is simulate's alone, and the tables
+scenario, which runs no trials, refuses it. Exit codes: 0 success,
+1 verification failure, 2 input error or an unwritable --output or stdout
+(such as a closed pipe), 3 numerical precondition failure, 4 construction
+precondition failure.
 Each command builds its report, a JSON document plus a CSV header and
 rows, and main writes it once, in the --format asked for, as UTF-8 bytes
 whatever the locale. JSON output is byte-deterministic for a fixed command
@@ -295,6 +297,10 @@ def cmd_construct(args):
             y_vec = _build("scenario.Y", lambda: _as_vector(scenario["Y"], "Y"))
             if s_vec.shape != y_vec.shape:
                 raise InstanceError(f"scenario.S has {s_vec.shape[0]} entries but scenario.Y has {y_vec.shape[0]}")
+        elif data is not None and data.n_spurious > 1:
+            raise InstanceError(
+                f"construct --mode balanced needs one spurious column, but train.S has {data.n_spurious}"
+            )
         else:
             raise InstanceError("construct --mode balanced needs train.S/train.Y or scenario.S/Y")
         d = _param(args, scenario, "d", _integer)
@@ -327,6 +333,8 @@ def cmd_construct(args):
 def cmd_simulate(args):
     scenario = _load_instance(args).scenario if args.instance else {}
     runner, spec = _SCENARIOS[args.scenario]
+    if args.trials is not None and "trials" not in (key for key, _, _ in spec):
+        raise InstanceError(f"simulate --scenario {args.scenario} takes no --trials")
     kwargs = {key: _param(args, scenario, key, kind, default) for key, kind, default in spec}
     try:
         report = runner(args.seed, **kwargs)

@@ -20,7 +20,9 @@ theta = Z'R^-1 c with R'c = Y - S w, corrected by one step when the residual
 the interpolation check reads is above rounding level, and taken as Q c when
 that step leaves it above INTERP_RTOL (near the rank cutoff). The RST fit
 reads theta off R of [Zu | pseudo] or, near the cutoff, of [Z Y; Zu pseudo],
-and forms no Q.
+and forms no Q. No fit takes a rank SVD where ||R||_F ||R^-1||_F <=
+0.5 / RANK_RTOL settles the rank (for R of Z' and for R11 of Zu); the SVD
+rule decides everywhere else.
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ from .minnorm import (
     _as_columns,
     _as_matrix,
     _as_vector,
+    _bounded_inverse,
     _freeze,
+    _full_rank_inverse,
     _rank,
     _relative_residual,
-    _require_full_row_rank,
     _scaled,
 )
 
@@ -238,7 +241,9 @@ def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray
     """Joint minimum-norm interpolants of Z theta_i + cols_i w_i = Y for a stack.
 
     cols is T x n x k (k >= 0): T column blocks sharing one design and one
-    target. Returns theta (T x d) and w (T x k). With R of the design's QR
+    target. Returns theta (T x d) and w (T x k). The design's full row rank is
+    settled by ||R||_F ||R^-1||_F <= 0.5 / RANK_RTOL with no SVD, and recorded
+    on the design, or else by the SVD rule. With R of the design's QR
     Z' = Q R, theta_i = Z'R^-1 c_i where c_i = b - A_i w_i, A_i = R'^{-1} cols_i
     and b = R'^{-1} Y; minimizing ||c_i||^2 + ||w_i||^2 gives
     (I + A_i'A_i) w_i = A_i'b, solved for all blocks by one stacked solve.
@@ -265,8 +270,7 @@ def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray
             f"need T x {Z.rows} x k column blocks and {Z.rows} targets, "
             f"got shapes {cols.shape} and {y.shape}"
         )
-    _require_full_row_rank(Z)
-    rinv = np.linalg.inv(Z.r)
+    rinv = _full_rank_inverse(Z)
     t, n, k = cols.shape
     b = y @ rinv
     # row j of at[i] is (R'^-1 cols_i[:, j])', so at[i] = A_i'
@@ -342,14 +346,18 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
     has at most one solution, and when the stacked system is consistent it is
     the minimum-norm one, P theta* + w (I - P) beta*. theta is read off R =
     [R11 r; 0 rho] of [Zu | pseudo] as R11^-1 r, with no Q formed (Bjorck 1996,
-    §2.4); R11 is R of Zu, and its singular values decide the rank. When that
-    theta misses the labels (near the rank cutoff) it is read the same way off
-    [Z Y; Zu pseudo]. Raises InconsistentConstraintsError when the stacked
-    system's relative residual exceeds INTERP_RTOL.
+    §2.4); R11 is R of Zu, and ||R11||_F ||R11^-1||_F <= 0.5 / RANK_RTOL
+    settles the rank with no SVD, else R11's singular values decide it (the
+    labeled design's row rank goes the same way, unless a fit on the design
+    already settled it). When that theta misses the labels (near the rank
+    cutoff) it is read the same way off [Z Y; Zu pseudo]. Raises
+    InconsistentConstraintsError when the stacked system's relative residual
+    exceeds INTERP_RTOL.
     """
     if full.kind != "full":
         raise ValueError(f"fit_rst needs a full-model fit, got kind={full.kind!r}")
-    _require_full_row_rank(labeled.Z)
+    if not labeled.Z.__dict__.get("full_row_rank"):
+        _full_rank_inverse(labeled.Z)  # settles the rank unless a fit on this design did
     if labeled.n_spurious != full.w_hat.shape[0]:
         raise DimensionMismatchError(
             f"labeled data has {labeled.n_spurious} spurious columns but the full model "
@@ -372,10 +380,11 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
         pseudo = zu @ full.theta_hat + su @ full.w_hat
         augmented = np.column_stack([zu, pseudo])
         r = np.linalg.qr(augmented, mode="r")
-        if _rank(np.linalg.svd(r[:d, :d], compute_uv=False)) < d:
+        r11 = r[:d, :d]
+        if _bounded_inverse(r11) is None and _rank(np.linalg.svd(r11, compute_uv=False)) < d:
             raise RankDeficientError(f"unlabeled design ({m}x{d}) must have full column rank")
         rhs = np.concatenate([labeled.Y, pseudo])
-        theta = np.linalg.solve(r[:d, :d], r[:d, d])
+        theta = np.linalg.solve(r11, r[:d, d])
         rel = _relative_residual(np.concatenate([labeled.Z.entries @ theta, zu @ theta]) - rhs, rhs)
         if not rel <= INTERP_RTOL:
             # near the rank cutoff theta's forward error (about cond(Zu) eps) shows in the labels

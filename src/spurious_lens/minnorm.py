@@ -3,14 +3,17 @@
 A design is factored once, by a Householder QR Z' = Q R of which it caches
 only the n x n R; the rank comes from R's singular values, which are Z's,
 and every minimum-norm fit reads R and Z (estimators), forming Q only near
-the rank cutoff. The design caches no Q: projection() takes its own reduced
-QR, hands its R to the design when none was taken yet, and builds the row
-basis V = Q Ur of the thin SVD Z = U S V' from R = Ur S Vr' (Chan's R-SVD).
+the rank cutoff. A fit takes no rank SVD where ||R||_F ||R^-1||_F <=
+_BOUND_MARGIN / RANK_RTOL (_full_rank_inverse): the SVD rule would agree,
+and the fit forms R^-1 anyway. The design caches no Q: projection() takes
+its own reduced QR, hands its R to the design when none was taken yet, and
+builds the row basis V = Q Ur of the thin SVD Z = U S V' from R = Ur S Vr'
+(Chan's R-SVD).
 V backs P = V V', applied as V(V'x) and formed densely only on request.
 Also here: the least-norm solver by pseudoinverse (the oracle everything
 else is checked against), and the intersection projector of two orthonormal
 bases, taken from their principal angles. One rule, _rank, decides every
-rank.
+rank that the norm bound leaves open.
 
 All functions are pure and operate on immutable inputs; tolerances are the
 module constants below.
@@ -28,6 +31,12 @@ from .exceptions import DimensionMismatchError, InconsistentSystemError, RankDef
 
 # A matrix is treated as rank-deficient when smin/smax falls below this.
 RANK_RTOL = 1e-10
+# A fit takes a square R as full rank, with no SVD, when ||R||_F ||R^-1||_F
+# <= _BOUND_MARGIN / RANK_RTOL: cond_2(R) <= ||R||_F ||R^-1||_F (Golub & Van
+# Loan, §2.3), and the computed inverse's relative error, about n cond(R) u
+# (3e-4 at n = 600 and cond 5e9), is far inside the factor 2. Where the bound
+# passes, _rank would also count every singular value.
+_BOUND_MARGIN = 0.5
 # Ax = y is declared consistent when the relative residual is below this.
 INTERP_RTOL = 1e-8
 # Singular values below smax * PINV_RTOL are zeroed in pseudoinverses.
@@ -105,7 +114,8 @@ class DesignMatrix:
 
     Building one only validates and freezes the entries. The first read of
     full_row_rank takes R of Z' = Q R, which is all a fit reads, and decides
-    the rank from its singular values alone. Both are cached, so a design
+    the rank from its singular values alone; a fit whose norm bound settles
+    the rank records it here first. Both are cached, so a design
     that is only carried around is never factored, and one that is factored
     takes one QR: projection() leaves the R of its own QR here.
     """
@@ -139,6 +149,35 @@ def _require_full_row_rank(Z: DesignMatrix) -> None:
         raise RankDeficientError(
             f"design matrix ({Z.rows}x{Z.cols}) is rank-deficient or has more rows than columns"
         )
+
+
+def _bounded_inverse(r: np.ndarray) -> np.ndarray | None:
+    """R^-1 of a square triangular R when ||R||_F ||R^-1||_F RANK_RTOL <= _BOUND_MARGIN,
+    else None: also for a singular or non-square R, and when a norm overflows.
+
+    Underflow costs a squared Frobenius norm at most n^2 2^-1074, more than a
+    relative 1e-3 only when the norm is below 7e-161 n; the other norm, at
+    least its reciprocal, then overflows when squared (for n < 1e6), so the
+    bound is inf or nan.
+    """
+    try:
+        rinv = np.linalg.inv(r)
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.linalg.norm(r) * np.linalg.norm(rinv) * RANK_RTOL
+    return rinv if bound <= _BOUND_MARGIN else None
+
+
+def _full_rank_inverse(Z: DesignMatrix) -> np.ndarray:
+    """R^-1 of the design's R once its full row rank is settled: by the bound
+    where it passes, recorded as the design's full_row_rank so that no later
+    check takes an SVD, and by _rank elsewhere. Raises RankDeficientError."""
+    rinv = _bounded_inverse(Z.r)
+    if rinv is None or not Z.__dict__.setdefault("full_row_rank", True):
+        _require_full_row_rank(Z)
+        rinv = np.linalg.inv(Z.r)
+    return rinv
 
 
 @dataclass(frozen=True)

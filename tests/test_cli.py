@@ -390,16 +390,18 @@ def test_two_scaled_blocks_keep_exit_contract(capsys, tmp_path, name, scales, ar
 # A design is factored only where it is used: both constructions take their
 # projector from an orthonormal basis they build (the disjoint one from its
 # orthonormal training rows, the balanced one from e1 and e2). A fit reads
-# its design's QR and takes one SVD, the values of R for the rank; analyze
-# also takes the SVD of R with its vectors for the projector's basis, and
-# the RST fit the rank SVD of its unlabeled design.
+# its design's QR and takes no SVD where ||R||_F ||R^-1||_F <= 0.5 / RANK_RTOL
+# settles the rank, as it does for the golden design and, in the RST fit, for
+# R11 of its unlabeled block; the SVD rule decides everywhere else. analyze
+# takes two SVDs of R: its values for the rank and, with its vectors, the
+# projector's basis.
 @pytest.mark.parametrize("argv,calls", [
     (["construct", "--mode", "disjoint", "--n", "4"], 0),
     (["construct", "--mode", "balanced", "--d", "12"], 0),
     (["analyze", "--seed", "3"], 2),
-    (["fit", "--model", "rst"], 2),
-    (["fit", "--model", "full"], 1),
-    (["fit", "--model", "core"], 1),
+    (["fit", "--model", "rst"], 0),
+    (["fit", "--model", "full"], 0),
+    (["fit", "--model", "core"], 0),
 ])
 def test_svd_calls_per_command(capsys, monkeypatch, argv, calls):
     svd = np.linalg.svd
@@ -408,6 +410,32 @@ def test_svd_calls_per_command(capsys, monkeypatch, argv, calls):
     status, _, err = run(capsys, argv + ["--instance", str(GOLDEN / "one_beta.instance.json")])
     assert status == 0, err
     assert len(seen) == calls, seen
+
+
+# Where ||R||_F ||R^-1||_F cannot be formed the SVD rule decides the rank, as
+# it always did: an exactly singular R (a zero row of Z), a design with more
+# rows than columns, and one whose norms overflow (entries near 1e300, with
+# the third row twice the first) all exit 3 with the rank message.
+RANK_EDGE_CASES = {
+    "zero_row": ("one_beta", lambda z: [[0.0] * len(z[0])] + z[1:], "5x12"),
+    "more_rows": ("one_beta", lambda z: [row[:4] for row in z], "5x4"),
+    "huge_entries": ("rank_deficient", lambda z: (1e300 * np.asarray(z)).tolist(), "3x12"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANK_EDGE_CASES))
+@pytest.mark.parametrize("model", ["core", "full", "multi"])
+def test_rank_edge_cases_exit_3(capsys, tmp_path, case, model):
+    name, edit, shape = RANK_EDGE_CASES[case]
+    doc = json.loads((GOLDEN / f"{name}.instance.json").read_text())
+    doc["train"]["Z"] = edit(doc["train"]["Z"])
+    if case == "more_rows":
+        doc["ground_truth"] = {key: np.asarray(v)[..., :4].tolist() for key, v in doc["ground_truth"].items()}
+    status, out, err = run(capsys, ["fit", "--model", model, "--instance", write_instance(tmp_path, doc)])
+    assert (status, out) == (3, "")
+    assert err == (
+        f"numerical precondition failed: design matrix ({shape}) is rank-deficient or has more rows than columns\n"
+    )
 
 
 # One analyze draws each of the seed's normal batches once and hands it to
@@ -979,6 +1007,14 @@ class TestConstructCommand:
         assert (status, out) == (2, "")
         assert err == "input error: construct --mode disjoint needs ground_truth with one beta vector\n"
 
+    # the balanced construction takes one spurious column; with no scenario
+    # S/Y to fall back on, two train.S columns are named as the reason
+    def test_balanced_two_betas_exit_2(self, capsys):
+        instance = str(GOLDEN / "two_betas.instance.json")
+        status, out, err = run(capsys, ["construct", "--mode", "balanced", "--d", "12", "--instance", instance])
+        assert (status, out) == (2, "")
+        assert err == "input error: construct --mode balanced needs one spurious column, but train.S has 2\n"
+
     @pytest.mark.parametrize("mode,key", [("disjoint", "n"), ("balanced", "d")])
     def test_missing_parameter_exit_2(self, capsys, tmp_path, mode, key):
         doc = dict(golden_instance(), scenario={key: None, "S": [1.0, 2.0], "Y": [2.0, 1.0]})
@@ -1106,6 +1142,12 @@ class TestSimulateCommand:
         status, out, err = run(capsys, ["simulate", "--scenario", "example1", "--instance", path, "--trials", "50"])
         assert status == 0, err
         assert json.loads(out)["params"] == {"n": 6, "p": 0.9, "trials": 50}
+
+    # the tables run no trials, so a --trials flag is refused, not ignored
+    def test_tables_refuse_trials_exit_2(self, capsys):
+        status, out, err = run(capsys, ["simulate", "--scenario", "tables", "--trials", "5"])
+        assert (status, out) == (2, "")
+        assert err == "input error: simulate --scenario tables takes no --trials\n"
 
     def test_tables_reproduce(self, capsys):
         status, out, _ = run(capsys, ["simulate", "--scenario", "tables"])

@@ -519,8 +519,8 @@ class TestFitMinNormStack:
         assert systems == [(4, 2, 2)]
 
     # A fit reads R of the design's QR, taken with no Q: its one QR is
-    # np.linalg.qr(Z', mode="r"), its one SVD the rank's values-only SVD of
-    # the n x n R, and no singular vectors are formed.
+    # np.linalg.qr(Z', mode="r"). ||R||_F ||R^-1||_F settles this design's
+    # rank, so the fit takes no SVD at all and records the rank on the design.
     @pytest.mark.parametrize("fit,k", [(fit_core, 1), (fit_full, 1), (fit_multi, 2)])
     def test_fit_takes_no_singular_vectors(self, monkeypatch, fit, k):
         qr, svd = np.linalg.qr, np.linalg.svd
@@ -530,8 +530,29 @@ class TestFitMinNormStack:
         rng = np.random.default_rng(33)
         z = DesignMatrix(rng.standard_normal((5, 12)))
         fit(LabeledData(Z=z, S=rng.standard_normal((5, k)), Y=rng.standard_normal(5)))
-        assert seen == [((5, 5), {"compute_uv": False})]
+        assert seen == []
         assert qrs == [((12, 5), {"mode": "r"})]
+        assert z.full_row_rank and seen == []
+
+    # Where the bound does not settle the rank (it is at least cond(R), and
+    # these spectra put it just above 0.5 / RANK_RTOL = 5e9), the SVD rule
+    # decides with one values-only SVD of R: full rank at cond 5e9, rank
+    # deficient at 2e10.
+    @pytest.mark.parametrize("cond,full_rank", [(5e9, True), (2e10, False)])
+    def test_rank_svd_only_where_the_bound_does_not_settle(self, monkeypatch, cond, full_rank):
+        svd, seen = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: seen.append((a[0].shape, kw)) or svd(*a, **kw))
+        for fit, data in TestOracleEquivalence.ill_conditioned_cases(cond):
+            seen.clear()
+            z = DesignMatrix(data.Z.entries)
+            data = LabeledData(Z=z, S=data.S, Y=data.Y)
+            if full_rank:
+                fit(data)
+            else:
+                with pytest.raises(RankDeficientError):
+                    fit(data)
+            assert seen == [((5, 5), {"compute_uv": False})]
+            assert z.full_row_rank == full_rank and len(seen) == 1
 
     def test_worst_block_decides_interpolation(self):
         # a rank-deficient design never reaches the solve; an inconsistent
@@ -708,6 +729,24 @@ class TestFitRst:
         zu = np.random.default_rng(35).standard_normal((4, 3))
         fit_rst(data, UnlabeledData(Zu=zu, Su=zu @ data.truth.beta_stars[0]), fit_full(data))
         assert made == []
+
+    # fit_rst settles both ranks as a fit does. On a labeled design that no
+    # fit has read, ||R||_F ||R^-1||_F settles the row rank, and on R11 the
+    # column rank, with no SVD; a rank-deficient labeled design is refused
+    # after one values-only SVD of its R.
+    def test_settles_both_ranks_without_an_svd(self, monkeypatch):
+        data = table2()
+        full = fit_full(data)
+        unlabeled = UnlabeledData(Zu=np.eye(3), Su=data.truth.beta_stars[0])
+        svd, seen = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: seen.append((a[0].shape, kw)) or svd(*a, **kw))
+        fresh = LabeledData(Z=DesignMatrix(data.Z.entries), S=data.S, Y=data.Y)
+        assert_allclose(fit_rst(fresh, unlabeled, full).theta_hat, [2.0, 2.0, -2.0], atol=1e-8)
+        assert seen == [] and fresh.Z.full_row_rank
+        deficient = LabeledData(Z=DesignMatrix(np.ones((2, 3))), S=np.ones(2), Y=np.ones(2))
+        with pytest.raises(RankDeficientError, match="design matrix"):
+            fit_rst(deficient, unlabeled, LinearModel(theta_hat=np.ones(3), w_hat=np.ones(1), kind="full"))
+        assert seen == [((2, 2), {"compute_uv": False})]
 
     # Zu' pseudo, which a solve through the normal equations forms, overflows
     # once Zu reaches about 1e160; the factor of [Zu | pseudo] does not, so

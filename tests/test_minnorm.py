@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spurious_lens import minnorm
 from spurious_lens import (
     DesignMatrix,
     Projection,
@@ -358,6 +359,64 @@ class TestDesignMatrixInvariants:
             Projection(basis=np.array([[1.0], [np.nan]]))
 
 
+def conditioned(rng, rows, cols, cond):
+    """A rows x cols matrix U diag(s) V' with s spread geometrically from 1 to 1/cond."""
+    k = min(rows, cols)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, k)))
+    return (u * np.geomspace(1.0, 1.0 / cond, k)) @ v.T
+
+
+class TestBoundedInverse:
+    CONDS = (1e2, 1e5, 1e8, 1e9, 5e9, 1e10, 2e10)
+
+    @staticmethod
+    def factors(shape, cond):
+        """R of ten designs of one shape and condition number: of Z' for a wide
+        n x d design, as a fit takes it, and R11 of [Zu | pseudo] for a tall
+        m x d Zu, as fit_rst takes it."""
+        rows, cols = shape
+        rng = np.random.default_rng([rows, cols, int(cond)])
+        for _ in range(10):
+            a = conditioned(rng, rows, cols, cond)
+            if rows < cols:
+                yield np.linalg.qr(a.T, mode="r")
+            else:
+                yield np.linalg.qr(np.column_stack([a, a @ rng.standard_normal(cols)]), mode="r")[:cols, :cols]
+
+    # Wherever ||R||_F ||R^-1||_F settles the rank, the SVD rule also counts
+    # every singular value: the bound changes how a rank is decided, never
+    # the decision. It settles every design up to cond 1e9, where the bound is
+    # at most 2 cond(R) for these spectra (7 cond(R) at cond 1e2).
+    @pytest.mark.parametrize("shape", [(5, 12), (60, 150), (20, 12), (150, 60)])
+    def test_bound_never_contradicts_the_rank_rule(self, shape):
+        for cond in self.CONDS:
+            for r in self.factors(shape, cond):
+                rinv = minnorm._bounded_inverse(r)
+                if rinv is not None:
+                    assert minnorm._rank(np.linalg.svd(r, compute_uv=False)) == r.shape[0]
+                    assert np.array_equal(rinv, np.linalg.inv(r))
+                else:
+                    assert cond > 1e9
+
+    # Where the bound cannot be formed the SVD rule decides: an exactly
+    # singular R (a zero row of Z makes a zero column of R, and the inverse
+    # raises LinAlgError), the d x n R of a design with n > d (not square),
+    # and an R whose Frobenius norm overflows. None warns.
+    def test_no_bound_without_a_finite_inverse_and_norms(self):
+        singular = np.linalg.qr(np.vstack([np.zeros(12), np.ones((2, 12)) + np.eye(2, 12)]).T, mode="r")
+        tall = np.linalg.qr(np.ones((2, 3)), mode="r")
+        huge = np.linalg.qr(1e300 * np.random.default_rng(8).standard_normal((12, 5)), mode="r")
+        for r in (singular, tall):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.inv(r)
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(huge) == np.inf
+        for r in (singular, tall, huge):
+            assert minnorm._bounded_inverse(r) is None
+        assert minnorm._rank(np.linalg.svd(huge, compute_uv=False)) == 5
+
+
 def factor_test_designs():
     """Random designs with d/n from 1.2 to 5, and designs U diag(s) V' with cond up to 1e9."""
     rng = np.random.default_rng(23)
@@ -366,9 +425,7 @@ def factor_test_designs():
             yield rng.standard_normal((n, round(n * ratio)))
     for cond in (1e3, 1e6, 1e9):
         for n, d in ((6, 9), (25, 60), (40, 200)):
-            u, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            v, _ = np.linalg.qr(rng.standard_normal((d, n)))
-            yield (u * np.geomspace(1.0, 1.0 / cond, n)) @ v.T
+            yield conditioned(rng, n, d, cond)
 
 
 # The projector's basis V = Q Ur, taken through Z' = Q R, spans Z's row
