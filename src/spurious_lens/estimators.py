@@ -44,11 +44,13 @@ from .minnorm import (
     _as_columns,
     _as_matrix,
     _as_vector,
-    _bounded_inverse,
+    _bound_settles_rank,
     _freeze,
     _full_rank_inverse,
+    _inverse,
     _rank,
     _relative_residual,
+    _require_full_row_rank,
     _scaled,
 )
 
@@ -347,17 +349,16 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
     the minimum-norm one, P theta* + w (I - P) beta*. theta is read off R =
     [R11 r; 0 rho] of [Zu | pseudo] as R11^-1 r, with no Q formed (Bjorck 1996,
     §2.4); R11 is R of Zu, and ||R11||_F ||R11^-1||_F <= 0.5 / RANK_RTOL
-    settles the rank with no SVD, else R11's singular values decide it (the
-    labeled design's row rank goes the same way, unless a fit on the design
-    already settled it). When that theta misses the labels (near the rank
-    cutoff) it is read the same way off [Z Y; Zu pseudo]. Raises
-    InconsistentConstraintsError when the stacked system's relative residual
-    exceeds INTERP_RTOL.
+    settles the rank with no SVD, else R11's singular values decide it. The
+    labeled design's row rank is checked by the SVD rule, which reads the
+    rank a fit on the same design has already recorded. When that theta
+    misses the labels (near the rank cutoff) it is read the same way off
+    [Z Y; Zu pseudo]. Raises InconsistentConstraintsError when the stacked
+    system's relative residual exceeds INTERP_RTOL.
     """
     if full.kind != "full":
         raise ValueError(f"fit_rst needs a full-model fit, got kind={full.kind!r}")
-    if not labeled.Z.__dict__.get("full_row_rank"):
-        _full_rank_inverse(labeled.Z)  # settles the rank unless a fit on this design did
+    _require_full_row_rank(labeled.Z)
     if labeled.n_spurious != full.w_hat.shape[0]:
         raise DimensionMismatchError(
             f"labeled data has {labeled.n_spurious} spurious columns but the full model "
@@ -381,7 +382,7 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
         augmented = np.column_stack([zu, pseudo])
         r = np.linalg.qr(augmented, mode="r")
         r11 = r[:d, :d]
-        if _bounded_inverse(r11) is None and _rank(np.linalg.svd(r11, compute_uv=False)) < d:
+        if not _bound_settles_rank(r11, _inverse(r11)) and _rank(np.linalg.svd(r11, compute_uv=False)) < d:
             raise RankDeficientError(f"unlabeled design ({m}x{d}) must have full column rank")
         rhs = np.concatenate([labeled.Y, pseudo])
         theta = np.linalg.solve(r11, r[:d, d])

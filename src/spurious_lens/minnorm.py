@@ -151,33 +151,40 @@ def _require_full_row_rank(Z: DesignMatrix) -> None:
         )
 
 
-def _bounded_inverse(r: np.ndarray) -> np.ndarray | None:
-    """R^-1 of a square triangular R when ||R||_F ||R^-1||_F RANK_RTOL <= _BOUND_MARGIN,
-    else None: also for a singular or non-square R, and when a norm overflows.
+def _inverse(r: np.ndarray) -> np.ndarray | None:
+    """R^-1, or None for a singular or non-square R (np.linalg.inv's LinAlgError)."""
+    try:
+        return np.linalg.inv(r)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _bound_settles_rank(r: np.ndarray, rinv: np.ndarray | None) -> bool:
+    """Whether ||R||_F ||R^-1||_F RANK_RTOL <= _BOUND_MARGIN for a square R and
+    its inverse rinv: False for no inverse and when a norm overflows.
 
     Underflow costs a squared Frobenius norm at most n^2 2^-1074, more than a
     relative 1e-3 only when the norm is below 7e-161 n; the other norm, at
     least its reciprocal, then overflows when squared (for n < 1e6), so the
     bound is inf or nan.
     """
-    try:
-        rinv = np.linalg.inv(r)
-    except np.linalg.LinAlgError:
-        return None
+    if rinv is None:
+        return False
     with np.errstate(over="ignore", invalid="ignore"):
         bound = np.linalg.norm(r) * np.linalg.norm(rinv) * RANK_RTOL
-    return rinv if bound <= _BOUND_MARGIN else None
+    return bound <= _BOUND_MARGIN
 
 
 def _full_rank_inverse(Z: DesignMatrix) -> np.ndarray:
     """R^-1 of the design's R once its full row rank is settled: by the bound
     where it passes, recorded as the design's full_row_rank so that no later
-    check takes an SVD, and by _rank elsewhere. Raises RankDeficientError."""
-    rinv = _bounded_inverse(Z.r)
-    if rinv is None or not Z.__dict__.setdefault("full_row_rank", True):
+    check takes an SVD, and by _rank elsewhere. R is inverted once; a second
+    np.linalg.inv only re-raises the first one's LinAlgError. Raises
+    RankDeficientError."""
+    rinv = _inverse(Z.r)
+    if not (_bound_settles_rank(Z.r, rinv) and Z.__dict__.setdefault("full_row_rank", True)):
         _require_full_row_rank(Z)
-        rinv = np.linalg.inv(Z.r)
-    return rinv
+    return np.linalg.inv(Z.r) if rinv is None else rinv
 
 
 @dataclass(frozen=True)

@@ -537,13 +537,16 @@ class TestFitMinNormStack:
     # Where the bound does not settle the rank (it is at least cond(R), and
     # these spectra put it just above 0.5 / RANK_RTOL = 5e9), the SVD rule
     # decides with one values-only SVD of R: full rank at cond 5e9, rank
-    # deficient at 2e10.
+    # deficient at 2e10. R is inverted once either way: the fit keeps the
+    # inverse the bound was formed from.
     @pytest.mark.parametrize("cond,full_rank", [(5e9, True), (2e10, False)])
     def test_rank_svd_only_where_the_bound_does_not_settle(self, monkeypatch, cond, full_rank):
-        svd, seen = np.linalg.svd, []
+        svd, inv, seen, inverted = np.linalg.svd, np.linalg.inv, [], []
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: seen.append((a[0].shape, kw)) or svd(*a, **kw))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
         for fit, data in TestOracleEquivalence.ill_conditioned_cases(cond):
             seen.clear()
+            inverted.clear()
             z = DesignMatrix(data.Z.entries)
             data = LabeledData(Z=z, S=data.S, Y=data.Y)
             if full_rank:
@@ -552,6 +555,7 @@ class TestFitMinNormStack:
                 with pytest.raises(RankDeficientError):
                     fit(data)
             assert seen == [((5, 5), {"compute_uv": False})]
+            assert inverted == [(5, 5)]
             assert z.full_row_rank == full_rank and len(seen) == 1
 
     def test_worst_block_decides_interpolation(self):
@@ -730,19 +734,18 @@ class TestFitRst:
         fit_rst(data, UnlabeledData(Zu=zu, Su=zu @ data.truth.beta_stars[0]), fit_full(data))
         assert made == []
 
-    # fit_rst settles both ranks as a fit does. On a labeled design that no
-    # fit has read, ||R||_F ||R^-1||_F settles the row rank, and on R11 the
-    # column rank, with no SVD; a rank-deficient labeled design is refused
-    # after one values-only SVD of its R.
-    def test_settles_both_ranks_without_an_svd(self, monkeypatch):
+    # ||R11||_F ||R11^-1||_F settles Zu's column rank with no SVD, and the
+    # labeled design's row rank is the one the full-model fit recorded, so
+    # fit_full then fit_rst on a fresh design take no SVD; a rank-deficient
+    # labeled design is refused after one values-only SVD of its R.
+    def test_settles_r11_rank_without_an_svd(self, monkeypatch):
         data = table2()
-        full = fit_full(data)
         unlabeled = UnlabeledData(Zu=np.eye(3), Su=data.truth.beta_stars[0])
         svd, seen = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: seen.append((a[0].shape, kw)) or svd(*a, **kw))
         fresh = LabeledData(Z=DesignMatrix(data.Z.entries), S=data.S, Y=data.Y)
-        assert_allclose(fit_rst(fresh, unlabeled, full).theta_hat, [2.0, 2.0, -2.0], atol=1e-8)
-        assert seen == [] and fresh.Z.full_row_rank
+        assert_allclose(fit_rst(fresh, unlabeled, fit_full(fresh)).theta_hat, [2.0, 2.0, -2.0], atol=1e-8)
+        assert seen == []
         deficient = LabeledData(Z=DesignMatrix(np.ones((2, 3))), S=np.ones(2), Y=np.ones(2))
         with pytest.raises(RankDeficientError, match="design matrix"):
             fit_rst(deficient, unlabeled, LinearModel(theta_hat=np.ones(3), w_hat=np.ones(1), kind="full"))
