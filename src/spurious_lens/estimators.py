@@ -349,12 +349,14 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
     the minimum-norm one, P theta* + w (I - P) beta*. theta is read off R =
     [R11 r; 0 rho] of [Zu | pseudo] as R11^-1 r, with no Q formed (Bjorck 1996,
     §2.4); R11 is R of Zu, and ||R11||_F ||R11^-1||_F <= 0.5 / RANK_RTOL
-    settles the rank with no SVD, else R11's singular values decide it. The
-    labeled design's row rank is checked by the SVD rule, which reads the
-    rank a fit on the same design has already recorded. When that theta
-    misses the labels (near the rank cutoff) it is read the same way off
-    [Z Y; Zu pseudo]. Raises InconsistentConstraintsError when the stacked
-    system's relative residual exceeds INTERP_RTOL.
+    settles the rank with no SVD, else R11's singular values decide it.
+    R11^-1, formed once for that bound, gives theta by one product (a solve
+    only when np.linalg.inv refuses R11). The labeled design's row rank is
+    checked by the SVD rule, which reads the rank a fit on the same design
+    has already recorded. When that theta misses the labels (near the rank
+    cutoff) it is read the same way off [Z Y; Zu pseudo]. Raises
+    InconsistentConstraintsError when the stacked system's relative
+    residual exceeds INTERP_RTOL.
     """
     if full.kind != "full":
         raise ValueError(f"fit_rst needs a full-model fit, got kind={full.kind!r}")
@@ -382,10 +384,11 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
         augmented = np.column_stack([zu, pseudo])
         r = np.linalg.qr(augmented, mode="r")
         r11 = r[:d, :d]
-        if not _bound_settles_rank(r11, _inverse(r11)) and _rank(np.linalg.svd(r11, compute_uv=False)) < d:
+        r11inv = _inverse(r11)
+        if not _bound_settles_rank(r11, r11inv) and _rank(np.linalg.svd(r11, compute_uv=False)) < d:
             raise RankDeficientError(f"unlabeled design ({m}x{d}) must have full column rank")
         rhs = np.concatenate([labeled.Y, pseudo])
-        theta = np.linalg.solve(r11, r[:d, d])
+        theta = np.linalg.solve(r11, r[:d, d]) if r11inv is None else r11inv @ r[:d, d]
         rel = _relative_residual(np.concatenate([labeled.Z.entries @ theta, zu @ theta]) - rhs, rhs)
         if not rel <= INTERP_RTOL:
             # near the rank cutoff theta's forward error (about cond(Zu) eps) shows in the labels

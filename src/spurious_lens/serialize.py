@@ -19,6 +19,11 @@ process on a deep document, and its buffer would hold about 1.7x the
 document, not one list. The result is json.loads's, except that an integer
 beyond 64 bits reads as the nearest float, as every consumer makes it
 anyway. A document the splicer cannot take goes through json.loads whole.
+The cyclic collector is paused while the document is read: the lists hold
+only numbers and no cycles, yet every collection that fires while they are
+built walks each of their slots again. The value classes then fill each
+matrix from its equal-length row lists by one np.fromiter pass over the
+entries (minnorm._filled), with no shape discovery.
 
 Instance parsing checks only the document's layout (which blocks and keys
 are present) and passes the raw JSON values to the library's value classes,
@@ -34,6 +39,7 @@ never go through it, so their own errors keep their exit codes.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import math
@@ -237,11 +243,23 @@ def _loads(data: bytes | str):
     that string at the placeholder's quote and leaves \\u0000 outside it, so
     that skeleton does not parse. On any failure, encoding a str included,
     json.loads reads it all.
+
+    The cyclic collector is paused throughout and the caller's setting
+    restored after: a young-generation collection fires, by default, every
+    700 new containers and walks every slot of each list built since,
+    though lists of numbers cannot hold a cycle (2-3 collections and 9-20
+    ms per pass of the benchmark's construct-dump and analyze-wide, on a
+    2-vCPU Xeon).
     """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return _loads_lists(data.encode("utf-8") if isinstance(data, str) else data)
     except (ValueError, RecursionError):
         return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def parse_instance(data: bytes | str) -> Instance:

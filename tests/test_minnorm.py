@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spurious_lens import minnorm
@@ -443,3 +445,63 @@ def test_svd_through_qr_is_an_svd_of_z():
         assert np.max(np.abs(pi.basis.T @ pi.basis - np.eye(n))) <= 4 * n * eps
         assert np.linalg.norm(pi.project(z.T).T - z) <= 10 * n * eps * ref[0]
         assert np.max(np.abs(np.linalg.svd(design.r, compute_uv=False) - ref)) <= 2 * n * eps * ref[0]
+
+
+# Entries as a parsed document or a caller may hand them over: every float
+# (signed zero, subnormals, the extremes, non-finite), integers past 64
+# bits, bools, None, strings that may or may not read as numbers, and
+# nested lists, which np.asarray reads as a third dimension.
+ENTRIES = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    st.text(alphabet="0123456789.e-+_ naif", max_size=6),
+    st.lists(st.floats(allow_nan=False), max_size=2),
+)
+
+
+@st.composite
+def row_lists(draw):
+    """Rows of one length, sometimes with one ragged or empty row."""
+    d = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=d, max_size=d), max_size=5))
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.lists(ENTRIES, max_size=5))
+    return rows
+
+
+def outcome(f, a):
+    try:
+        return f(a)
+    except Exception as exc:
+        return exc
+
+
+def same_outcome(fast, plain) -> bool:
+    """The same array, bit for bit, or the same exception type and message."""
+    if isinstance(plain, Exception):
+        return (type(fast), str(fast)) == (type(plain), str(plain))
+    return (
+        isinstance(fast, np.ndarray)
+        and (fast.dtype, fast.shape) == (plain.dtype, plain.shape)
+        and fast.tobytes() == plain.tobytes()
+    )
+
+
+# Row lists are filled by one np.fromiter pass; every value and every error
+# must be np.asarray's.
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(rows=row_lists())
+@example(rows=[[2**70, -(2**70), -0.0, 5e-324, True, None, "1_0"]])
+@example(rows=[[1.0, [2.0]], [3.0, 4.0]])
+@example(rows=[[1.0, 2.0], [3.0]])
+@example(rows=[[], []])
+@example(rows=[[2**1100]])
+def test_row_fill_matches_asarray(rows):
+    plain = outcome(lambda a: np.asarray(a, dtype=float), rows)
+    assert same_outcome(outcome(minnorm._filled, rows), plain)
+    as_matrix = lambda a: minnorm._as_matrix(a, "m")  # noqa: E731
+    expected = plain if isinstance(plain, Exception) else outcome(as_matrix, plain)
+    assert same_outcome(outcome(as_matrix, rows), expected)

@@ -6,12 +6,15 @@ nested lists is written one Python float at a time. The two must give the
 same bytes, and every other array must be written as the float64 values of
 its entries. An instance document is read with each flat list parsed by its
 own orjson call; the result, or the error, must be json.loads's, and orjson
-must see only flat lists.
+must see only flat lists. The cyclic collector is paused while it is read:
+no collection runs inside the reader, and the caller's setting comes back.
 """
 
+import gc
 import json
 import math
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -359,3 +362,54 @@ def test_million_deep_array_is_one_orjson_call(monkeypatch):
     with pytest.raises(serialize.InstanceError, match="instance JSON invalid"):
         parse_instance(b'{"scenario": {"n": ' + b"[" * depth + b"0" + b"]" * depth + b"}}")
     assert seen == [b"[0]"]
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The collector switched on or off for the test, and back as it was after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+# A parse that succeeds, one that falls back to json.loads (orjson refuses
+# NaN) and one that fails each leave the collector as the caller had it.
+def test_parse_leaves_the_collector_as_it_found_it(collector):
+    assert parse_instance((GOLDEN / "one_beta.instance.json").read_bytes()).truth is not None
+    assert gc.isenabled() is collector
+    assert math.isnan(parse_instance(b'{"scenario": {"m": [[1], [NaN]]}}').scenario["m"][1][0])
+    assert gc.isenabled() is collector
+    with pytest.raises(serialize.InstanceError, match="instance JSON invalid"):
+        parse_instance(b'{"scenario": {"m": [[1], [2}}')
+    assert gc.isenabled() is collector
+
+
+def inside_loads() -> bool:
+    frame = sys._getframe(1)
+    while frame is not None and frame.f_code is not _loads.__code__:
+        frame = frame.f_back
+    return frame is not None
+
+
+# The collections the pause holds back run at the first allocation after
+# it, outside the reader: only those with _loads on the stack count.
+def test_loads_runs_no_collection():
+    rows = [[i + 0.5, -1.25, 3.0] for i in range(2000)]
+    data = json.dumps({"train": {"Z": rows}}).encode()
+    starts = []
+
+    def record(phase, info):
+        if phase == "start" and inside_loads():
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        doc = _loads(data)
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if was else gc.disable)()
+    assert doc == {"train": {"Z": rows}}
+    assert starts == []
