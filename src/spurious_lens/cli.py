@@ -7,7 +7,9 @@
 
 Common flags: --output PATH (default stdout), --format json|csv,
 --seed N (0 <= N < 2**64). --trials N is simulate's alone, and the tables
-scenario, which runs no trials, refuses it. Exit codes: 0 success,
+scenario, which runs no trials, refuses it. construct takes --n and --x in
+disjoint mode and --d in balanced mode, and refuses the other mode's flags
+(an instance's scenario block may hold all three). Exit codes: 0 success,
 1 verification failure, 2 input error or an unwritable --output or stdout
 (such as a closed pipe), 3 numerical precondition failure, 4 construction
 precondition failure.
@@ -112,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_co)
     p_co.add_argument("--mode", choices=("disjoint", "balanced"), required=True)
     p_co.add_argument("--n", type=int, help="training rows (disjoint mode)")
-    p_co.add_argument("--x", type=float, help="free scale of the training direction")
+    p_co.add_argument("--x", type=float, help="free scale of the training direction (disjoint mode)")
     p_co.add_argument("--d", type=int, help="ambient dimension (balanced mode)")
 
     p_si = sub.add_parser("simulate", help="run a named scenario")
@@ -273,6 +275,9 @@ def _param(args, scenario: dict, key: str, kind, default=None):
 
 
 def cmd_construct(args):
+    for key in ("d",) if args.mode == "disjoint" else ("n", "x"):
+        if getattr(args, key) is not None:
+            raise InstanceError(f"construct --mode {args.mode} takes no --{key}")
     scenario = {}
     truth = None
     data = None

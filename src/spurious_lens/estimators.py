@@ -249,7 +249,8 @@ def fit_min_norm_stack(Z: DesignMatrix, cols, Y) -> tuple[np.ndarray, np.ndarray
     Z' = Q R, theta_i = Z'R^-1 c_i where c_i = b - A_i w_i, A_i = R'^{-1} cols_i
     and b = R'^{-1} Y; minimizing ||c_i||^2 + ||w_i||^2 gives
     (I + A_i'A_i) w_i = A_i'b, solved for all blocks by one stacked solve.
-    R^-1 is formed once (R is triangular, so LU exchanges no rows); all
+    R^-1 is formed once, by blocks of the triangular R (minnorm._inverse:
+    about n^3/3 flops, against 8n^3/3 for an LU solve against I); all
     A_i' = cols_i'R^-1 and all A_i'b each come from one 2-D product over the
     T blocks, and all theta_i from two (_through_z). Only when A'A or A'b
     overflows is each column of A with max|a_j| >= 0.5 scaled by the power of
@@ -350,13 +351,14 @@ def fit_rst(labeled: LabeledData, unlabeled: UnlabeledData, full: LinearModel) -
     [R11 r; 0 rho] of [Zu | pseudo] as R11^-1 r, with no Q formed (Bjorck 1996,
     §2.4); R11 is R of Zu, and ||R11||_F ||R11^-1||_F <= 0.5 / RANK_RTOL
     settles the rank with no SVD, else R11's singular values decide it.
-    R11^-1, formed once for that bound, gives theta by one product (a solve
-    only when np.linalg.inv refuses R11). The labeled design's row rank is
-    checked by the SVD rule, which reads the rank a fit on the same design
-    has already recorded. When that theta misses the labels (near the rank
-    cutoff) it is read the same way off [Z Y; Zu pseudo]. Raises
-    InconsistentConstraintsError when the stacked system's relative
-    residual exceeds INTERP_RTOL.
+    R11^-1, formed once for that bound by blocks of the triangular R11
+    (minnorm._inverse), gives theta by one product; a solve runs only when
+    R11 has a zero on its diagonal, where _inverse gives None. The labeled
+    design's row rank is checked by the SVD rule, which reads the rank a fit
+    on the same design has already recorded. When that theta misses the
+    labels (near the rank cutoff) it is read the same way off
+    [Z Y; Zu pseudo]. Raises InconsistentConstraintsError when the stacked
+    system's relative residual exceeds INTERP_RTOL.
     """
     if full.kind != "full":
         raise ValueError(f"fit_rst needs a full-model fit, got kind={full.kind!r}")

@@ -5,17 +5,19 @@ only the n x n R; the rank comes from R's singular values, which are Z's,
 and every minimum-norm fit reads R and Z (estimators), forming Q only near
 the rank cutoff. A fit takes no rank SVD where ||R||_F ||R^-1||_F <=
 _BOUND_MARGIN / RANK_RTOL (_full_rank_inverse): the SVD rule would agree,
-and the fit forms R^-1 anyway. The design caches no Q: projection() takes
-its own reduced QR, hands its R to the design when none was taken yet, and
-builds the row basis V = Q Ur of the thin SVD Z = U S V' from R = Ur S Vr'
-(Chan's R-SVD).
+and the fit forms R^-1 anyway, by blocks of the triangular R with
+np.linalg.inv only on blocks of at most _LEAF rows (_inverse). The design
+caches no Q: projection() takes its own reduced QR, hands its R to the
+design when none was taken yet, and builds the row basis V = Q Ur of the
+thin SVD Z = U S V' from R = Ur S Vr' (Chan's R-SVD).
 V backs P = V V', applied as V(V'x) and formed densely only on request.
 Also here: the least-norm solver by pseudoinverse (the oracle everything
 else is checked against), and the intersection projector of two orthonormal
 bases, taken from their principal angles. One rule, _rank, decides every
 rank that the norm bound leaves open. Matrices arrive as arrays or as row
 lists from a parsed instance; equal-length row lists are converted by one
-np.fromiter pass over their entries (_filled), anything else by np.asarray.
+np.fromiter pass over their entries (_filled), anything else by np.asarray,
+and an array made from a list is locked in place rather than copied.
 
 All functions are pure and operate on immutable inputs; tolerances are the
 module constants below.
@@ -46,6 +48,11 @@ INTERP_RTOL = 1e-8
 PINV_RTOL = 1e-12
 
 _ORTHO_TOL = 1e-9
+# Triangular blocks of at most this many rows are inverted by np.linalg.inv
+# (_inverse). Of 8, 16, 32, 64 and 128 rows, 32 was the fastest for n = 100
+# to 600 (best of 15, 2-vCPU Xeon, 2 BLAS threads: 2.8 ms at n = 600 against
+# 3.0 ms at 16 and at 64, and 14.9 ms for np.linalg.inv of the whole R).
+_LEAF = 32
 
 
 def _rank(s: np.ndarray) -> int:
@@ -61,21 +68,27 @@ def _finite(a: np.ndarray, name: str) -> np.ndarray:
 
 def _filled(a) -> np.ndarray:
     """np.asarray(a, dtype=float), a list of equal-length row lists filled by
-    one np.fromiter pass over its entries.
+    one np.fromiter pass over its entries; an array made from a list is
+    locked read-only in place, so freezing it copies nothing.
 
     fromiter converts each entry by the same rule as np.asarray and skips its
     shape discovery (the traced self time of DesignMatrix per analyze-wide
-    benchmark pass fell from 44 to 40 ms on a 2-vCPU Xeon). Any other input,
-    and any entry fromiter refuses (a nested list, a dict), goes to
-    np.asarray, so the value or the error is np.asarray's.
+    benchmark pass fell from 44 to 40 ms on a 2-vCPU Xeon); the equal-size
+    resize gives the filled vector its 2-D shape in place, so it owns its
+    buffer. Any other input, and any entry fromiter refuses (a nested list, a
+    dict), goes to np.asarray, so the value or the error is np.asarray's. An
+    array the caller passed in is never locked.
     """
-    if type(a) is list and a and all(type(row) is list and len(row) == len(a[0]) for row in a):
-        n, d = len(a), len(a[0])
+    if type(a) is not list:
+        return np.asarray(a, dtype=float)
+    m = None
+    if a and all(type(row) is list and len(row) == len(a[0]) for row in a):
         try:
-            return np.fromiter(itertools.chain.from_iterable(a), float, n * d).reshape(n, d)
+            m = np.fromiter(itertools.chain.from_iterable(a), float, len(a) * len(a[0]))
+            m.resize((len(a), len(a[0])))
         except (TypeError, ValueError, OverflowError):
             pass
-    return np.asarray(a, dtype=float)
+    return _locked(np.asarray(a, dtype=float) if m is None else m)[0]
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -174,11 +187,41 @@ def _require_full_row_rank(Z: DesignMatrix) -> None:
 
 
 def _inverse(r: np.ndarray) -> np.ndarray | None:
-    """R^-1, or None for a singular or non-square R (np.linalg.inv's LinAlgError)."""
+    """R^-1 of an upper triangular R, or None for a non-square R or a zero on
+    its diagonal (a leaf's np.linalg.inv raises LinAlgError).
+
+    Inverted by blocks: at the split h = n // 2, X11 = R11^-1 and X22 =
+    R22^-1 recursively, then X12 = -(X11 R12) X22, all written into one
+    n x n array; blocks of at most _LEAF rows go to np.linalg.inv, so an R
+    of at most _LEAF rows is inverted exactly as np.linalg.inv does. That
+    is n^3/3 flops, nearly all in two BLAS-3 products per level, against
+    about 8n^3/3 for the LU solve of R X = I, and it is as stable (Du Croz &
+    Higham, IMA J. Numer. Anal. 12, 1992). Overflow in the products is left
+    to the caller's bound, as np.linalg.inv leaves it.
+    """
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        return None
     try:
-        return np.linalg.inv(r)
+        if r.shape[0] <= _LEAF:
+            return np.linalg.inv(r)
+        x = np.zeros_like(r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _invert_into(r, x)
+        return x
     except np.linalg.LinAlgError:
         return None
+
+
+def _invert_into(r: np.ndarray, x: np.ndarray) -> None:
+    """Write R^-1 of the upper triangular R into the zeroed x, by _inverse's blocks."""
+    n = r.shape[0]
+    if n <= _LEAF:
+        x[...] = np.linalg.inv(r)
+        return
+    h = n // 2
+    _invert_into(r[:h, :h], x[:h, :h])
+    _invert_into(r[h:, h:], x[h:, h:])
+    np.matmul(-(x[:h, :h] @ r[:h, h:]), x[h:, h:], out=x[:h, h:])
 
 
 def _bound_settles_rank(r: np.ndarray, rinv: np.ndarray | None) -> bool:
@@ -200,9 +243,10 @@ def _bound_settles_rank(r: np.ndarray, rinv: np.ndarray | None) -> bool:
 def _full_rank_inverse(Z: DesignMatrix) -> np.ndarray:
     """R^-1 of the design's R once its full row rank is settled: by the bound
     where it passes, recorded as the design's full_row_rank so that no later
-    check takes an SVD, and by _rank elsewhere. R is inverted once; a second
-    np.linalg.inv only re-raises the first one's LinAlgError. Raises
-    RankDeficientError."""
+    check takes an SVD, and by _rank elsewhere. R is inverted once, by
+    _inverse; an np.linalg.inv of the whole R runs only to re-raise its
+    LinAlgError where _inverse found a zero on the diagonal and _rank still
+    counted every singular value. Raises RankDeficientError."""
     rinv = _inverse(Z.r)
     if not (_bound_settles_rank(Z.r, rinv) and Z.__dict__.setdefault("full_row_rank", True)):
         _require_full_row_rank(Z)

@@ -7,13 +7,18 @@ Run from the repository root:
 Each block that `tests/test_cli.py::SCALED_FIELDS` names in the golden
 one_beta instance is scaled in turn by every power of ten from 1e-300 to
 1e300, and the seven commands of `test_scaled_field_keeps_exit_contract`
-run on each scaled copy, in this process. Every run must exit 0, 1, 2, 3
-or 4, exit 1 only for a failed verification, print nothing to stdout
-unless it exits 0, raise no exception (a traceback) and issue no
-RuntimeWarning. Tier-1 runs four of these scales; this script runs all
-601 (4,808 instances, 33,656 runs, a few minutes on two cores). It prints
-the number of runs per (command, exit code), every failure, and the wall
-time, and exits 1 when a run failed.
+run on each scaled copy, in this process. A second, wider instance (a
+40 x 100 design with 120 unlabeled rows, drawn from a fixed seed) has its
+ground truth, design and unlabeled blocks scaled the same way and runs the
+four fit commands: its R has 40 rows and the rst fit's R11 100, so both
+are inverted by blocks, which the golden instance's 5-row R never is.
+Every run must exit 0, 1, 2, 3 or 4, exit 1 only for a failed
+verification, print nothing to stdout unless it exits 0, raise no
+exception (a traceback) and issue no RuntimeWarning. Tier-1 runs four of
+these scales on the golden instance; this script runs all 601 on both
+(4,808 + 3,005 instances, 45,676 runs, about five minutes on two cores). It
+prints the number of runs per (command, exit code) for each instance,
+every failure, and the wall time, and exits 1 when a run failed.
 """
 
 import collections
@@ -28,18 +33,25 @@ import traceback
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 REPO = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
 from spurious_lens.cli import main as cli_main  # noqa: E402
 from test_cli import SCALED_FIELDS, golden_instance, scale_field  # noqa: E402
 
+FITS = tuple(["fit", "--model", model] for model in ("core", "full", "multi", "rst"))
 COMMANDS = (
-    *(["fit", "--model", model] for model in ("core", "full", "multi", "rst")),
+    *FITS,
     ["analyze", "--seed", "3"],
     ["construct", "--mode", "disjoint", "--n", "4"],
     ["construct", "--mode", "balanced", "--d", "12"],
 )
+WIDE_FIELDS = [
+    ("ground_truth", "theta_star"), ("ground_truth", "beta_stars"), ("train", "Z"),
+    ("unlabeled", "Zu"), ("unlabeled", "Su"),
+]
 SCALES = [float(f"1e{e}") for e in range(-300, 301)]
 
 
@@ -70,29 +82,51 @@ def failure(status, out: str, err: str, runtime: list[str]) -> str | None:
     return None
 
 
+def wide_instance() -> dict:
+    """A 40 x 100 design, one beta*, and 120 unlabeled rows with Su = Zu beta*."""
+    rng = np.random.default_rng(40100)
+    z, zu = rng.standard_normal((40, 100)), rng.standard_normal((120, 100))
+    theta, beta = rng.standard_normal((2, 100))
+    return {
+        "ground_truth": {"theta_star": theta.tolist(), "beta_stars": [beta.tolist()]},
+        "train": {"Z": z.tolist()},
+        "unlabeled": {"Zu": zu.tolist(), "Su": (zu @ beta).tolist()},
+    }
+
+
+SWEEPS = (
+    ("golden one_beta", golden_instance, SCALED_FIELDS, COMMANDS),
+    ("wide 40 x 100", wide_instance, WIDE_FIELDS, FITS),
+)
+
+
 def main() -> int:
     start = time.perf_counter()
-    counts, failures = collections.Counter(), []
+    failures, total = [], 0
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "instance.json")
-        for field in SCALED_FIELDS:
-            for scale in SCALES:
-                doc = golden_instance()
-                scale_field(doc, field, scale)
-                with open(path, "w") as fh:
-                    json.dump(doc, fh)
-                for argv in COMMANDS:
-                    status, out, err, runtime = run(argv + ["--instance", path])
-                    command = " ".join(argv)
-                    counts[command, status] += 1
-                    why = failure(status, out, err, runtime)
-                    if why:
-                        failures.append(f"{'.'.join(map(str, field))} x {scale:g}, {command}: {why}")
-    for (command, status), count in sorted(counts.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
-        print(f"{command:<40} exit {status}: {count}")
+        for name, instance, fields, commands in SWEEPS:
+            counts = collections.Counter()
+            for field in fields:
+                for scale in SCALES:
+                    doc = instance()
+                    scale_field(doc, field, scale)
+                    with open(path, "w") as fh:
+                        json.dump(doc, fh)
+                    for argv in commands:
+                        status, out, err, runtime = run(argv + ["--instance", path])
+                        command = " ".join(argv)
+                        counts[command, status] += 1
+                        why = failure(status, out, err, runtime)
+                        if why:
+                            failures.append(f"{name}, {'.'.join(map(str, field))} x {scale:g}, {command}: {why}")
+            print(f"{name}:")
+            for (command, status), count in sorted(counts.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
+                print(f"  {command:<40} exit {status}: {count}")
+            total += sum(counts.values())
     for line in failures:
         print("FAILED", line)
-    print(f"{sum(counts.values())} runs, {len(failures)} failed, {time.perf_counter() - start:.1f} s")
+    print(f"{total} runs, {len(failures)} failed, {time.perf_counter() - start:.1f} s")
     return 1 if failures else 0
 
 

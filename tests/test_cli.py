@@ -1015,6 +1015,27 @@ class TestConstructCommand:
         assert (status, out) == (2, "")
         assert err == "input error: construct --mode balanced needs one spurious column, but train.S has 2\n"
 
+    # a flag of the other mode is refused, not ignored; the instance's
+    # scenario keys are not, since one scenario block may serve both modes
+    @pytest.mark.parametrize("mode,flags,key", [
+        ("disjoint", ["--n", "2", "--d", "9999"], "d"),
+        ("balanced", ["--d", "8", "--n", "3"], "n"),
+        ("balanced", ["--d", "8", "--x", "5"], "x"),
+        ("balanced", ["--d", "8", "--n", "3", "--x", "5"], "n"),
+    ])
+    def test_other_mode_flag_exit_2(self, capsys, mode, flags, key):
+        instance = str(GOLDEN / "one_beta.instance.json")
+        status, out, err = run(capsys, ["construct", "--mode", mode, "--instance", instance, *flags])
+        assert (status, out) == (2, "")
+        assert err == f"input error: construct --mode {mode} takes no --{key}\n"
+
+    @pytest.mark.parametrize("mode,flags", [("disjoint", ["--n", "4"]), ("balanced", ["--d", "12"])])
+    def test_other_mode_scenario_keys_are_accepted(self, capsys, tmp_path, mode, flags):
+        doc = dict(golden_instance(), scenario={"n": 4, "x": 0.1, "d": 12})
+        status, out, err = run(capsys, ["construct", "--mode", mode, "--instance", write_instance(tmp_path, doc), *flags])
+        assert status == 0, err
+        assert json.loads(out)["verified"] is True
+
     @pytest.mark.parametrize("mode,key", [("disjoint", "n"), ("balanced", "d")])
     def test_missing_parameter_exit_2(self, capsys, tmp_path, mode, key):
         doc = dict(golden_instance(), scenario={key: None, "S": [1.0, 2.0], "Y": [2.0, 1.0]})
@@ -1111,7 +1132,8 @@ class TestConstructCommand:
             "ground_truth": {"theta_star": [scale, 0.0, 0.0, 0.0], "beta_stars": [[0.0, 2.0 * scale, 0.0, 0.0]]},
             "scenario": {"S": [scale, 2.0 * scale], "Y": [2.0 * scale, scale], "d": 6},
         } if scale else {"scenario": {"S": [1e308, 0.0], "Y": [-1e308, 1e308], "d": 6}}
-        argv = ["construct", "--mode", mode, "--instance", write_instance(tmp_path, doc), "--n", "1"]
+        argv = ["construct", "--mode", mode, "--instance", write_instance(tmp_path, doc)]
+        argv += ["--n", "1"] if mode == "disjoint" else []
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             status, out, err = run(capsys, argv)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import exact
-from spurious_lens import estimators
+from spurious_lens import estimators, minnorm
 from spurious_lens import (
     DesignMatrix,
     GroundTruth,
@@ -400,6 +400,40 @@ class TestOracleEquivalence:
             got = np.concatenate([model.theta_hat, model.w_hat])
             assert np.linalg.norm(got - want) <= 2 * cond * np.finfo(float).eps * np.linalg.norm(want)
 
+    @staticmethod
+    def wide_cases(cond):
+        """(fit, design entries, truth) for 3 60 x 150 designs with singular
+        values spread from 1 to 1/cond, each under fit_core, fit_full and
+        fit_multi: their R has 60 rows, so it is inverted by blocks."""
+        for seed in range(3):
+            rng = np.random.default_rng([seed, int(np.log10(cond)), 60])
+            u, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+            v, _ = np.linalg.qr(rng.standard_normal((150, 60)))
+            z = (u * np.logspace(0.0, -np.log10(cond), 60)) @ v.T
+            theta, beta1, beta2 = rng.standard_normal((3, 150))
+            for fit, betas in ((fit_core, ()), (fit_full, (beta1,)), (fit_multi, (beta1, beta2))):
+                yield fit, z, GroundTruth(theta, betas)
+
+    # R of a 60 x 150 design is inverted as two 30-row leaves and one block
+    # product. Every fit matches the oracle as the 5 x 12 slice does, and is
+    # within cond(Z) eps relative of the same fit with R inverted by
+    # np.linalg.inv whole (the worst measured was 0.21 cond(Z) eps).
+    @pytest.mark.parametrize("cond", [1e3, 1e6, 1e9])
+    def test_blocked_inverse_fits_match_the_whole_inverse_fit(self, monkeypatch, cond):
+        inv, leaves = np.linalg.inv, []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: leaves.append(a.shape) or inv(a))
+        for fit, z, truth in self.wide_cases(cond):
+            leaves.clear()
+            data = LabeledData.from_truth(DesignMatrix(z), truth)
+            model = fit(data)
+            assert leaves == [(30, 30), (30, 30)]
+            self.assert_matches_oracle(model, data, cond)
+            with monkeypatch.context() as whole:
+                whole.setattr(minnorm, "_inverse", inv)
+                want = fit(LabeledData.from_truth(DesignMatrix(z), truth))
+            got, want = (np.concatenate([m.theta_hat, m.w_hat]) for m in (model, want))
+            assert np.linalg.norm(got - want) <= cond * np.finfo(float).eps * np.linalg.norm(want)
+
     # The residual that triggers the correction step is the one the
     # interpolation check reads. At cond 1e3 the seminormal residual stays
     # below _REFINE_RTOL (at most 4.0e-13 here) and no step runs; at 1e8 and
@@ -694,6 +728,37 @@ class TestFitRst:
                 want = exact.stacked(data.Z.entries, data.Y, unlabeled.Zu, pseudo)
                 assert np.linalg.norm(got - want) <= cond * np.finfo(float).eps * np.linalg.norm(want)
         assert passes == {1, 2}
+
+    # With d = 40 columns R11 is inverted as two 20-row leaves and one block
+    # product: theta is within cond(Zu) eps relative of the fit that inverts
+    # R11 by np.linalg.inv whole, at cond(Zu) 1e2 to 1e9 (the worst measured
+    # was 0.029 cond(Zu) eps; at 5e9 both take the stacked pass and agree bit
+    # for bit). At d = 33, the least that takes blocks, it is within
+    # cond(Zu) eps of the exact stacked solve (0.039 measured).
+    def test_blocked_r11_inverse_matches(self, monkeypatch):
+        inv, leaves = np.linalg.inv, []
+        n, m = 15, 60
+        for d, conds in ((40, (1e2, 1e6, 1e9, 5e9)), (33, (1e6,))):
+            for cond in conds:
+                rng = np.random.default_rng([41, d, int(np.log10(cond))])
+                truth = GroundTruth(rng.standard_normal(d), (rng.standard_normal(d),))
+                data = LabeledData.from_truth(DesignMatrix(rng.standard_normal((n, d))), truth)
+                u, _, vt = np.linalg.svd(rng.standard_normal((m, d)), full_matrices=False)
+                zu = u @ np.diag(np.geomspace(1.0, 1.0 / cond, d)) @ vt
+                full, unlabeled = fit_full(data), UnlabeledData(Zu=zu, Su=zu @ truth.beta_stars[0])
+                with monkeypatch.context() as recording:
+                    recording.setattr(np.linalg, "inv", lambda a: leaves.append(a.shape) or inv(a))
+                    leaves.clear()
+                    got = fit_rst(data, unlabeled, full).theta_hat
+                assert leaves == [(d // 2, d // 2), (d - d // 2, d - d // 2)]
+                if d == 33:
+                    pseudo = unlabeled.Zu @ full.theta_hat + unlabeled.Su @ full.w_hat
+                    want = exact.stacked(data.Z.entries, data.Y, unlabeled.Zu, pseudo)
+                else:
+                    with monkeypatch.context() as whole:
+                        whole.setattr(estimators, "_inverse", inv)
+                        want = fit_rst(data, unlabeled, full).theta_hat
+                assert np.linalg.norm(got - want) <= cond * np.finfo(float).eps * np.linalg.norm(want)
 
     # fit_rst forms no Q: past the labeled design's R (taken by fit_full) it
     # factors [Zu | pseudo] with mode="r", and only a theta that misses the

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -335,6 +336,27 @@ class TestDesignMatrixInvariants:
         integers.setflags(write=False)
         assert DesignMatrix(integers).entries.dtype == float
 
+    # An array filled from row lists belongs to no caller: it owns its buffer
+    # and is locked in place, so the design keeps it with no copy and its
+    # traced peak is the design itself (twice that while it was copied). A
+    # caller's writable array is copied and left writable.
+    def test_filled_rows_are_locked_not_copied(self):
+        rows = np.random.default_rng(9).standard_normal((200, 300)).tolist()
+        tracemalloc.start()
+        try:
+            z = DesignMatrix(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * z.entries.nbytes
+        assert z.entries.flags.owndata and not z.entries.flags.writeable
+        assert not np.shares_memory(z.entries, minnorm._as_matrix(rows, "m"))
+        writable = np.array(rows)
+        assert minnorm._as_matrix(writable, "m") is writable and writable.flags.writeable
+        z = DesignMatrix(writable)
+        assert writable.flags.writeable and not np.shares_memory(z.entries, writable)
+        assert not z.entries.flags.writeable
+
     def test_rejects_bad_input(self):
         with pytest.raises(DimensionMismatchError):
             DesignMatrix(np.zeros(3))
@@ -416,6 +438,82 @@ class TestRankBound:
         for r in (singular, tall, huge):
             assert not minnorm._bound_settles_rank(r, minnorm._inverse(r))
         assert minnorm._rank(np.linalg.svd(huge, compute_uv=False)) == 5
+
+
+def triangular(n, cond, seed=0):
+    """R of Z' for an n x 3n/2 design Z with singular values from 1 to 1/cond."""
+    rng = np.random.default_rng([n, int(cond), seed])
+    return np.linalg.qr(conditioned(rng, n, n + n // 2, cond).T, mode="r")
+
+
+def left_residual(x, r):
+    """max |XR - I| / (|X||R|) over the upper triangle, in units of u = eps/2."""
+    upper = np.triu_indices(r.shape[0])
+    ratio = np.abs(x @ r - np.eye(r.shape[0]))[upper] / (np.abs(x) @ np.abs(r))[upper]
+    return float(ratio.max() / (np.finfo(float).eps / 2))
+
+
+class TestTriangularInverse:
+    # Up to the leaf size the kernel is np.linalg.inv itself.
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 31, minnorm._LEAF])
+    def test_leaf_sizes_are_np_inv_bit_for_bit(self, n):
+        for cond in (1e2, 1e9):
+            r = triangular(n, cond)
+            assert minnorm._inverse(r).tobytes() == np.linalg.inv(r).tobytes()
+
+    # Above the leaf the blocks run: every leaf is at most _LEAF rows and the
+    # products fill the rest. Over these 16 factors the worst componentwise
+    # left residual was 9.1 u with blocks against 12.7 u for np.linalg.inv;
+    # the two were equal on 2 (n = 64, where the worst entry lies in a leaf)
+    # and blocks were lower on the other 14. Both are formed in float64.
+    @pytest.mark.parametrize("n", [64, 200, 400, 600])
+    def test_left_residual_no_worse_than_np_inv(self, monkeypatch, n):
+        inv, leaves = np.linalg.inv, []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: leaves.append(a.shape[0]) or inv(a))
+        for cond in (1e2, 1e6, 1e9, 5e9):
+            r = triangular(n, cond)
+            leaves.clear()
+            x = minnorm._inverse(r)
+            assert sum(leaves) == n and max(leaves) <= minnorm._LEAF
+            assert not x[np.tril_indices(n, -1)].any()
+            assert left_residual(x, r) <= left_residual(inv(r), r)
+
+    # A zero on the diagonal stops the leaf that holds it, wherever it sits:
+    # in the first block, in the last, or on either side of the first split.
+    @pytest.mark.parametrize("i", [0, 49, 50, 99])
+    def test_zero_diagonal_gives_none(self, i):
+        r = triangular(100, 1e3).copy()
+        r[i, i] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(r)
+        assert minnorm._inverse(r) is None
+
+    def test_non_square_gives_none(self):
+        r = triangular(100, 1e3)
+        for a in (r[:, :99], r[:99], r[None]):
+            assert minnorm._inverse(a) is None
+
+    # Scaling R by 1e300 or 1e-300 scales the inverse by the reciprocal, with
+    # no overflow or underflow warning from the products.
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_extreme_scales_warn_nothing(self, scale):
+        r = triangular(100, 1e3)
+        want = minnorm._inverse(r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = minnorm._inverse(r * scale)
+        assert np.linalg.norm(x * scale - want) <= 100 * 1e3 * np.finfo(float).eps * np.linalg.norm(want)
+
+    # An inverse past the float range holds inf, with no warning, as
+    # np.linalg.inv's does: here X12 = -X11 R12 X22 reaches -1e400 in the
+    # products while each leaf's inverse is 1e200 I.
+    def test_overflowing_inverse_warns_nothing(self):
+        r = 1e-200 * np.eye(64)
+        r[:32, 32:] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, x_inv = minnorm._inverse(r), np.linalg.inv(r)
+        assert (x[:32, 32:] == -np.inf).all() and not np.isfinite(x_inv).all()
 
 
 def factor_test_designs():
