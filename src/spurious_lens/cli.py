@@ -48,6 +48,7 @@ from .serialize import (
     InstanceError,
     _build,
     _integer,
+    _number,
     dumps_canonical,
     parse_instance,
     rows_to_csv,
@@ -62,15 +63,15 @@ _CONSTRUCTION_ERRORS = (ParallelParametersError, ParallelTargetsError, AbsorbedT
 _SCENARIOS = {
     "example1": (
         lambda seed, **kw: scenarios.example1_simulate(seed=seed, **kw),
-        (("n", _integer, 20), ("p", float, 0.9), ("trials", _integer, 10_000)),
+        (("n", _integer, 20), ("p", _number, 0.9), ("trials", _integer, 10_000)),
     ),
     "example2": (
         lambda seed, **kw: scenarios.example2_simulate(seed=seed, **kw),
-        (("n", _integer, 20), ("p_s", float, 0.9), ("trials", _integer, 10_000)),
+        (("n", _integer, 20), ("p_s", _number, 0.9), ("trials", _integer, 10_000)),
     ),
     "ovb-simple": (
         lambda seed, **kw: scenarios.ovb_simple_scenario(seed=seed, **kw),
-        (("trials", _integer, 100_000), ("sigma", float, 1.0), ("gamma", float, 1.0), ("threshold", float, 1.5)),
+        (("trials", _integer, 100_000), ("sigma", _number, 1.0), ("gamma", _number, 1.0), ("threshold", _number, 1.5)),
     ),
     "tables": (lambda seed: scenarios.reference_tables(), ()),
 }
@@ -290,7 +291,7 @@ def cmd_construct(args):
         if truth is None or truth.n_spurious != 1:
             raise InstanceError("construct --mode disjoint needs ground_truth with one beta vector")
         n = _param(args, scenario, "n", _integer)
-        x = _param(args, scenario, "x", float, 0.1)
+        x = _param(args, scenario, "x", _number, 0.1)
         if not (np.isfinite(x) and x > 0):
             raise InstanceError(f"x must be positive and finite, got {x}")
         bundle = constructions.construct_disjoint(truth.theta_star, truth.beta_stars[0], n, x)

@@ -14,10 +14,10 @@ V backs P = V V', applied as V(V'x) and formed densely only on request.
 Also here: the least-norm solver by pseudoinverse (the oracle everything
 else is checked against), and the intersection projector of two orthonormal
 bases, taken from their principal angles. One rule, _rank, decides every
-rank that the norm bound leaves open. Matrices arrive as arrays or as row
-lists from a parsed instance; equal-length row lists are converted by one
-np.fromiter pass over their entries (_filled), anything else by np.asarray,
-and an array made from a list is locked in place rather than copied.
+rank that the norm bound leaves open. Matrices arrive as arrays (a parsed
+instance's reader fills each matrix row by row as it reads it,
+serialize._rows) or as lists, which np.asarray converts (_filled); an array
+made from a list is locked in place rather than copied.
 
 All functions are pure and operate on immutable inputs; tolerances are the
 module constants below.
@@ -25,7 +25,6 @@ module constants below.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,28 +66,13 @@ def _finite(a: np.ndarray, name: str) -> np.ndarray:
 
 
 def _filled(a) -> np.ndarray:
-    """np.asarray(a, dtype=float), a list of equal-length row lists filled by
-    one np.fromiter pass over its entries; an array made from a list is
-    locked read-only in place, so freezing it copies nothing.
-
-    fromiter converts each entry by the same rule as np.asarray and skips its
-    shape discovery (the traced self time of DesignMatrix per analyze-wide
-    benchmark pass fell from 44 to 40 ms on a 2-vCPU Xeon); the equal-size
-    resize gives the filled vector its 2-D shape in place, so it owns its
-    buffer. Any other input, and any entry fromiter refuses (a nested list, a
-    dict), goes to np.asarray, so the value or the error is np.asarray's. An
-    array the caller passed in is never locked.
+    """np.asarray(a, dtype=float); an array made from a list is locked
+    read-only in place, so freezing it copies nothing. An array the caller
+    passed in is never locked. (An instance's matrices arrive as arrays the
+    reader filled row by row, serialize._rows.)
     """
-    if type(a) is not list:
-        return np.asarray(a, dtype=float)
-    m = None
-    if a and all(type(row) is list and len(row) == len(a[0]) for row in a):
-        try:
-            m = np.fromiter(itertools.chain.from_iterable(a), float, len(a) * len(a[0]))
-            m.resize((len(a), len(a[0])))
-        except (TypeError, ValueError, OverflowError):
-            pass
-    return _locked(np.asarray(a, dtype=float) if m is None else m)[0]
+    m = np.asarray(a, dtype=float)
+    return _locked(m)[0] if type(a) is list else m
 
 
 def _as_matrix(a, name: str) -> np.ndarray:

@@ -11,23 +11,28 @@ round-trip digits.
 
 An instance document is UTF-8 bytes (the CLI reads the file as bytes, with
 no newline translation) or text. Each flat list, a [ ... ] with no bracket,
-brace or quote inside, is read by its own orjson call; json.loads reads the
-rest, each flat list standing in as a placeholder list, and each list is put
-back in its placeholder's place. One whole-document orjson call would be
-simpler, but orjson 3.8.3 builds nested values recursively and crashes the
-process on a deep document, and its buffer would hold about 1.7x the
-document, not one list. The result is json.loads's, except that an integer
-beyond 64 bits reads as the nearest float, as every consumer makes it
-anyway. A document the splicer cannot take goes through json.loads whole.
-The cyclic collector is paused while the document is read: the lists hold
-only numbers and no cycles, yet every collection that fires while they are
-built walks each of their slots again. The value classes then fill each
-matrix from its equal-length row lists by one np.fromiter pass over the
-entries (minnorm._filled), with no shape discovery.
+brace or quote inside, stands in a skeleton as a placeholder list, and
+json.loads reads that skeleton first. Each flat list is then read by its
+own orjson call and put back in its placeholder's place; the rows of an
+instance's train.Z, unlabeled.Zu and list-form sigmas instead go, one row
+per call, into a float64 array as they are read (_rows), so the value
+classes get arrays and no matrix is held whole as Python floats. One
+whole-document orjson call would be simpler, but orjson 3.8.3 builds nested
+values recursively and crashes the process on a deep document, and its
+buffer would hold about 1.7x the document, not one list. The result is
+json.loads's, except that an integer beyond 64 bits reads as the nearest
+float, as every consumer makes it anyway, and those matrices are arrays of
+the values np.asarray gives for json.loads's lists. A document the splicer
+cannot take goes through json.loads whole, its matrices as lists. The
+cyclic collector is paused while the document is read: the lists hold only
+numbers and no cycles, yet every collection that fires while they are
+built walks each of their slots again.
 
 Instance parsing checks only the document's layout (which blocks and keys
-are present) and passes the raw JSON values to the library's value classes,
-which own every array check and keep finite, read-only copies. The one
+are present) and passes the raw JSON values (a matrix as the array the
+reader filled) to the library's value classes, which own every array check
+and keep finite, read-only copies; a number field takes a JSON number
+alone, not a string or a bool (_number, _integer). The one
 exception is a group's sigma: its document form decides whether it is a
 diagonal vector or a d x d matrix, so it is converted first. `_build` is
 the one place where a failure on outside input, from a conversion or a
@@ -41,6 +46,7 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -171,8 +177,18 @@ def _build(name: str, make):
         raise InstanceError(f"{name} invalid: {exc}") from exc
 
 
+def _number(value) -> float:
+    """float(value) of a JSON number, an int or a float; a string or a bool is refused."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _integer(value) -> int:
-    """int(value), refusing a float with a fractional part instead of truncating it."""
+    """int(value) of a JSON number, as _number takes it, refusing a float with
+    a fractional part instead of truncating it."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a number")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
@@ -195,54 +211,106 @@ def _sigma(block):
     return _as_matrix(block, "sigma")
 
 
-def _splice(node, lists: list[list]):
-    """node with each placeholder, a list of one string "\\0<k>", replaced by lists[k]."""
-    if isinstance(node, list) and len(node) == 1 and isinstance(node[0], str) and node[0][:1] == "\0":
-        return lists[int(node[0][1:])]
+def _slot(node) -> int | None:
+    """k for a placeholder, a list of one string "\\0<k>", else None."""
+    if type(node) is list and len(node) == 1 and type(node[0]) is str and node[0][:1] == "\0":
+        return int(node[0][1:])
+    return None
+
+
+def _splice(node, pieces: list):
+    """node with each placeholder for the k-th flat list replaced by orjson's
+    read of pieces[k], the list's bytes."""
+    if (k := _slot(node)) is not None:
+        return orjson.loads(pieces[k])
     for key, value in node.items() if isinstance(node, dict) else enumerate(node):
         if isinstance(value, (dict, list)):
-            node[key] = _splice(value, lists)
+            node[key] = _splice(value, pieces)
     return node
 
 
-def _loads_lists(data: bytes):
-    """The document, each flat list read by orjson, the rest by json.loads.
+def _rows(node, pieces: list):
+    """node, a nonempty list of placeholders for nonempty flat rows of one
+    length, as a locked float64 array; else node itself.
 
+    Each row is read by its own orjson call, its entries converted into the
+    array by one np.fromiter pass as np.asarray converts them, and dropped;
+    the equal-size resize gives the array its 2-D shape in place, so it owns
+    its buffer and freezing it copies nothing. A ragged row ends the pass
+    short, and any failure leaves node to be spliced as lists: json.loads
+    whole then reads a row orjson refuses.
+    """
+    if type(node) is not list or not node or None in (ids := [_slot(row) for row in node]):
+        return node
+    rows = map(orjson.loads, (pieces[k] for k in ids))
+    try:
+        if d := len(first := next(rows)):
+            rows = itertools.chain([first], itertools.takewhile(lambda row: len(row) == d, rows))
+            m = np.fromiter(itertools.chain.from_iterable(rows), float, len(ids) * d)
+            m.resize((len(ids), d))
+            m.setflags(write=False)
+            return m
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return node
+
+
+def _instance_matrices(doc) -> list[tuple[dict, str]]:
+    """(block, key) of each matrix an instance document may spell as rows:
+    train.Z, unlabeled.Zu and each group's sigma."""
+    if not isinstance(doc, dict):
+        return []
+    places = [(doc.get("train"), "Z"), (doc.get("unlabeled"), "Zu")]
+    if isinstance(groups := doc.get("groups"), list):
+        places += [(group, "sigma") for group in groups]
+    return [(block, key) for block, key in places if isinstance(block, dict) and key in block]
+
+
+def _loads_lists(data: bytes, arrays: bool):
+    """The document: the skeleton by json.loads, then each flat list by orjson.
+
+    With arrays, the rows of each place _instance_matrices names become a
+    float64 array (_rows); every other flat list is spliced in as a list.
     Raises ValueError when a string of the skeleton holds the escape
     \\u0000, which would read like a placeholder.
     """
     view = memoryview(data)
-    lists: list[list] = []
+    pieces = []
     skeleton = bytearray()
     pos = done = 0
     while (left := data.find(b"[", pos)) >= 0 and (right := data.find(b"]", left)) >= 0:
         left, pos = data.rfind(b"[", left, right), right + 1
         if any(data.find(c, left, right) >= 0 for c in (b"{", b"}", b'"')):
             continue
-        skeleton += data[done:left] + b'["\\u0000%d"]' % len(lists)
-        lists.append(orjson.loads(view[left:pos]))
+        skeleton += data[done:left] + b'["\\u0000%d"]' % len(pieces)
+        pieces.append(view[left:pos])
         done = pos
-    if not lists:
+    if not pieces:
         return json.loads(data.decode("utf-8"))
     skeleton += view[done:]
-    if skeleton.count(b"\\u0000") != len(lists):
+    if skeleton.count(b"\\u0000") != len(pieces):
         raise ValueError("a string holds the escape \\u0000")
-    return _splice(json.loads(skeleton.decode("utf-8")), lists)
+    doc = json.loads(skeleton.decode("utf-8"))
+    for block, key in _instance_matrices(doc) if arrays else []:
+        block[key] = _rows(block[key], pieces)
+    return _splice(doc, pieces)
 
 
-def _loads(data: bytes | str):
-    """json.loads of the document, each flat list read by its own orjson call.
+def _loads(data: bytes | str, arrays: bool = False):
+    """json.loads of the document, each flat list read by its own orjson call;
+    with arrays, an instance's train.Z, unlabeled.Zu and list-form sigmas
+    come as float64 arrays filled row by row (_rows) instead.
 
     A flat list is a [ ... ] with no bracket, brace or quote inside; the scan
     takes the last [ before the first ] after the candidate before, so a deep
     array is one candidate. No nesting reaches orjson 3.8.3's recursive
     builder, which crashes on a deep document, and its buffer holds one
     list, not 1.7x the document. Each flat list becomes a placeholder list
-    ["\\u0000<k>"] in the skeleton that json.loads reads, under json's rules
-    on NaN, depth, integer size and surrogates; one inside a string closes
-    that string at the placeholder's quote and leaves \\u0000 outside it, so
-    that skeleton does not parse. On any failure, encoding a str included,
-    json.loads reads it all.
+    ["\\u0000<k>"] in the skeleton that json.loads reads first, under json's
+    rules on NaN, depth, integer size and surrogates; one inside a string
+    closes that string at the placeholder's quote and leaves \\u0000 outside
+    it, so that skeleton does not parse. On any failure, encoding a str
+    included, json.loads reads it all.
 
     The cyclic collector is paused throughout and the caller's setting
     restored after: a young-generation collection fires, by default, every
@@ -254,7 +322,7 @@ def _loads(data: bytes | str):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _loads_lists(data.encode("utf-8") if isinstance(data, str) else data)
+        return _loads_lists(data.encode("utf-8") if isinstance(data, str) else data, arrays)
     except (ValueError, RecursionError):
         return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     finally:
@@ -264,7 +332,7 @@ def _loads(data: bytes | str):
 
 def parse_instance(data: bytes | str) -> Instance:
     """Parse an instance JSON document, UTF-8 bytes or text, into library objects."""
-    doc = _build("instance JSON", lambda: _loads(data))
+    doc = _build("instance JSON", lambda: _loads(data, arrays=True))
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
     known = {"ground_truth", "train", "unlabeled", "groups", "robust", "scenario"}
@@ -326,7 +394,7 @@ def parse_instance(data: bytes | str) -> Instance:
         robust = _build(
             "robust",
             lambda: RobustSpec(
-                gamma=float(block["gamma"]), norm_kind=str(block.get("norm_kind", "l2"))
+                gamma=_number(block["gamma"]), norm_kind=str(block.get("norm_kind", "l2"))
             ),
         )
         robust_samples = _build("robust.samples", lambda: _integer(block.get("samples", robust_samples)))

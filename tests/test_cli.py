@@ -122,6 +122,19 @@ MALFORMED_INPUTS = [
     ("robust_samples_fractional", {("robust", "samples"): 4096.5}, ["analyze"]),
     ("scenario_n_fractional", {("scenario", "n"): 4.5}, ["construct", "--mode", "disjoint"]),
     ("scenario_trials_fractional", {("scenario", "trials"): 50.5}, ["simulate", "--scenario", "example1"]),
+    # a number field holds a JSON string or a bool, which int() and float() would take
+    ("robust_samples_string", {("robust", "samples"): "100"}, ["analyze"]),
+    ("robust_samples_true", {("robust", "samples"): True}, ["analyze"]),
+    ("robust_gamma_string", {("robust", "gamma"): "6"}, ["analyze"]),
+    ("scenario_n_string", {("scenario", "n"): "4"}, ["construct", "--mode", "disjoint"]),
+    ("scenario_x_string", {("scenario", "n"): 4, ("scenario", "x"): "0.1"}, ["construct", "--mode", "disjoint"]),
+    ("scenario_trials_true", {("scenario", "trials"): True}, ["simulate", "--scenario", "example1"]),
+    ("scenario_p_string", {("scenario", "p"): "0.5"}, ["simulate", "--scenario", "example1"]),
+    (
+        "scenario_d_string",
+        {**BALANCED_FROM_SCENARIO, ("scenario", "S"): [2.0, 1.0], ("scenario", "d"): "6"},
+        ["construct", "--mode", "balanced"],
+    ),
     ("beta_stars_number", {("ground_truth", "beta_stars"): 5}, ["fit"]),
     ("groups_number", {("groups",): 3}, ["analyze"]),
     ("scenario_trials_list", {("scenario", "trials"): [3]}, ["simulate", "--scenario", "example1"]),
